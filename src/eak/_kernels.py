@@ -1,52 +1,31 @@
-"""Hot loops for lattice-point enumeration over integer boxes.
+"""Hot loop for lattice-point enumeration over integer boxes.
 
 The scan solves, for an all-integer system, which points of a box
 satisfy A x <= C, splitting them into strictly-interior points (only
 counted) and boundary points (returned, they need exact geometric
-classification downstream).
-
-Two implementations are provided: a numba-compiled kernel and a pure
-numpy slab scan.  Selection: numba when importable, unless the
-environment variable EAK_NO_NUMBA is set to a truthy value.
+classification downstream).  It is a numpy slab scan: one matrix
+product per value of the first coordinate.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-except ImportError:  # pragma: no cover
-    numba = None
-
-
-def numba_enabled() -> bool:
-    if os.environ.get("EAK_NO_NUMBA", "") not in ("", "0", "false"):
-        return False
-    return numba is not None
 
 
 def scan_box(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """(interior_count, boundary_points) for A x <= C over the box [lo, hi].
 
-    All inputs are int64; boundary_points is an (n, d) int64 array of the
-    points satisfying the system with at least one equality.
+    All inputs are int64, and every row value A x over the box must fit
+    in int64; boundary_points is an (n, d) int64 array of the points
+    satisfying the system with at least one equality.
     """
     A = np.ascontiguousarray(A, dtype=np.int64)
     C = np.ascontiguousarray(C, dtype=np.int64)
     lo = np.ascontiguousarray(lo, dtype=np.int64)
     hi = np.ascontiguousarray(hi, dtype=np.int64)
-    if np.any(hi < lo):
-        return 0, np.empty((0, len(lo)), dtype=np.int64)
-    if numba_enabled():
-        return _scan_numba_wrapper(A, C, lo, hi)
-    return scan_box_numpy(A, C, lo, hi)
-
-
-def scan_box_numpy(A, C, lo, hi):
     d = len(lo)
+    if np.any(hi < lo):
+        return 0, np.empty((0, d), dtype=np.int64)
     axes = [np.arange(lo[j], hi[j] + 1, dtype=np.int64) for j in range(1, d)]
     if axes:
         rest = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
@@ -67,57 +46,3 @@ def scan_box_numpy(A, C, lo, hi):
             boundary.append(pts[tight].copy())
     bnd = np.concatenate(boundary, axis=0) if boundary else np.empty((0, d), dtype=np.int64)
     return interior, bnd
-
-
-def _scan_numba_wrapper(A, C, lo, hi):
-    cap = 1 << 14
-    while True:
-        bnd = np.empty((cap, len(lo)), dtype=np.int64)
-        interior, nb = _scan_numba(A, C, lo, hi, bnd)
-        if nb <= cap:
-            return interior, bnd[:nb].copy()
-        cap = 2 * nb
-
-
-def _scan_impl(A, C, lo, hi, bnd):
-    n, d = A.shape
-    dims = hi - lo + 1
-    total = 1
-    for j in range(d):
-        total *= dims[j]
-    cap = bnd.shape[0]
-    interior = 0
-    nb = 0
-    x = np.empty(d, np.int64)
-    for flat in range(total):
-        f = flat
-        for j in range(d - 1, -1, -1):
-            x[j] = lo[j] + f % dims[j]
-            f //= dims[j]
-        ok = True
-        tight = False
-        for i in range(n):
-            s = 0
-            for j in range(d):
-                s += A[i, j] * x[j]
-            if s > C[i]:
-                ok = False
-                break
-            if s == C[i]:
-                tight = True
-        if not ok:
-            continue
-        if tight:
-            if nb < cap:
-                for j in range(d):
-                    bnd[nb, j] = x[j]
-            nb += 1
-        else:
-            interior += 1
-    return interior, nb
-
-
-if numba is not None:
-    _scan_numba = numba.njit(cache=True, nogil=True)(_scan_impl)
-else:  # pragma: no cover
-    _scan_numba = _scan_impl

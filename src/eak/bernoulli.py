@@ -56,9 +56,16 @@ def periodized(r: int, x) -> Fraction:
     if r < 1:
         raise ValueError("periodization needs degree >= 1")
     x = Fraction(x)
-    if r == 1 and is_integer(x):
-        return Fraction(0)
-    return bernoulli_poly(r, frac_part(x))
+    q = x.denominator
+    p = x.numerator % q  # frac(x) = p/q
+    # Every coefficient term and Dedekind-Rademacher step uses degree 1 or
+    # 2, so these skip the Horner loop over Fractions:
+    # B1(p/q) = (2p - q)/(2q) and B2(p/q) = (6p^2 - 6pq + q^2)/(6q^2).
+    if r == 1:
+        return Fraction(0) if p == 0 else Fraction(2 * p - q, 2 * q)
+    if r == 2:
+        return Fraction(6 * p * p - 6 * p * q + q * q, 6 * q * q)
+    return bernoulli_poly(r, Fraction(p, q))
 
 
 def one_sided_B1(x, side: str) -> Fraction:

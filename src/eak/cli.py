@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -19,6 +18,12 @@ from eak.polytope import Polytope
 
 SCHEMA = "1"
 
+# the closed-form coefficients of each flavor, codimension one first
+FLAVORS = {
+    "solid-angle": (coefficients.coeff_a_d1, coefficients.coeff_a_d2),
+    "ehrhart": (coefficients.coeff_e_d1, coefficients.coeff_e_d2),
+}
+
 
 class InputError(Exception):
     pass
@@ -29,6 +34,13 @@ def _rational(text: str) -> Fraction:
         return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
+
+
+def _positive_rational(text: str) -> Fraction:
+    value = _rational(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive rational: {text!r}")
+    return value
 
 
 def _load_polytope(path: str) -> Polytope:
@@ -43,10 +55,6 @@ def _load_polytope(path: str) -> Polytope:
         return Polytope.from_json(data)
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: {exc}")
-
-
-def _exact_str(v: ExactValue) -> str:
-    return str(v)
 
 
 def _exact_json(v: ExactValue):
@@ -120,27 +128,18 @@ def _cmd_analyze(args) -> int:
         ]
 
     flavors = ["solid-angle", "ehrhart"] if args.flavor == "both" else [args.flavor]
+    coeffs = {flavor: [make(P) for make in FLAVORS[flavor]] for flavor in flavors}
     evals = []
     for t in args.eval or []:
         for flavor in flavors:
-            if flavor == "solid-angle":
-                c2 = coefficients.coeff_a_d1(P).eval(t)
-                c1 = coefficients.coeff_a_d2(P).eval(t)
-                names = ("a_d1", "a_d2")
-            else:
-                c2 = coefficients.coeff_e_d1(P).eval(t)
-                c1 = coefficients.coeff_e_d2(P).eval(t)
-                names = ("e_d1", "e_d2")
-            print(
-                f"\nt={format_rational(t)} [{flavor}]: "
-                f"{names[0]} = {_exact_str(c2)}; {names[1]} = {_exact_str(c1)}"
-            )
+            values = {c.kind: c.eval(t) for c in coeffs[flavor]}
+            shown = "; ".join(f"{name} = {v}" for name, v in values.items())
+            print(f"\nt={format_rational(t)} [{flavor}]: {shown}")
             evals.append(
                 {
                     "t": format_rational(t),
                     "flavor": flavor,
-                    names[0]: _exact_json(c2),
-                    names[1]: _exact_json(c1),
+                    **{name: _exact_json(v) for name, v in values.items()},
                 }
             )
     report["evaluations"] = evals
@@ -156,7 +155,7 @@ def _cmd_eval(args) -> int:
     qp = coefficients.complete_quasipolynomial_d3(P, args.flavor)
     for t in args.t:
         v = qp.value(t)
-        print(f"{args.flavor}({format_rational(t)}) = {_exact_str(v)}")
+        print(f"{args.flavor}({format_rational(t)}) = {v}")
         report["values"].append({"t": format_rational(t), "value": _exact_json(v)})
     _emit(report, args.json)
     return 0
@@ -196,8 +195,8 @@ def _cmd_verify(args) -> int:
             ok_all = ok_all and ok
             status = "pass" if ok else "FAIL"
             print(
-                f"t={format_rational(t)} {name}: formula={_exact_str(formula)} "
-                f"oracle={_exact_str(interpolated)} [{status}]"
+                f"t={format_rational(t)} {name}: formula={formula} "
+                f"oracle={interpolated} [{status}]"
             )
             checks.append(
                 {
@@ -244,6 +243,10 @@ def _cmd_lattice_sum(args) -> int:
         raise InputError(f"{args.problem}: malformed JSON: {exc.msg}")
     try:
         basis = [[parse_rational(str(c)) for c in col] for col in data["basis"]]
+        if len(basis) > 2:
+            raise InputError(
+                f"{args.problem}: lattice-sum requires a lattice of rank at most two"
+            )
         w_cols = [[parse_rational(str(c)) for c in col] for col in data["w"]]
         e = [int(v) for v in data["e"]]
         x = [parse_rational(str(c)) for c in data["x"]]
@@ -257,7 +260,7 @@ def _cmd_lattice_sum(args) -> int:
     except (KeyError, ValueError, TypeError, IndexError) as exc:
         raise InputError(f"{args.problem}: {exc}")
     value = lattice_sum.lattice_sum_finite(problem)
-    print(_exact_str(value))
+    print(value)
     _emit(
         {"schema": SCHEMA, "command": "lattice-sum", "value": _exact_json(value)},
         args.json,
@@ -267,13 +270,15 @@ def _cmd_lattice_sum(args) -> int:
 
 def _cmd_concrete(args) -> int:
     P = _load_polytope(args.polytope)
+    if P.dim > 3:
+        raise InputError("concrete requires a polytope of dimension at most three")
     rep = concrete_mod.is_concrete(P, args.tmax)
     if rep.concrete:
         print(f"concrete for t = 1..{args.tmax}")
     else:
         print(
             f"not concrete: fails at t={rep.failed_t} "
-            f"with defect {_exact_str(rep.defect)}"
+            f"with defect {rep.defect}"
         )
     tiling = concrete_mod.symmetrized_multitiling_level(
         P, samples=args.samples, seed=args.seed
@@ -305,12 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact solid-angle sums, Ehrhart quasi-coefficients and "
         "Dedekind-Rademacher sums for rational polytopes.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker thread cap (default: EAK_THREADS or the core count)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="closed-form coefficient tables and evaluations")
@@ -324,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate the full degree-3 quasi-polynomial")
     p.add_argument("polytope")
     p.add_argument("--flavor", choices=["solid-angle", "ehrhart"], default="ehrhart")
-    p.add_argument("--t", action="append", type=_rational, required=True)
+    p.add_argument("--t", action="append", type=_positive_rational, required=True)
     p.add_argument("--json")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("verify", help="formula-vs-oracle comparison table")
     p.add_argument("polytope")
-    p.add_argument("--t", action="append", type=_rational, required=True)
+    p.add_argument("--t", action="append", type=_positive_rational, required=True)
     p.add_argument("--json")
     p.set_defaults(func=_cmd_verify)
 
@@ -364,9 +363,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.threads is None:
-        env = os.environ.get("EAK_THREADS")
-        args.threads = int(env) if env else os.cpu_count()
     try:
         return args.func(args)
     except InputError as exc:

@@ -26,28 +26,19 @@ from eak.local_data import (
 )
 from eak.polytope import Polytope
 
-Kind = str  # one of "a_d1", "a_d2", "e_d1", "e_d2"
-
 
 @dataclass(frozen=True)
 class QuasiCoefficient:
     """Evaluable quasi-coefficient: a sum of per-face closed-form terms."""
 
-    kind: Kind
+    kind: str  # one of "a_d1", "a_d2", "e_d1", "e_d2"
     period: int
-    terms: tuple
+    terms: tuple  # the per-face local data of P
+    term: Callable  # (face data, t) -> that face's summand at t
 
     def eval(self, t) -> ExactValue:
         t = Fraction(t)
-        if self.kind == "a_d1":
-            return exact_sum(_facet_term_a(f, t) for f in self.terms)
-        if self.kind == "e_d1":
-            return exact_sum(_facet_term_e(f, t) for f in self.terms)
-        if self.kind == "a_d2":
-            return exact_sum(_codim2_term_a(g, t) for g in self.terms)
-        if self.kind == "e_d2":
-            return exact_sum(_codim2_term_e(g, t) for g in self.terms)
-        raise ValueError(f"unknown kind {self.kind}")
+        return exact_sum(self.term(f, t) for f in self.terms)
 
     def eval_rational(self, t) -> Fraction:
         return self.eval(t).as_rational()
@@ -90,27 +81,28 @@ def _codim2_term_e(g: CodimTwoData, t: Fraction) -> Fraction:
 
 
 def coeff_a_d1(P: Polytope) -> QuasiCoefficient:
-    return QuasiCoefficient("a_d1", P.denominator(), tuple(all_facet_data(P)))
+    return QuasiCoefficient("a_d1", P.denominator(), all_facet_data(P), _facet_term_a)
 
 
 def coeff_e_d1(P: Polytope) -> QuasiCoefficient:
-    return QuasiCoefficient("e_d1", P.denominator(), tuple(all_facet_data(P)))
+    return QuasiCoefficient("e_d1", P.denominator(), all_facet_data(P), _facet_term_e)
 
 
 def coeff_a_d2(P: Polytope) -> QuasiCoefficient:
-    return QuasiCoefficient("a_d2", P.denominator(), tuple(all_codim2_data(P)))
+    return QuasiCoefficient("a_d2", P.denominator(), all_codim2_data(P), _codim2_term_a)
 
 
 def coeff_e_d2(P: Polytope) -> QuasiCoefficient:
-    return QuasiCoefficient("e_d2", P.denominator(), tuple(all_codim2_data(P)))
+    return QuasiCoefficient("e_d2", P.denominator(), all_codim2_data(P), _codim2_term_e)
 
 
 def recovered_a_d1(P: Polytope, t) -> ExactValue:
     """a_{d-1}(t) reconstructed from Ehrhart data:
     -e_{d-1}(P; -t) + (1/2) sum over facets of vol*(F) 1_Z(<v_F,x_F> t)."""
     t = Fraction(t)
-    value = -coeff_e_d1(P).eval(-t)
-    for f in all_facet_data(P):
+    e_d1 = coeff_e_d1(P)
+    value = -e_d1.eval(-t)
+    for f in e_d1.terms:
         if is_integer(f.x_F_dot * t):
             value = value + f.vol_star / 2
     return value
@@ -122,13 +114,10 @@ def tetrahedron_identity(P: Polytope) -> Fraction:
         raise ValueError("integer tetrahedron required")
     if P.denominator() != 1:
         raise ValueError("integer tetrahedron required")
-    facet_vol: dict[int, Fraction] = {}
-    for f in all_facet_data(P):
-        (idx,) = f.face.tight_set
-        facet_vol[idx] = f.vol_star
+    facets = all_facet_data(P)  # in inequality order, as g.f1 and g.f2 index
     total = Fraction(0)
     for g in all_codim2_data(P):
-        vol1, vol2 = facet_vol[g.f1], facet_vol[g.f2]
+        vol1, vol2 = facets[g.f1].vol_star, facets[g.f2].vol_star
         # Every summand is rational after regrouping: the cosine terms give
         # c_G |v_1|/|v_2| = -<v_1,v_2>/|v_2|^2, and since the Euclidean
         # facet volume is vol*(F) |v_F| (sublattice determinant identity),

@@ -17,7 +17,11 @@ from fractions import Fraction
 
 from eak.bernoulli import is_integer, periodized
 
-_DIRECT_CUTOFF = 64
+# A descent step costs about as much as a few terms of the direct sum, so
+# descending down to a tiny modulus keeps the cost near log(k); a larger
+# cutoff makes it grow with k, and the cost of a coefficient table then
+# swings with the cone types of the polytope.
+_DIRECT_CUTOFF = 4
 
 
 def _validate(h: int, k: int) -> tuple[int, int]:
@@ -63,12 +67,9 @@ def _fast(h: int, k: int, x: Fraction, y: Fraction) -> Fraction:
     h, k, x, y = normalize_args(h, k, x, y)
     if k <= _DIRECT_CUTOFF:
         return dr_sum_direct(h, k, x, y)
-    if h == 1 and is_integer(x):
-        # closed form s(1,k;0,y) = k/12 + (1/k) B2~(y) - (1/4) 1_Z(y),
-        # derived from reciprocity with s(k,1;y,x) = B1~(ky+x) B1~(y)... use
-        # the printed special case only when y is also integral.
-        if is_integer(y):
-            return Fraction(k, 12) + Fraction(1, 6 * k) - Fraction(1, 4)
+    if h == 1 and is_integer(x) and is_integer(y):
+        # integral x and y leave the classical sum s(1,k) = (k-1)(k-2)/(12k)
+        return Fraction((k - 1) * (k - 2), 12 * k)
     # reciprocity: s(h,k;x,y) = RHS - s(k,h;y,x), with 1 <= h < k
     rhs = _reciprocity_rhs(h, k, x, y)
     return rhs - _fast(k, h, y, x)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from eak import linalg
 from eak.exactval import primitive_integer_vector
-from eak.linalg import Vec, orthogonal_projection  # noqa: F401  (re-export)
+from eak.linalg import Vec
 
 
 @dataclass(frozen=True)

@@ -239,21 +239,8 @@ def integer_kernel(m: Sequence[Sequence]) -> list[tuple[int, ...]]:
     if not rational:
         return []
     n = len(rational[0])
-    # Integer points of the rational kernel: scale each rational basis
-    # vector to integers, then saturate by intersecting with Z^n via HNF of
-    # the dual description.  For the sizes used here (n <= 4, rank <= 3) the
-    # saturation is done by solving in the rational span.
-    scaled = []
-    for v in rational:
-        den = math.lcm(*(c.denominator for c in v))
-        scaled.append(tuple(int(c * den) for c in v))
-    # The lattice generated by `scaled` may be a finite-index sublattice of
-    # the full integer kernel; saturate by checking all coordinates of the
-    # RREF-parametrized solution.  Parametrize integer kernel directly: x is
-    # in ker(m) iff x = sum t_i * rational[i]; integrality of x is a linear
-    # congruence condition on the t_i.  Use HNF on the projection instead:
-    # the integer kernel equals Z^n intersected with the span, computed via
-    # the kernel of the RREF pivot relations over Z.
+    # The integer kernel is the kernel over Z of the RREF rows of m, cleared
+    # of denominators: same rational kernel, and HNF gives its Z-basis.
     red, pivots = rref(m)
     rel_rows = []
     den_lcm = 1

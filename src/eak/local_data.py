@@ -4,6 +4,7 @@ For a facet F this is the primitive outward normal, the supporting
 offset and the relative volume.  For a codimension-two face G it is the
 full transverse-cone description: the projected lattice, the cone type
 (h, k), the barycentric offsets (x1, x2) and the exact dihedral angle.
+Each polytope's data is built once, on first use, and kept on it.
 """
 
 from __future__ import annotations
@@ -135,8 +136,6 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
         raise AssertionError("projected point not in the transverse plane")
     x1, x2 = coords[0], coords[1]
 
-    vol_star = Fraction(1) if face.dim == 0 else P.relative_volume(face)
-
     return CodimTwoData(
         face=face,
         f1=i,
@@ -154,7 +153,7 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
         x2=x2,
         dot1=linalg.dot(v1, xbar),
         dot2=linalg.dot(v2, xbar),
-        vol_star=vol_star,
+        vol_star=P.relative_volume(face),
         gram_lambda_G=lam.gram_det,
         dual_lattice=dual,
         v_F1_G=v_F1_G,
@@ -164,9 +163,16 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
     )
 
 
-def all_facet_data(P: Polytope) -> list[FacetData]:
-    return [facet_data(P, f) for f in P.facets()]
+def all_facet_data(P: Polytope) -> tuple[FacetData, ...]:
+    """Data of every facet of P, built on first use and kept on P."""
+    if P._facet_data is None:
+        P._facet_data = tuple(facet_data(P, f) for f in P.facets())
+    return P._facet_data
 
 
-def all_codim2_data(P: Polytope) -> list[CodimTwoData]:
-    return [codim2_data(P, f) for f in P.codim2_faces()]
+def all_codim2_data(P: Polytope) -> tuple[CodimTwoData, ...]:
+    """Data of every codimension-two face of P, built on first use and
+    kept on P."""
+    if P._codim2_data is None:
+        P._codim2_data = tuple(codim2_data(P, f) for f in P.codim2_faces())
+    return P._codim2_data

@@ -17,6 +17,7 @@ from eak.polytope import Face, Polytope
 
 ENUMERATION_BUDGET = 10**7
 MC_SAMPLES = 10**6
+INT64_LIMIT = 2**63
 
 
 class BudgetExceeded(RuntimeError):
@@ -28,19 +29,28 @@ class BudgetExceeded(RuntimeError):
 
 def _scaled_system(P: Polytope, t: Fraction):
     """Integer system A x <= C equivalent to x in t*P, plus the integer
-    bounding box of t*P."""
-    rows_a = []
-    rows_c = []
-    for a, b in P.inequalities:
-        c = b * t
-        rows_a.append([c.denominator * int(x) for x in a])
-        rows_c.append(c.numerator)
+    bounding box of t*P.  Refuses when a row's value over the box could
+    leave int64, where the scan would wrap silently."""
     lo = []
     hi = []
     for j in range(P.dim):
         coords = [v[j] * t for v in P.vertices]
         lo.append(math.floor(min(coords)))
         hi.append(math.ceil(max(coords)))
+    reach = [max(abs(lo_j), abs(hi_j)) for lo_j, hi_j in zip(lo, hi)]
+    rows_a = []
+    rows_c = []
+    for a, b in P.inequalities:
+        c = b * t
+        row = [c.denominator * int(x) for x in a]
+        bound = max(sum(abs(x) * r for x, r in zip(row, reach)), abs(c.numerator))
+        if bound >= INT64_LIMIT:
+            raise BudgetExceeded(
+                f"the scaled system at t={t} needs integers up to {bound}, "
+                f"beyond the int64 limit 2**63"
+            )
+        rows_a.append(row)
+        rows_c.append(c.numerator)
     return (
         np.array(rows_a, dtype=np.int64),
         np.array(rows_c, dtype=np.int64),
@@ -114,10 +124,7 @@ def _corner_angle(r, ra, rb) -> ExactValue:
 def _vertex_angle_3d(P: Polytope, vid: int) -> ExactValue:
     """Solid angle at a vertex of a 3-polytope by spherical excess over a
     fan triangulation of the vertex cone."""
-    cache = getattr(P, "_vertex_angles", None)
-    if cache is None:
-        cache = {}
-        P._vertex_angles = cache
+    cache = P._vertex_angles
     if vid in cache:
         return cache[vid]
     rays = _vertex_rays(P, vid)

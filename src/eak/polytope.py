@@ -92,8 +92,15 @@ class Polytope:
         self.inequalities: tuple[tuple[tuple[int, ...], Fraction], ...] = tuple(
             sorted(planes)
         )
+        # Data derived from P alone, each built on first use and kept: the
+        # faces, their local data (filled by eak.local_data), the volume and
+        # the exact vertex solid angles (filled by eak.oracle, by vertex id).
         self._facets: list[Face] | None = None
         self._codim2: list[Face] | None = None
+        self._facet_data: tuple | None = None
+        self._codim2_data: tuple | None = None
+        self._volume: Fraction | None = None
+        self._vertex_angles: dict = {}
 
     # -- constructors -----------------------------------------------------
 
@@ -208,15 +215,18 @@ class Polytope:
         return all(linalg.dot(a, x) <= b * t for a, b in self.inequalities)
 
     def volume(self) -> Fraction:
-        return convex_volume(list(self.vertices), self.dim)
+        if self._volume is None:
+            self._volume = convex_volume(list(self.vertices), self.dim)
+        return self._volume
 
     def denominator(self) -> int:
         return math.lcm(*(c.denominator for v in self.vertices for c in v))
 
     def relative_volume(self, face: Face) -> Fraction:
-        """Face volume normalized to the induced integer lattice."""
-        if face.dim < 1:
-            raise ValueError("relative volume of a vertex is 1 by convention; not computed here")
+        """Face volume normalized to the induced integer lattice; 1 for a
+        vertex, by convention."""
+        if face.dim == 0:
+            return Fraction(1)
         pts = self.face_vertices(face)
         base = pts[0]
         dirs = [linalg.vec_sub(p, base) for p in pts[1:]]

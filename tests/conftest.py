@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from eak import local_data
 from eak.polytope import Polytope
 
 
@@ -50,6 +52,22 @@ def hex_prism() -> Polytope:
 @pytest.fixture
 def square() -> Polytope:
     return Polytope(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+@pytest.fixture
+def local_data_builds(monkeypatch) -> Counter:
+    """Counts of (builder name, face vertex ids) over the per-face local
+    data builds made while the test runs."""
+    builds: Counter = Counter()
+    for name in ("facet_data", "codim2_data"):
+        build = getattr(local_data, name)
+
+        def counted(P, face, build=build, name=name):
+            builds[name, face.vertex_ids] += 1
+            return build(P, face)
+
+        monkeypatch.setattr(local_data, name, counted)
+    return builds
 
 
 def random_integer_polytope(rng: random.Random, npts=(6, 10), rad=3) -> Polytope:

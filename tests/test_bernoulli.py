@@ -52,6 +52,13 @@ def test_periodicity(x, r, n):
     assert one_sided_B1(x + n, "plus") == one_sided_B1(x, "plus")
 
 
+@given(rationals, st.integers(min_value=1, max_value=4))
+def test_periodized_is_the_polynomial_on_the_fractional_part(x, r):
+    # degrees 1 and 2 use closed forms; the Horner evaluation is the reference
+    expected = 0 if r == 1 and is_integer(x) else bernoulli_poly(r, frac_part(x))
+    assert periodized(r, x) == expected
+
+
 @given(rationals)
 def test_degree_two_symmetry(x):
     assert periodized(2, -x) == periodized(2, x)

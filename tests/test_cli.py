@@ -17,12 +17,16 @@ def delta_path(tmp_path):
     return str(path)
 
 
-def test_analyze(delta_path, capsys):
-    assert run(["analyze", delta_path, "--flavor", "both", "--eval", "1"]) == 0
+def test_analyze(delta_path, local_data_builds, capsys):
+    args = ["--flavor", "both", "--eval", "1", "--eval", "1/2", "--eval", "2"]
+    assert run(["analyze", delta_path, *args]) == 0
     out = capsys.readouterr().out
     assert "volume=1/6" in out
     assert "a_d2 = -5/12 + 3*arccos(sqrt(1/3))/(2pi)" in out
     assert "e_d2 = 11/6" in out
+    # each of the 4 facets and 6 edges is built once for all t and flavors
+    assert len(local_data_builds) == 4 + 6
+    assert set(local_data_builds.values()) == {1}
 
 
 def test_analyze_json_report(delta_path, tmp_path, capsys):
@@ -39,10 +43,12 @@ def test_eval(delta_path, capsys):
     assert "ehrhart(2) = 10" in capsys.readouterr().out
 
 
-def test_verify(delta_path, capsys):
+def test_verify(delta_path, local_data_builds, capsys):
     assert run(["verify", delta_path, "--t", "1", "--t", "1/2"]) == 0
     out = capsys.readouterr().out
     assert "[pass]" in out and "FAIL" not in out
+    assert len(local_data_builds) == 4 + 6
+    assert set(local_data_builds.values()) == {1}
 
 
 def test_dedekind(capsys):
@@ -64,9 +70,44 @@ def test_concrete(delta_path, capsys):
     assert "not concrete" in out
 
 
-def test_input_errors(tmp_path, capsys):
+def _one_line_error(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(w in err for w in words)
+
+
+def test_input_errors(delta_path, tmp_path, capsys):
     assert run(["analyze", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 3}')
     assert run(["analyze", str(bad)]) == 2
     capsys.readouterr()
+    for command in ("verify", "eval"):
+        for t in ("0", "-1"):
+            assert run([command, delta_path, "--t", t]) == 2
+            assert "not a positive rational" in capsys.readouterr().err
+    simplex4 = tmp_path / "simplex4.json"
+    simplex4.write_text(json.dumps({
+        "dim": 4,
+        "vertices": [[str(int(i == j)) for j in range(4)] for i in range(4)]
+        + [["0"] * 4],
+    }))
+    assert run(["concrete", str(simplex4)]) == 2
+    _one_line_error(capsys, "dimension")
+    rank3 = tmp_path / "rank3.json"
+    unit = [[str(int(i == j)) for j in range(3)] for i in range(3)]
+    rank3.write_text(json.dumps({"basis": unit, "w": unit, "e": [2, 2, 2], "x": ["1/3", "0", "0"]}))
+    assert run(["lattice-sum", str(rank3)]) == 2
+    _one_line_error(capsys, "rank")
+
+
+def test_verify_refuses_int64_overflow(tmp_path, capsys):
+    # the scan of 200*Delta_3 at t = (q+1)/q would need integers beyond int64
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "dim": 3,
+        "vertices": [["0", "0", "0"], ["200", "0", "0"], ["0", "200", "0"], ["0", "0", "200"]],
+    }))
+    q = 4 * 10**16 + 1
+    assert run(["verify", str(path), "--t", f"{q + 1}/{q}"]) == 2
+    _one_line_error(capsys, "int64")

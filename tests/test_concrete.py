@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from eak import polytope
 from eak.concrete import (
     SignedPermutation,
     centrally_symmetric_facets,
@@ -52,3 +53,17 @@ def test_multitiling_level(order, delta):
     assert not bad.is_multitiling
     assert bad.level is None
     assert bad.witness is not None and len(bad.witness) == 3
+
+
+def test_tiling_builds_no_local_data(cube, local_data_builds, monkeypatch):
+    # the hull images only need their inequalities: nothing else is derived
+    volumes = []
+    convex_volume = polytope.convex_volume
+
+    def counted(*args):
+        volumes.append(args)
+        return convex_volume(*args)
+
+    monkeypatch.setattr(polytope, "convex_volume", counted)
+    assert symmetrized_multitiling_level(cube, samples=4).level == 48
+    assert not local_data_builds and not volumes

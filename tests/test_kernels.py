@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from eak import _kernels
 
@@ -15,7 +14,7 @@ def _simplex_system(t):
 
 
 def test_numpy_scan_counts():
-    interior, boundary = _kernels.scan_box_numpy(*_simplex_system(4))
+    interior, boundary = _kernels.scan_box(*_simplex_system(4))
     # 35 points total in 4*simplex; the strict interior holds only (1,1,1)
     assert interior + len(boundary) == 35
     assert interior == 1
@@ -27,15 +26,6 @@ def test_numpy_scan_empty_boundary():
     C = np.array([3, 1, 3, 1], dtype=np.int64)
     lo = np.array([0, 0], dtype=np.int64)
     hi = np.array([2, 2], dtype=np.int64)
-    interior, boundary = _kernels.scan_box_numpy(A, C, lo, hi)
+    interior, boundary = _kernels.scan_box(A, C, lo, hi)
     assert interior == 9 and len(boundary) == 0
 
-
-@pytest.mark.skipif(not _kernels.numba_enabled(), reason="numba path disabled")
-def test_numba_matches_numpy():
-    for t in (1, 2, 5, 11):
-        args = _simplex_system(t)
-        ni, nb = _kernels.scan_box_numpy(*args)
-        ji, jb = _kernels._scan_numba_wrapper(*args)
-        assert ji == ni
-        assert {tuple(r) for r in jb} == {tuple(r) for r in nb}

@@ -26,6 +26,40 @@ def test_budget(delta):
         oracle.count_points(delta, 1000, budget=100)
 
 
+@pytest.mark.parametrize("q", [4 * 10**16 + 1, 10**19 + 1])
+def test_count_refuses_int64_overflow(q):
+    # scaled rows of 200*Delta_3 at t = (q+1)/q leave int64 over the box; the
+    # true count is C(203, 3) = 1373701, and q = 4*10**16+1 used to wrap
+    P = Polytope(3, [(0, 0, 0), (200, 0, 0), (0, 200, 0), (0, 0, 200)])
+    with pytest.raises(oracle.BudgetExceeded, match="int64"):
+        oracle.count_points(P, Fraction(q + 1, q))
+
+
+def test_count_exact_near_int64_limit():
+    # rows scaled by 4*10**16+1 over a box of side 21 stay below 2**63
+    q = 4 * 10**16 + 1
+    P = Polytope(3, [(0, 0, 0), (20, 0, 0), (0, 20, 0), (0, 0, 20)])
+    assert oracle.count_points(P, Fraction(q + 1, q)) == 1771  # C(23, 3)
+
+
+def test_one_dimensional_formulas_match_oracles():
+    for ends in ((Fraction(1, 2), Fraction(7, 3)), (0, 1), (Fraction(-3, 4), Fraction(5, 2))):
+        P = Polytope(1, [(e,) for e in ends])
+        m = P.denominator()
+        e_d1, a_d1 = co.coeff_e_d1(P), co.coeff_a_d1(P)
+        for t in (Fraction(1, 3), Fraction(1, 2), 1, Fraction(5, 4), 2):
+            ts = [t + j * m for j in range(2)]
+            ec = oracle.interpolate_coefficients(
+                [(s, Fraction(oracle.count_points(P, s))) for s in ts], 1
+            )
+            ac = oracle.interpolate_coefficients(
+                [(s, oracle.solid_angle_sum(P, s)) for s in ts], 1
+            )
+            assert ec[0] == P.volume()
+            assert e_d1.eval(t) == ExactValue.of(ec[1])
+            assert a_d1.eval(t) == ac[1]
+
+
 def test_solid_angle_at_loci(cube, delta):
     assert oracle.solid_angle_at(cube, (Fraction(1, 2),) * 3) == ExactValue.of(1)
     assert oracle.solid_angle_at(cube, (0, Fraction(1, 2), Fraction(1, 2))) == ExactValue.of(Fraction(1, 2))
