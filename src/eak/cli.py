@@ -269,6 +269,9 @@ def _cmd_lattice_sum(args) -> int:
 
 
 def _cmd_concrete(args) -> int:
+    for flag, value in (("--tmax", args.tmax), ("--samples", args.samples)):
+        if value < 1:
+            raise InputError(f"concrete needs {flag} of at least 1, got {value}")
     P = _load_polytope(args.polytope)
     if P.dim > 3:
         raise InputError("concrete requires a polytope of dimension at most three")
@@ -287,8 +290,9 @@ def _cmd_concrete(args) -> int:
         print(f"symmetrized copy multi-tiles at level {tiling.level} "
               f"(sampled {tiling.samples} points)")
     else:
+        witness = ", ".join(format_rational(c) for c in tiling.witness)
         print("symmetrized copy is not a constant-multiplicity tiling "
-              f"(witness {tiling.witness})")
+              f"(witness ({witness}))")
     report = {
         "schema": SCHEMA,
         "command": "concrete",

@@ -222,7 +222,10 @@ def _coerce(x: Union[ExactValue, RationalLike]) -> ExactValue:
 
 
 def exact_sum(values: Iterable[Union[ExactValue, RationalLike]]) -> ExactValue:
-    total = ExactValue.of(0)
-    for v in values:
-        total = total + v
-    return total
+    """Sum of the values, canonicalized once rather than once per addend."""
+    rat = Fraction(0)
+    terms: list = []
+    for v in map(_coerce, values):
+        rat += v.rational_part
+        terms.extend(v.angle_terms)
+    return ExactValue(rat, tuple(terms))

@@ -1,6 +1,14 @@
 """Brute-force ground truth: exact lattice-point counts, exact solid
 angles in dimension up to three, Monte Carlo angles in dimension four,
-and Vandermonde extraction of quasi-coefficients from samples."""
+and Vandermonde extraction of quasi-coefficients from samples.
+
+The exact solid-angle sum is a face decomposition.  The solid angle of
+tP is constant on the relative interior of each face, and the set of
+inequalities tight at a point of tP names the face of P whose dilate
+holds the point in its relative interior.  So A_P(t) is the interior
+count plus, for each tight set met on the boundary, its point count
+times one exact angle, and that angle, kept on the polytope, serves
+every t > 0."""
 
 from __future__ import annotations
 
@@ -59,20 +67,21 @@ def _scaled_system(P: Polytope, t: Fraction):
     )
 
 
-def _enumerate(P: Polytope, t, budget: int = ENUMERATION_BUDGET):
-    t = Fraction(t)
+def _enumerate(P: Polytope, t: Fraction, budget: int = ENUMERATION_BUDGET):
+    """(interior count, boundary points, A, C) of the scan of t*P, where
+    A x <= C is the integer system of t*P."""
     if t <= 0:
         raise ValueError("positive dilation required")
     A, C, lo, hi = _scaled_system(P, t)
     size = int(np.prod(hi - lo + 1))
     if size > budget:
         raise BudgetExceeded(f"bounding box has {size} candidate points (budget {budget})")
-    return _kernels.scan_box(A, C, lo, hi)
+    return (*_kernels.scan_box(A, C, lo, hi), A, C)
 
 
 def count_points(P: Polytope, t, budget: int = ENUMERATION_BUDGET) -> int:
     """|tP cap Z^d| by exact box scan."""
-    interior, boundary = _enumerate(P, t, budget)
+    interior, boundary, _, _ = _enumerate(P, Fraction(t), budget)
     return interior + len(boundary)
 
 
@@ -89,19 +98,10 @@ def _edge_turn(a1, a2) -> ExactValue:
 
 def _vertex_rays(P: Polytope, vid: int) -> list[tuple[int, ...]]:
     """Primitive directions of the polytope edges leaving vertex vid."""
+    edges = P.facets() if P.dim == 2 else P.codim2_faces()
     rays = []
-    if P.dim == 2:
-        for f in P.facets():
-            if vid in f.vertex_ids:
-                other = next(i for i in f.vertex_ids if i != vid)
-                rays.append(
-                    primitive_integer_vector(
-                        linalg.vec_sub(P.vertices[other], P.vertices[vid])
-                    )
-                )
-        return rays
-    for f in P.codim2_faces():
-        if f.dim == 1 and vid in f.vertex_ids:
+    for f in edges:
+        if vid in f.vertex_ids:
             other = next(i for i in f.vertex_ids if i != vid)
             rays.append(
                 primitive_integer_vector(
@@ -218,21 +218,34 @@ def solid_angle_at(P: Polytope, x: Sequence, t=1) -> ExactValue:
 
 
 def solid_angle_sum(P: Polytope, t, budget: int = ENUMERATION_BUDGET) -> ExactValue:
-    """A_P(t): exact sum of solid angles of t*P over the integer points."""
+    """A_P(t): exact sum of solid angles of t*P over the integer points.
+
+    Boundary points are grouped by their tight rows (exact in int64, as
+    _scaled_system bounds every row), and each group adds its count times
+    the angle at one of its points.  The tight set names a face of P, and
+    the angle on the face's dilates does not depend on t > 0, so it is
+    kept in P._face_angles for every later t."""
     if P.dim > 3:
         return _solid_angle_sum_numeric(P, t, budget)
     t = Fraction(t)
-    interior, boundary = _enumerate(P, t, budget)
-    total = ExactValue.of(interior)
-    for row in boundary:
-        total = total + solid_angle_at(P, tuple(int(c) for c in row), t)
-    return total
+    interior, boundary, A, C = _enumerate(P, t, budget)
+    patterns, first, counts = np.unique(
+        boundary @ A.T == C, axis=0, return_index=True, return_counts=True
+    )
+    angles = P._face_angles
+    terms = [ExactValue.of(interior)]
+    for pattern, i, n in zip(patterns, first, counts):
+        key = tuple(np.flatnonzero(pattern).tolist())
+        if key not in angles:
+            angles[key] = solid_angle_at(P, tuple(int(c) for c in boundary[i]), t)
+        terms.append(angles[key] * int(n))
+    return exact_sum(terms)
 
 
 def _solid_angle_sum_numeric(P: Polytope, t, budget: int, seed: int = 20240817) -> float:
     """Monte Carlo solid-angle sum for dimension four."""
     t = Fraction(t)
-    interior, boundary = _enumerate(P, t, budget)
+    interior, boundary, _, _ = _enumerate(P, t, budget)
     total = float(interior)
     rng = np.random.default_rng(seed)
     for row in boundary:
@@ -279,30 +292,14 @@ def interpolate_coefficients(samples: Sequence[tuple], degree: int):
 
 
 def appendixA_cross_check(P: Polytope, t, budget: int = ENUMERATION_BUDGET) -> ExactValue:
-    """A_P(t) recomputed by the face decomposition: the sum over all faces
-    of the face's constant solid angle times its count of relative-interior
-    lattice points."""
+    """A_P(t) by the per-point reference: the interior count plus
+    solid_angle_at at every boundary point, added one by one, with no
+    grouping by face; solid_angle_sum is checked against it."""
     if P.dim != 3:
         raise ValueError("three-dimensional polytope required")
     t = Fraction(t)
-    interior, boundary = _enumerate(P, t, budget)
-    facet_counts: dict[int, int] = {}
-    edge_counts: dict[tuple[int, int], int] = {}
-    vertex_ids: list[int] = []
-    for row in boundary:
-        x = tuple(int(c) for c in row)
-        locus, tight = _classify(P, x, t)
-        if locus == "facet":
-            facet_counts[tight[0]] = facet_counts.get(tight[0], 0) + 1
-        elif locus == "codim2":
-            key = (tight[0], tight[1])
-            edge_counts[key] = edge_counts.get(key, 0) + 1
-        else:
-            vertex_ids.append(P.vertices.index(tuple(c / t for c in x)))
+    interior, boundary, _, _ = _enumerate(P, t, budget)
     total = ExactValue.of(interior)
-    total = total + Fraction(sum(facet_counts.values()), 2)
-    for (i, j), n in edge_counts.items():
-        total = total + _edge_turn(P.inequalities[i][0], P.inequalities[j][0]) * n
-    for vid in vertex_ids:
-        total = total + _vertex_angle_3d(P, vid)
+    for row in boundary:
+        total = total + solid_angle_at(P, tuple(int(c) for c in row), t)
     return total

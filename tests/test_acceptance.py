@@ -263,6 +263,8 @@ def test_criterion_12_facet_coefficient_recovery():
         for _ in range(5):
             t = _random_t(rng)
             assert co.recovered_a_d1(P, t) == direct.eval(t)
-        for t in (1, 2):
-            assert oracle.appendixA_cross_check(P, t) == oracle.solid_angle_sum(P, t)
+        # the face-bucketed sum, whose face angles carry over from one t to
+        # the next, against the per-point reference
+        for t in (1, 2, Fraction(3, 2)):
+            assert oracle.solid_angle_sum(P, t) == oracle.appendixA_cross_check(P, t)
     _report("criterion 12 (facet coefficient recovered from the reflected Ehrhart data)")

@@ -1,7 +1,10 @@
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
+from eak import oracle
 from eak.cli import run
 
 DELTA = {
@@ -51,6 +54,26 @@ def test_verify(delta_path, local_data_builds, capsys):
     assert set(local_data_builds.values()) == {1}
 
 
+def test_verify_classifies_each_face_once(delta_path, monkeypatch, capsys):
+    # the eight dilations 1..4 and 1/2..7/2 meet the 4 facets, 6 edges and
+    # 4 vertices of Delta_3; each face's angle is computed at one point only
+    faces = []
+    angle_at = oracle.solid_angle_at
+
+    def counted(P, x, t=1):
+        t = Fraction(t)
+        faces.append(frozenset(
+            i for i, (a, b) in enumerate(P.inequalities)
+            if sum(ai * xi for ai, xi in zip(a, x)) == b * t
+        ))
+        return angle_at(P, x, t)
+
+    monkeypatch.setattr(oracle, "solid_angle_at", counted)
+    assert run(["verify", delta_path, "--t", "1", "--t", "1/2"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(faces) == len(set(faces)) <= 4 + 6 + 4
+
+
 def test_dedekind(capsys):
     assert run(["dedekind", "1", "5"]) == 0
     assert capsys.readouterr().out.strip() == "1/5"
@@ -68,6 +91,9 @@ def test_concrete(delta_path, capsys):
     assert run(["concrete", delta_path, "--tmax", "1", "--samples", "4"]) == 0
     out = capsys.readouterr().out
     assert "not concrete" in out
+    # Delta_3 does not multi-tile; the witness point is printed as p/q
+    assert re.search(r"\(witness \((-?\d+(/\d+)?, ){2}-?\d+(/\d+)?\)\)", out)
+    assert "Fraction" not in out
 
 
 def _one_line_error(capsys, *words):
@@ -94,6 +120,10 @@ def test_input_errors(delta_path, tmp_path, capsys):
     }))
     assert run(["concrete", str(simplex4)]) == 2
     _one_line_error(capsys, "dimension")
+    for flag in ("--tmax", "--samples"):
+        for value in ("0", "-1"):
+            assert run(["concrete", delta_path, flag, value]) == 2
+            _one_line_error(capsys, flag, "at least 1")
     rank3 = tmp_path / "rank3.json"
     unit = [[str(int(i == j)) for j in range(3)] for i in range(3)]
     rank3.write_text(json.dumps({"basis": unit, "w": unit, "e": [2, 2, 2], "x": ["1/3", "0", "0"]}))

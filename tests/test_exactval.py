@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -98,3 +100,23 @@ def test_rational_field_operations(a, b, c):
 @given(st.lists(rationals, max_size=6))
 def test_exact_sum_matches_sum(xs):
     assert exact_sum(xs).as_rational() == sum(xs, Fraction(0))
+
+
+# cos^2 values of rational-turn angles (0, 1/4, 1/2, 3/4, 1) and of others
+cos_squares = st.sampled_from(
+    [Fraction(c) for c in ("0", "1/4", "1/2", "3/4", "1", "1/3", "2/5", "1/6")]
+)
+# negative signs make supplementary angles
+angles = st.builds(
+    lambda cs, neg: AngleValue(0 if cs == 0 else (-1 if neg else 1), cs),
+    cos_squares,
+    st.booleans(),
+)
+exact_values = st.builds(
+    ExactValue, rationals, st.lists(st.tuples(rationals, angles), max_size=3).map(tuple)
+)
+
+
+@given(st.lists(st.one_of(exact_values, rationals), max_size=8))
+def test_exact_sum_is_the_left_fold(xs):
+    assert exact_sum(xs) == functools.reduce(operator.add, xs, ExactValue.of(0))

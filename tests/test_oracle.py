@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eak import coefficients as co
 from eak import oracle
@@ -128,6 +131,55 @@ def test_cross_check(delta):
     for t in (1, Fraction(3, 2)):
         assert oracle.appendixA_cross_check(P, t) == oracle.solid_angle_sum(P, t)
     assert oracle.appendixA_cross_check(delta, 2) == oracle.solid_angle_sum(delta, 2)
+
+
+def _hull_or_none(d, points):
+    try:
+        return Polytope(d, points)
+    except ValueError:
+        return None
+
+
+def rational_polytopes(d):
+    """Hulls of d+1 to d+4 points with coordinates in [-2, 2], denominator <= 3."""
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    points = st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 4)
+    return points.map(lambda pts: _hull_or_none(d, pts)).filter(lambda P: P is not None)
+
+
+# integer t makes the integer vertices of P lattice points of tP
+dilations = st.one_of(
+    st.integers(1, 3).map(Fraction),
+    st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5),
+)
+
+
+def _per_point_sum(P, t):
+    """A_P(t) with no grouping by face: for d = 3 the per-point reference,
+    below it solid_angle_at summed over the bounding box of t*P."""
+    if P.dim == 3:
+        return oracle.appendixA_cross_check(P, t)
+    box = [
+        range(
+            math.floor(min(v[j] * t for v in P.vertices)),
+            math.ceil(max(v[j] * t for v in P.vertices)) + 1,
+        )
+        for j in range(P.dim)
+    ]
+    total = ExactValue.of(0)
+    for x in itertools.product(*box):
+        total = total + oracle.solid_angle_at(P, x, t)
+    return total
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_bucketed_sum_matches_per_point_sum(d, data):
+    P = data.draw(rational_polytopes(d))
+    # the second dilation reads the face angles the first one kept on P
+    for t in data.draw(st.lists(dilations, min_size=1, max_size=2, unique=True)):
+        assert oracle.solid_angle_sum(P, t) == _per_point_sum(P, t)
 
 
 def test_four_dimensional_monte_carlo():
