@@ -275,7 +275,10 @@ def _cmd_concrete(args) -> int:
     P = _load_polytope(args.polytope)
     if P.dim > 3:
         raise InputError("concrete requires a polytope of dimension at most three")
-    rep = concrete_mod.is_concrete(P, args.tmax)
+    try:
+        rep = concrete_mod.is_concrete(P, args.tmax)
+    except ValueError as exc:
+        raise InputError(str(exc))
     if rep.concrete:
         print(f"concrete for t = 1..{args.tmax}")
     else:

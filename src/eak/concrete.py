@@ -127,7 +127,11 @@ class ConcretenessReport:
 
 
 def is_concrete(P: Polytope, t_max: int) -> ConcretenessReport:
-    """Check A_P(t) = vol(P) t^d exactly for t = 1..t_max."""
+    """Check A_P(t) = vol(P) t^d exactly for t = 1..t_max.
+
+    Raises ValueError when a defect has a nonzero canonical form but
+    vanishes to 150 bits: equal canonical forms prove equality, unequal
+    ones do not prove a difference."""
     if P.dim > 3:
         raise ValueError("dimension above three not supported")
     vol = P.volume()
@@ -136,6 +140,11 @@ def is_concrete(P: Polytope, t_max: int) -> ConcretenessReport:
         expected = ExactValue.of(vol * Fraction(t) ** P.dim)
         defect = value - expected
         if defect != ExactValue.of(0):
+            if abs(defect.eval_numeric(200)) < 2.0**-150:
+                raise ValueError(
+                    f"cannot decide concreteness at t={t}: the defect {defect} "
+                    "is nonzero in form but zero to 150 bits"
+                )
             return ConcretenessReport(False, t_max, t, defect)
     return ConcretenessReport(True, t_max, None, None)
 

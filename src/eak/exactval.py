@@ -117,8 +117,11 @@ class ExactValue:
 
     Canonical form: angles with sign -1 are rewritten through their
     supplement, angles with a rational number of turns are folded into the
-    rational part, identical angles are merged and zero coefficients
-    dropped.  Equality on canonical forms is decidable exactly.
+    rational part, angles with cos^2 > 1/2 are rewritten through their
+    complement, identical angles are merged and zero coefficients dropped.
+    So two values with equal canonical forms are equal.  The converse
+    fails for values tied by other relations among arccos terms: such a
+    difference has a nonzero form and is numerically zero.
     """
 
     rational_part: Fraction
@@ -140,7 +143,13 @@ class ExactValue:
             if turn is not None:
                 rat += coeff * turn
                 continue
-            acc[angle.cos_squared] = acc.get(angle.cos_squared, Fraction(0)) + coeff
+            cs = angle.cos_squared
+            if cs > Fraction(1, 2):
+                # arccos(sqrt(c)) + arccos(sqrt(1 - c)) = pi/2
+                rat += coeff / 4
+                coeff = -coeff
+                cs = 1 - cs
+            acc[cs] = acc.get(cs, Fraction(0)) + coeff
         terms = tuple(
             (c, AngleValue(1, cs))
             for cs, c in sorted(acc.items())
@@ -205,6 +214,8 @@ class ExactValue:
                 c = mpmath.mpf(coeff.numerator) / coeff.denominator
                 total += c * angle.eval_numeric(precision) / two_pi
             return float(total)
+
+    __float__ = eval_numeric
 
     def __str__(self) -> str:
         parts = [format_rational(self.rational_part)]

@@ -1,18 +1,20 @@
-"""Brute-force ground truth: exact lattice-point counts, exact solid
-angles in dimension up to three, Monte Carlo angles in dimension four,
+"""Brute-force ground truth: exact lattice-point counts, solid angles
 and Vandermonde extraction of quasi-coefficients from samples.
 
-The exact solid-angle sum is a face decomposition.  The solid angle of
-tP is constant on the relative interior of each face, and the set of
-inequalities tight at a point of tP names the face of P whose dilate
-holds the point in its relative interior.  So A_P(t) is the interior
-count plus, for each tight set met on the boundary, its point count
-times one exact angle, and that angle, kept on the polytope, serves
-every t > 0."""
+The solid angle of tP is constant on the relative interior of each face,
+and the set of inequalities tight at a point of tP names the face of P
+whose dilate holds the point in its relative interior.  One rule gives
+the angle from the tight set alone: 1 inside, 1/2 on a facet, the
+dihedral angle on a codim-2 face, and on a codim-3 face (a vertex of a
+3-polytope, an edge of a 4-polytope) Girard's theorem on the transverse
+cone: half the sum of its dihedral angles less (n - 2)/4 for n facets.
+Only the vertices of a 4-polytope fall back to Monte Carlo.  So A_P(t)
+is the interior count plus, for each tight set met on the boundary, its
+point count times one angle, and that angle, kept on the polytope,
+serves every t > 0."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -20,11 +22,12 @@ from typing import Sequence
 import numpy as np
 
 from eak import _kernels, linalg
-from eak.exactval import ExactValue, angle_of_cos_ratio, exact_sum, primitive_integer_vector
-from eak.polytope import Face, Polytope
+from eak.exactval import ExactValue, angle_of_cos_ratio, exact_sum
+from eak.polytope import Polytope
 
 ENUMERATION_BUDGET = 10**7
 MC_SAMPLES = 10**6
+MC_SEED = 20240817
 INT64_LIMIT = 2**63
 
 
@@ -96,99 +99,30 @@ def _edge_turn(a1, a2) -> ExactValue:
     return ExactValue.angle_turn(angle)
 
 
-def _vertex_rays(P: Polytope, vid: int) -> list[tuple[int, ...]]:
-    """Primitive directions of the polytope edges leaving vertex vid."""
-    edges = P.facets() if P.dim == 2 else P.codim2_faces()
-    rays = []
-    for f in edges:
-        if vid in f.vertex_ids:
-            other = next(i for i in f.vertex_ids if i != vid)
-            rays.append(
-                primitive_integer_vector(
-                    linalg.vec_sub(P.vertices[other], P.vertices[vid])
-                )
-            )
-    return rays
-
-
-def _corner_angle(r, ra, rb) -> ExactValue:
-    """Angle between the planes span(r, ra) and span(r, rb), measured
-    after removing the r-components (the spherical triangle's angle at r)."""
-    rr = linalg.norm_sq(r)
-    a = linalg.vec_sub(linalg.vec_scale(rr, ra), linalg.vec_scale(linalg.dot(r, ra), r))
-    b = linalg.vec_sub(linalg.vec_scale(rr, rb), linalg.vec_scale(linalg.dot(r, rb), r))
-    angle = angle_of_cos_ratio(linalg.dot(a, b), linalg.norm_sq(a) * linalg.norm_sq(b))
-    return ExactValue.angle_turn(angle)
-
-
-def _vertex_angle_3d(P: Polytope, vid: int) -> ExactValue:
-    """Solid angle at a vertex of a 3-polytope by spherical excess over a
-    fan triangulation of the vertex cone."""
-    cache = P._vertex_angles
-    if vid in cache:
-        return cache[vid]
-    rays = _vertex_rays(P, vid)
-    # adjacency: two edge rays bound a 2-face of the cone iff their edges
-    # share a facet through the vertex
-    facet_members: list[set[int]] = []
-    for f in P.facets():
-        if vid in f.vertex_ids:
-            members = set()
-            for ridx, r in enumerate(rays):
-                # ray r lies in facet f iff its normal annihilates r
-                (ineq,) = f.tight_set
-                a, _ = P.inequalities[ineq]
-                if linalg.dot(a, r) == 0:
-                    members.add(ridx)
-            facet_members.append(members)
-    n = len(rays)
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    for members in facet_members:
-        for i, j in itertools.combinations(sorted(members), 2):
-            adj[i].add(j)
-            adj[j].add(i)
-    # walk the cycle of rays around the cone
-    start = min(range(n), key=lambda i: rays[i])
-    order = [start]
-    prev = None
-    while len(order) < n:
-        nxt = min(x for x in adj[order[-1]] if x != prev)
-        prev = order[-1]
-        order.append(nxt)
-    total = ExactValue.of(0)
-    for i in range(1, n - 1):
-        r0, ra, rb = rays[start], rays[order[i]], rays[order[i + 1]]
-        excess = (
-            _corner_angle(r0, ra, rb)
-            + _corner_angle(ra, rb, r0)
-            + _corner_angle(rb, r0, ra)
-        ) * Fraction(1, 2) - Fraction(1, 4)
-        total = total + excess
-    cache[vid] = total
-    return total
-
-
-def _vertex_angle_2d(P: Polytope, vid: int) -> ExactValue:
-    r1, r2 = _vertex_rays(P, vid)
-    angle = angle_of_cos_ratio(
-        linalg.dot(r1, r2), linalg.norm_sq(r1) * linalg.norm_sq(r2)
-    )
-    return ExactValue.angle_turn(angle)
-
-
-def _classify(P: Polytope, x, t: Fraction):
-    """(locus, tight_indices) of a point known to lie in t*P."""
-    tight = [
-        i for i, (a, b) in enumerate(P.inequalities) if linalg.dot(a, x) == b * t
-    ]
-    if not tight:
-        return "interior", tight
-    r = linalg.rank([P.inequalities[i][0] for i in tight])
-    if r == 1:
-        return "facet", tight
-    if r == 2 and P.dim >= 3:
-        return "codim2", tight
-    return "deep", tight
+def _transverse_angle(P: Polytope, tight: tuple[int, ...]) -> ExactValue | float:
+    """Solid angle of P on the relative interior of the face with tight
+    inequality set `tight`, by the rank c of its normals.  At c = 3 the
+    dihedral angles of the transverse cone sit at the codim-2 faces of P
+    inside the tight set; at c = 4, a vertex of a 4-polytope, the angle
+    is a Monte Carlo float."""
+    normals = [P.inequalities[i][0] for i in tight]
+    c = linalg.rank(normals)
+    if c == 0:
+        return ExactValue.of(1)
+    if c == 1:
+        return ExactValue.of(Fraction(1, 2))
+    if c == 2:
+        return _edge_turn(*normals)
+    if c == 3:
+        inside = set(tight)
+        turns = [
+            _edge_turn(*(P.inequalities[i][0] for i in G.tight_set))
+            for G in P.codim2_faces()
+            if G.tight_set <= inside
+        ]
+        return exact_sum(turns) / 2 - Fraction(len(tight) - 2, 4)
+    u = np.random.default_rng(MC_SEED).standard_normal((MC_SAMPLES, P.dim))
+    return float(np.mean(np.all(u @ np.array(normals, dtype=float).T <= 0.0, axis=1)))
 
 
 def solid_angle_at(P: Polytope, x: Sequence, t=1) -> ExactValue:
@@ -199,71 +133,31 @@ def solid_angle_at(P: Polytope, x: Sequence, t=1) -> ExactValue:
         raise ValueError("exact solid angles are limited to dimension <= 3")
     if not P.contains(x, t):
         return ExactValue.of(0)
-    locus, tight = _classify(P, x, t)
-    if locus == "interior":
-        return ExactValue.of(1)
-    if locus == "facet":
-        return ExactValue.of(Fraction(1, 2))
-    if locus == "codim2":
-        i, j = tight[0], tight[1]
-        return _edge_turn(P.inequalities[i][0], P.inequalities[j][0])
-    # a "deep" locus in dimension <= 3 is a vertex of t*P, matching x/t in P
-    scaled = tuple(c / t for c in x)
-    vid = P.vertices.index(scaled)
-    if P.dim == 3:
-        return _vertex_angle_3d(P, vid)
-    if P.dim == 2:
-        return _vertex_angle_2d(P, vid)
-    return ExactValue.of(Fraction(1, 2))  # d = 1 endpoint
+    tight = tuple(i for i, (a, b) in enumerate(P.inequalities) if linalg.dot(a, x) == b * t)
+    return _transverse_angle(P, tight)
 
 
-def solid_angle_sum(P: Polytope, t, budget: int = ENUMERATION_BUDGET) -> ExactValue:
-    """A_P(t): exact sum of solid angles of t*P over the integer points.
+def solid_angle_sum(P: Polytope, t, budget: int = ENUMERATION_BUDGET) -> ExactValue | float:
+    """A_P(t): the sum of solid angles of t*P over the integer points;
+    exact in dimension <= 3, a float in dimension four.
 
     Boundary points are grouped by their tight rows (exact in int64, as
     _scaled_system bounds every row), and each group adds its count times
-    the angle at one of its points.  The tight set names a face of P, and
-    the angle on the face's dilates does not depend on t > 0, so it is
+    the angle of its face.  The angle does not depend on t > 0, so it is
     kept in P._face_angles for every later t."""
-    if P.dim > 3:
-        return _solid_angle_sum_numeric(P, t, budget)
     t = Fraction(t)
     interior, boundary, A, C = _enumerate(P, t, budget)
-    patterns, first, counts = np.unique(
-        boundary @ A.T == C, axis=0, return_index=True, return_counts=True
-    )
+    patterns, counts = np.unique(boundary @ A.T == C, axis=0, return_counts=True)
     angles = P._face_angles
     terms = [ExactValue.of(interior)]
-    for pattern, i, n in zip(patterns, first, counts):
+    for pattern, n in zip(patterns, counts):
         key = tuple(np.flatnonzero(pattern).tolist())
         if key not in angles:
-            angles[key] = solid_angle_at(P, tuple(int(c) for c in boundary[i]), t)
+            angles[key] = _transverse_angle(P, key)
         terms.append(angles[key] * int(n))
+    if P.dim > 3:
+        return math.fsum(map(float, terms))
     return exact_sum(terms)
-
-
-def _solid_angle_sum_numeric(P: Polytope, t, budget: int, seed: int = 20240817) -> float:
-    """Monte Carlo solid-angle sum for dimension four."""
-    t = Fraction(t)
-    interior, boundary, _, _ = _enumerate(P, t, budget)
-    total = float(interior)
-    rng = np.random.default_rng(seed)
-    for row in boundary:
-        x = tuple(int(c) for c in row)
-        locus, tight = _classify(P, x, t)
-        if locus == "facet":
-            total += 0.5
-            continue
-        if locus == "codim2":
-            i, j = tight[0], tight[1]
-            total += _edge_turn(
-                P.inequalities[i][0], P.inequalities[j][0]
-            ).eval_numeric()
-            continue
-        A = np.array([P.inequalities[i][0] for i in tight], dtype=float)
-        u = rng.standard_normal((MC_SAMPLES, P.dim))
-        total += float(np.mean(np.all(u @ A.T <= 0.0, axis=1)))
-    return total
 
 
 # ---------------------------------------------------------------------------

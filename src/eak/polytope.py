@@ -94,15 +94,13 @@ class Polytope:
         )
         # Data derived from P alone, each built on first use and kept: the
         # faces, their local data (filled by eak.local_data), the volume and
-        # the exact solid angles (filled by eak.oracle): at each vertex, by
-        # vertex id, and on each face met by a lattice point of a dilate, by
-        # the tuple of its tight inequality indices.
+        # the solid angle on each face met by a lattice point of a dilate
+        # (filled by eak.oracle), by the tuple of its tight inequality indices.
         self._facets: list[Face] | None = None
         self._codim2: list[Face] | None = None
         self._facet_data: tuple | None = None
         self._codim2_data: tuple | None = None
         self._volume: Fraction | None = None
-        self._vertex_angles: dict = {}
         self._face_angles: dict = {}
 
     # -- constructors -----------------------------------------------------

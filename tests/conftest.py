@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -105,3 +106,12 @@ def random_tetrahedron(rng: random.Random, rad=3) -> Polytope:
             continue
         if len(P.vertices) == 4:
             return P
+
+
+def rhombic_dodecahedron(image) -> Polytope:
+    """The rhombic dodecahedron conv((+-1, +-1, +-1), +-2 e_i), which tiles
+    R^3 by the lattice of even coordinate sum, mapped by the linear
+    integer map image(x, y, z)."""
+    cube = itertools.product((-1, 1), repeat=3)
+    axes = [tuple(2 * s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)]
+    return Polytope(3, [image(*v) for v in (*cube, *axes)])

@@ -1,11 +1,12 @@
 import json
 import re
-from fractions import Fraction
 
 import pytest
 
 from eak import oracle
 from eak.cli import run
+
+from conftest import rhombic_dodecahedron
 
 DELTA = {
     "dim": 3,
@@ -56,22 +57,26 @@ def test_verify(delta_path, local_data_builds, capsys):
 
 def test_verify_classifies_each_face_once(delta_path, monkeypatch, capsys):
     # the eight dilations 1..4 and 1/2..7/2 meet the 4 facets, 6 edges and
-    # 4 vertices of Delta_3; each face's angle is computed at one point only
+    # 4 vertices of Delta_3; each face's angle is computed once
     faces = []
-    angle_at = oracle.solid_angle_at
+    angle_of = oracle._transverse_angle
 
-    def counted(P, x, t=1):
-        t = Fraction(t)
-        faces.append(frozenset(
-            i for i, (a, b) in enumerate(P.inequalities)
-            if sum(ai * xi for ai, xi in zip(a, x)) == b * t
-        ))
-        return angle_at(P, x, t)
+    def counted(P, tight):
+        faces.append(frozenset(tight))
+        return angle_of(P, tight)
 
-    monkeypatch.setattr(oracle, "solid_angle_at", counted)
+    monkeypatch.setattr(oracle, "_transverse_angle", counted)
     assert run(["verify", delta_path, "--t", "1", "--t", "1/2"]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    assert len(faces) == len(set(faces)) <= 4 + 6 + 4
+    assert 0 < len(faces) == len(set(faces)) <= 4 + 6 + 4
+
+
+def test_concrete_refuses_a_numerically_zero_defect(tmp_path, capsys):
+    P = rhombic_dodecahedron(lambda x, y, z: (x + y + z, y + 2 * z, z))
+    path = tmp_path / "rd.json"
+    path.write_text(json.dumps(P.to_json()))
+    assert run(["concrete", str(path), "--tmax", "1", "--samples", "1"]) == 2
+    _one_line_error(capsys, "cannot decide", "t=1")
 
 
 def test_dedekind(capsys):

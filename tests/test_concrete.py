@@ -12,6 +12,8 @@ from eak.concrete import (
 )
 from eak.exactval import AngleValue, ExactValue
 
+from conftest import rhombic_dodecahedron
+
 
 def test_hyperoctahedral_group():
     assert len(hyperoctahedral_elements(2)) == 8
@@ -40,6 +42,21 @@ def test_is_concrete(cube, order, delta):
     assert bad.defect == ExactValue(
         Fraction(-5, 12), ((Fraction(3), AngleValue(1, Fraction(1, 3))),)
     )
+
+
+def test_sheared_rhombic_dodecahedron_is_concrete():
+    # it tiles R^3 by a sublattice of Z^3; its defect 1/2 - 2w(1/3) - 2w(2/3),
+    # with w(c) = arccos(sqrt(c))/(2pi), is 0 by the complement relation
+    P = rhombic_dodecahedron(lambda x, y, z: (x + y, y, z))
+    assert is_concrete(P, 2).concrete
+
+
+def test_is_concrete_refuses_a_numerically_zero_defect():
+    # under this map the defect is a sum of eight arccos terms that the
+    # canonical form does not relate, yet it vanishes
+    P = rhombic_dodecahedron(lambda x, y, z: (x + y + z, y + 2 * z, z))
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_concrete(P, 1)
 
 
 def test_multitiling_level(order, delta):

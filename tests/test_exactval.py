@@ -104,7 +104,7 @@ def test_exact_sum_matches_sum(xs):
 
 # cos^2 values of rational-turn angles (0, 1/4, 1/2, 3/4, 1) and of others
 cos_squares = st.sampled_from(
-    [Fraction(c) for c in ("0", "1/4", "1/2", "3/4", "1", "1/3", "2/5", "1/6")]
+    [Fraction(c) for c in ("0", "1/4", "1/2", "3/4", "1", "1/3", "2/5", "1/6", "2/3", "3/5")]
 )
 # negative signs make supplementary angles
 angles = st.builds(
@@ -120,3 +120,12 @@ exact_values = st.builds(
 @given(st.lists(st.one_of(exact_values, rationals), max_size=8))
 def test_exact_sum_is_the_left_fold(xs):
     assert exact_sum(xs) == functools.reduce(operator.add, xs, ExactValue.of(0))
+
+
+@given(cos_squares)
+def test_complementary_angles_fold(cs):
+    # arccos(sqrt(c)) + arccos(sqrt(1 - c)) = pi/2
+    def turn(c):
+        return ExactValue.angle_turn(AngleValue(0 if c == 0 else 1, c))
+
+    assert turn(cs) + turn(1 - cs) == ExactValue.of(Fraction(1, 4))

@@ -3,16 +3,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eak import coefficients as co
-from eak import oracle
-from eak.exactval import AngleValue, ExactValue
+from eak import linalg, oracle
+from eak.exactval import AngleValue, ExactValue, exact_sum
 from eak.polytope import Polytope
 
-from conftest import random_integer_polytope
+from conftest import random_integer_polytope, random_rational_polytope
 
 
 def test_count_points(delta, cube, square):
@@ -94,6 +95,21 @@ def test_vertex_angles_sum_to_half_excess(delta, cube):
     # Gram-style relation in d=3 at t large enough that all loci appear
     total = oracle.solid_angle_sum(cube, 1)
     assert total == ExactValue.of(1)  # 8 corners of 1/8
+
+
+def test_gram_relation():
+    # Gram: the sum over all faces F of P of (-1)^dim F times the angle at F
+    # is 0; for d = 3 it ties each vertex angle to the dihedral angles
+    rng = random.Random(7)
+    for _ in range(30):
+        P = random_rational_polytope(rng)
+        vertices = exact_sum(oracle.solid_angle_at(P, v) for v in P.vertices)
+        edges = exact_sum(
+            oracle.solid_angle_at(P, [(a + b) / 2 for a, b in zip(*P.face_vertices(G))])
+            for G in P.codim2_faces()
+        )
+        gram = vertices - edges + Fraction(len(P.facets()), 2) - 1
+        assert gram == ExactValue.of(0)
 
 
 def test_two_dimensional_angles(square):
@@ -187,3 +203,29 @@ def test_four_dimensional_monte_carlo():
     total = oracle.solid_angle_sum(cube4, 1)
     assert isinstance(total, float)
     assert total == pytest.approx(1.0, abs=5e-3)
+
+
+def test_four_dimensional_sum_exact_off_the_vertices():
+    # at t = 1 the lattice points of [0,1]^3 x [1/3,4/3] lie on its edges,
+    # each with the angle 1/8 of a 3-dimensional octant
+    P = Polytope(4, [(*v, w) for v in itertools.product((0, 1), repeat=3)
+                     for w in (Fraction(1, 3), Fraction(4, 3))])
+    assert oracle.solid_angle_sum(P, 1) == 1.0
+
+
+def test_four_dimensional_edge_angles_match_monte_carlo():
+    # Girard's angle on the edges of a 4-polytope against a sampled estimate
+    P = Polytope(4, [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0),
+                     (0, 0, 0, 1), (1, 1, 1, 1)])
+    u = np.random.default_rng(1).standard_normal((200_000, 4))
+    checked = 0
+    for v, w in itertools.combinations(P.vertices, 2):
+        tight = tuple(i for i, (a, b) in enumerate(P.inequalities)
+                      if linalg.dot(a, v) == b == linalg.dot(a, w))
+        normals = [P.inequalities[i][0] for i in tight]
+        if linalg.rank(normals) != 3:
+            continue
+        sampled = np.mean(np.all(u @ np.array(normals, dtype=float).T <= 0, axis=1))
+        assert oracle._transverse_angle(P, tight).eval_numeric() == pytest.approx(sampled, abs=4e-3)
+        checked += 1
+    assert checked >= 10
