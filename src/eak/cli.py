@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -289,8 +290,17 @@ def _cmd_concrete(args) -> int:
     tiling = concrete_mod.symmetrized_multitiling_level(
         P, samples=args.samples, seed=args.seed
     )
-    if tiling.is_multitiling:
-        print(f"symmetrized copy multi-tiles at level {tiling.level} "
+    level = tiling.level
+    # a k-fold tiling by Z^d translates has k equal to the images' total volume
+    order = 2**P.dim * math.factorial(P.dim)
+    total = order * P.volume()
+    if level is not None and level != total:
+        print("symmetrized copy is not a constant-multiplicity tiling "
+              f"(sampled level {level} on {tiling.samples} points, but "
+              f"{order} vol(P) = {format_rational(total)})")
+        level = None
+    elif level is not None:
+        print(f"symmetrized copy multi-tiles at level {level} "
               f"(sampled {tiling.samples} points)")
     else:
         witness = ", ".join(format_rational(c) for c in tiling.witness)
@@ -302,7 +312,7 @@ def _cmd_concrete(args) -> int:
         "concrete": rep.concrete,
         "failed_t": rep.failed_t,
         "defect": _exact_json(rep.defect) if rep.defect is not None else None,
-        "tiling_level": tiling.level,
+        "tiling_level": level,
         "samples": tiling.samples,
     }
     _emit(report, args.json)

@@ -1,6 +1,10 @@
 """Concreteness checks: hyperoctahedral symmetrization, multi-tiling
 levels by sampling, central symmetry of facets, and the direct
-definition A_P(t) = vol(P) t^d."""
+definition A_P(t) = vol(P) t^d.
+
+The multi-tiling level is sampled from the orbit of each sample point
+under the signed permutations, tested for exact integer membership in
+the integer translates of P itself; no image polytope is built."""
 
 from __future__ import annotations
 
@@ -10,9 +14,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from eak import linalg, oracle
+import numpy as np
+
+from eak import oracle
 from eak.exactval import ExactValue
 from eak.polytope import Polytope
+
+# sample points of the multi-tiling check are k / SAMPLE_DEN, k in Z^d
+SAMPLE_DEN = 10**6
 
 
 @dataclass(frozen=True)
@@ -59,62 +68,58 @@ def _translate_ranges(Q: Polytope) -> list[range]:
     return ranges
 
 
-def _copy_multiplicity(Q: Polytope, x) -> tuple[int, bool]:
-    """(covering translate count, whether x hits a translate boundary)."""
-    count = 0
-    for lam in itertools.product(*_translate_ranges(Q)):
-        shifted = tuple(x[i] - lam[i] for i in range(Q.dim))
-        tight = False
-        inside = True
-        for a, b in Q.inequalities:
-            s = linalg.dot(a, shifted)
-            if s > b:
-                inside = False
-                break
-            if s == b:
-                tight = True
-        if inside:
-            if tight:
-                return count, True
-            count += 1
-    return count, False
-
-
 def symmetrized_multitiling_level(
     P: Polytope, samples: int = 256, seed: int = 0
 ) -> TilingReport:
     """Multiplicity of the hyperoctahedral symmetrization of P under
-    integer translations, checked exactly at sampled points."""
+    integer translations, checked exactly at sampled points.
+
+    The symmetrization is the multiset of the images g(P), one per signed
+    permutation g.  Each g maps Z^d onto itself, so x - lam lies in g(P)
+    exactly when g^-1 x - g^-1 lam lies in P, and on its boundary exactly
+    when that point lies on the boundary of P.  Summed over the group
+    (g^-1 runs over it as g does), the multiplicity at x is
+
+        sum_g #{mu in Z^d : frac(g x) - mu in P},
+
+    so the orbit of x is tested against the translates of P itself and
+    no image polytope is built.  A sample is x = k/10^6; with P's rows
+    scaled to integers the test is exact, on Python ints so that no input
+    can overflow.  A point on the boundary of some translate is redrawn,
+    up to 64 times.
+
+    A k-fold tiling by Z^d translates has k equal to the images' total
+    volume 2^d d! vol(P); callers that know vol(P) can reject any other
+    sampled level."""
     if P.dim > 3:
         raise ValueError("dimension above three not supported")
     d = P.dim
-    # distinct images weighted by orbit multiplicity
-    weighted: dict[tuple, int] = {}
-    for g in hyperoctahedral_elements(d):
-        verts = tuple(sorted(g.apply(v) for v in P.vertices))
-        weighted[verts] = weighted.get(verts, 0) + 1
-    polys = [(Polytope(d, list(v)), w) for v, w in weighted.items()]
+    group = hyperoctahedral_elements(d)
+    perms = np.array([g.perm for g in group])
+    signs = np.array([g.signs for g in group])
+    # with L the lcm of the b denominators, y - mu in P for y = k/SAMPLE_DEN
+    # reads L a.k <= L SAMPLE_DEN b + SAMPLE_DEN L a.mu, in integers throughout
+    scale = math.lcm(*(b.denominator for _, b in P.inequalities))
+    rows = np.array([[scale * c for c in a] for a, _ in P.inequalities], dtype=object)
+    rhs = np.array([int(scale * SAMPLE_DEN * b) for _, b in P.inequalities], dtype=object)
+    translates = np.array(list(itertools.product(*_translate_ranges(P))), dtype=object)
+    bounds = rhs + SAMPLE_DEN * (translates @ rows.T)
     rng = random.Random(seed)
     level = None
     for _ in range(samples):
         for _retry in range(64):
-            x = tuple(Fraction(rng.randrange(10**6), 10**6) for _ in range(d))
-            mult = 0
-            boundary = False
-            for Q, w in polys:
-                m, hit = _copy_multiplicity(Q, x)
-                if hit:
-                    boundary = True
-                    break
-                mult += w * m
-            if not boundary:
+            k = np.array([rng.randrange(SAMPLE_DEN) for _ in range(d)], dtype=np.int64)
+            orbit = (signs * k[perms]) % SAMPLE_DEN  # frac(g x), scaled, for each g
+            values = orbit.astype(object) @ rows.T
+            g_in, mu_in = np.nonzero((values[:, None, :] <= bounds).all(axis=-1))
+            if not (values[g_in] == bounds[mu_in]).any():
                 break
         else:
             raise RuntimeError("could not sample a point off all boundaries")
         if level is None:
-            level = mult
-        elif mult != level:
-            return TilingReport(None, samples, x)
+            level = len(g_in)
+        elif len(g_in) != level:
+            return TilingReport(None, samples, tuple(Fraction(int(c), SAMPLE_DEN) for c in k))
     return TilingReport(level, samples, None)
 
 

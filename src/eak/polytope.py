@@ -44,7 +44,10 @@ def _affine_rank(points: Sequence[Vec]) -> int:
 def hull_facets(points: Sequence[Vec], dim: int) -> list[tuple[tuple[int, ...], Fraction]]:
     """All supporting hyperplanes (primitive a, b) of a full-dimensional
     point set, with the convention <a, x> <= b inside."""
-    facets: dict[tuple, tuple[tuple[int, ...], Fraction]] = {}
+    facets: list[tuple[tuple[int, ...], Fraction]] = []
+    # each plane spanned by a d-subset, in both orientations: the side test
+    # runs once per plane, not once per subset spanning it
+    seen: set[tuple] = set()
     for subset in itertools.combinations(range(len(points)), dim):
         pts = [points[i] for i in subset]
         diffs = [linalg.vec_sub(p, pts[0]) for p in pts[1:]]
@@ -57,15 +60,16 @@ def hull_facets(points: Sequence[Vec], dim: int) -> list[tuple[tuple[int, ...], 
             continue
         a = primitive_integer_vector(normals[0])
         b = linalg.dot(a, pts[0])
+        if (a, b) in seen:
+            continue
+        neg = (tuple(-c for c in a), -b)
+        seen.update(((a, b), neg))
         side = {(-1 if linalg.dot(a, p) < b else (1 if linalg.dot(a, p) > b else 0))
                 for p in points}
         if 1 in side and -1 in side:
             continue
-        if 1 in side:
-            a = tuple(-c for c in a)
-            b = -b
-        facets[(a, b)] = (a, b)
-    return list(facets.values())
+        facets.append(neg if 1 in side else (a, b))
+    return facets
 
 
 class Polytope:
@@ -217,7 +221,7 @@ class Polytope:
 
     def volume(self) -> Fraction:
         if self._volume is None:
-            self._volume = convex_volume(list(self.vertices), self.dim)
+            self._volume = convex_volume(list(self.vertices), self.dim, self.inequalities)
         return self._volume
 
     def denominator(self) -> int:
@@ -286,9 +290,12 @@ def _parse_rat(value) -> Fraction:
 # ---------------------------------------------------------------------------
 # exact volume via recursive boundary triangulation
 
-def triangulate_convex(points: Sequence[Vec], dim: int) -> list[tuple[int, ...]]:
+def triangulate_convex(
+    points: Sequence[Vec], dim: int, facets: Sequence | None = None
+) -> list[tuple[int, ...]]:
     """Triangulation of the hull of full-dimensional points: index tuples
-    of (dim+1)-simplices, fanned from the first vertex."""
+    of (dim+1)-simplices, fanned from the lexicographically first point.
+    The hull's facet inequalities are computed unless given."""
     points = [linalg.vec(p) for p in points]
     if dim == 0:
         return [(0,)]
@@ -298,7 +305,7 @@ def triangulate_convex(points: Sequence[Vec], dim: int) -> list[tuple[int, ...]]
         return [(lo, hi)]
     apex = min(range(len(points)), key=lambda i: points[i])
     simplices = []
-    for a, b in hull_facets(points, dim):
+    for a, b in facets if facets is not None else hull_facets(points, dim):
         if linalg.dot(a, points[apex]) == b:
             continue
         face_ids = [i for i, p in enumerate(points) if linalg.dot(a, p) == b]
@@ -327,13 +334,13 @@ def _coords_in_basis(basis: list[Vec], v: Vec) -> Vec:
     return coords
 
 
-def convex_volume(points: Sequence[Vec], dim: int) -> Fraction:
+def convex_volume(points: Sequence[Vec], dim: int, facets: Sequence | None = None) -> Fraction:
     """Exact Euclidean dim-volume of the convex hull of the points,
-    measured in their own coordinates."""
+    measured in their own coordinates; facets as in triangulate_convex."""
     points = [linalg.vec(p) for p in points]
     total = Fraction(0)
     fact = math.factorial(dim)
-    for simplex in triangulate_convex(points, dim):
+    for simplex in triangulate_convex(points, dim, facets):
         base = points[simplex[0]]
         edges = [linalg.vec_sub(points[i], base) for i in simplex[1:]]
         total += abs(linalg.det(edges)) / fact

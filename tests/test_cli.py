@@ -101,6 +101,23 @@ def test_concrete(delta_path, capsys):
     assert "Fraction" not in out
 
 
+def test_concrete_rejects_a_level_other_than_the_total_volume(tmp_path, capsys):
+    # eight samples all see 14 images, but a k-fold lattice tiling by the 48
+    # images of P has k = 48 vol(P) = 16
+    path = tmp_path / "tetra.json"
+    path.write_text(json.dumps({
+        "dim": 3,
+        "vertices": [["-1", "-1", "-1"], ["-1", "-1", "0"], ["-1", "0", "-1"], ["1", "0", "-1"]],
+    }))
+    report = tmp_path / "report.json"
+    argv = ["concrete", str(path), "--tmax", "2", "--samples", "8", "--seed", "945215"]
+    assert run([*argv, "--json", str(report)]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line == ("symmetrized copy is not a constant-multiplicity tiling "
+                    "(sampled level 14 on 8 points, but 48 vol(P) = 16)")
+    assert json.loads(report.read_text())["tiling_level"] is None
+
+
 def _one_line_error(capsys, *words):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,16 +1,23 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from eak import polytope
+from eak import linalg, polytope
 from eak.concrete import (
     SignedPermutation,
+    TilingReport,
+    _translate_ranges,
     centrally_symmetric_facets,
     hyperoctahedral_elements,
     is_concrete,
     symmetrized_multitiling_level,
 )
 from eak.exactval import AngleValue, ExactValue
+from eak.polytope import Polytope
 
 from conftest import rhombic_dodecahedron
 
@@ -73,14 +80,106 @@ def test_multitiling_level(order, delta):
 
 
 def test_tiling_builds_no_local_data(cube, local_data_builds, monkeypatch):
-    # the hull images only need their inequalities: nothing else is derived
-    volumes = []
-    convex_volume = polytope.convex_volume
+    # the sample point is mapped, not P: no image is hulled, nothing derived
+    calls = []
+    for name in ("convex_volume", "hull_facets"):
+        original = getattr(polytope, name)
 
-    def counted(*args):
-        volumes.append(args)
-        return convex_volume(*args)
+        def counted(*args, original=original):
+            calls.append(args)
+            return original(*args)
 
-    monkeypatch.setattr(polytope, "convex_volume", counted)
+        monkeypatch.setattr(polytope, name, counted)
     assert symmetrized_multitiling_level(cube, samples=4).level == 48
-    assert not local_data_builds and not volumes
+    assert not local_data_builds and not calls
+
+
+# -- the image-hull reference ---------------------------------------------
+
+def _reference_multiplicity(Q: Polytope, x) -> tuple[int, bool]:
+    """(covering translate count, whether x hits a translate boundary)."""
+    count = 0
+    for lam in itertools.product(*_translate_ranges(Q)):
+        shifted = tuple(x[i] - lam[i] for i in range(Q.dim))
+        tight = False
+        inside = True
+        for a, b in Q.inequalities:
+            s = linalg.dot(a, shifted)
+            if s > b:
+                inside = False
+                break
+            if s == b:
+                tight = True
+        if inside:
+            if tight:
+                return count, True
+            count += 1
+    return count, False
+
+
+def reference_multitiling_level(P: Polytope, samples: int, seed: int) -> TilingReport:
+    """The slow path: hull every distinct image g(P), weight it by its
+    orbit multiplicity and test x against its translates in Fractions."""
+    d = P.dim
+    weighted: dict[tuple, int] = {}
+    for g in hyperoctahedral_elements(d):
+        verts = tuple(sorted(g.apply(v) for v in P.vertices))
+        weighted[verts] = weighted.get(verts, 0) + 1
+    polys = [(Polytope(d, list(v)), w) for v, w in weighted.items()]
+    rng = random.Random(seed)
+    level = None
+    for _ in range(samples):
+        for _retry in range(64):
+            x = tuple(Fraction(rng.randrange(10**6), 10**6) for _ in range(d))
+            mult = 0
+            boundary = False
+            for Q, w in polys:
+                m, hit = _reference_multiplicity(Q, x)
+                if hit:
+                    boundary = True
+                    break
+                mult += w * m
+            if not boundary:
+                break
+        else:
+            raise RuntimeError("could not sample a point off all boundaries")
+        if level is None:
+            level = mult
+        elif mult != level:
+            return TilingReport(None, samples, x)
+    return TilingReport(level, samples, None)
+
+
+@st.composite
+def rational_polytopes(draw) -> Polytope:
+    """Hull of d + 1..d + 2 points with |num| <= 3, den <= 3, d = 1..3."""
+    d = draw(st.integers(1, 3))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 2))
+    try:
+        return Polytope(d, pts)
+    except ValueError:
+        assume(False)
+
+
+HALF = Fraction(1, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(P=rational_polytopes(), samples=st.integers(1, 16), seed=st.integers(0, 10**6))
+@example(P=Polytope(2, [(0, 0), (1, 0), (1, 1)]), samples=16, seed=0)  # level 4
+@example(P=Polytope(3, [(0, 0, 0), (HALF, 0, 0), (HALF, HALF, 0), (HALF, HALF, HALF)]),
+         samples=16, seed=1)  # level 1
+def test_multitiling_level_matches_image_hulls(P, samples, seed):
+    assert symmetrized_multitiling_level(P, samples, seed) == reference_multitiling_level(
+        P, samples, seed
+    )
+
+
+def test_multitiling_redraws_a_boundary_sample():
+    # the first draw of this seed is k = 0, on the boundary of P and of -P;
+    # the next two give levels 1 and 0
+    P = Polytope(1, [(0,), (Fraction(1, 4),)])
+    report = symmetrized_multitiling_level(P, 2, 581867)
+    assert report == TilingReport(None, 2, (Fraction(678537, 10**6),))
+    assert report == reference_multitiling_level(P, 2, 581867)
