@@ -33,7 +33,7 @@ class InputError(Exception):
 def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 

@@ -31,8 +31,12 @@ _RATIONAL_TURNS = {
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact Fraction."""
-    return Fraction(text.strip())
+    """Parse 'p/q' or 'p' into an exact Fraction; ValueError on a
+    malformed text or a zero denominator."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(x: Fraction) -> str:

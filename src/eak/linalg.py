@@ -9,6 +9,7 @@ basis extraction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -98,6 +99,15 @@ def det(m: Sequence[Sequence]) -> Fraction:
                 for c in range(col, n):
                     a[r][c] -= f * a[col][c]
     return result
+
+
+def maximal_minors(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
+    """The maximal minors of an integer matrix with no more rows than
+    columns, keyed by their column subsets in lexicographic order."""
+    return {
+        cols: int(det([[r[j] for j in cols] for r in rows]))
+        for cols in itertools.combinations(range(len(rows[0])), len(rows))
+    }
 
 
 def rref(m: Sequence[Sequence]) -> tuple[Mat, list[int]]:
@@ -293,14 +303,14 @@ def _integer_kernel_of_integer_matrix(rows: list[tuple[int, ...]], n: int) -> li
 def complete_primitive_2d(c: Sequence[int]) -> tuple[tuple[int, int], tuple[int, int]]:
     """Unimodular basis (c, u) of Z^2 extending the primitive vector c."""
     a, b = int(c[0]), int(c[1])
-    g, s, t = _extended_gcd(a, b)
+    g, s, t = extended_gcd(a, b)
     if g != 1:
         raise ValueError("vector is not primitive")
     # det((a, -t), (b, s)) = a*s + b*t = 1
     return (a, b), (-t, s)
 
 
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
     old_r, r = a, b
     old_s, s = 1, 0

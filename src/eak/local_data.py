@@ -2,9 +2,10 @@
 
 For a facet F this is the primitive outward normal, the supporting
 offset and the relative volume.  For a codimension-two face G it is the
-full transverse-cone description: the projected lattice, the cone type
-(h, k), the barycentric offsets (x1, x2) and the exact dihedral angle.
-Each polytope's data is built once, on first use, and kept on it.
+transverse-cone description, read from the two facet normals and their
+offsets alone: the cone type (h, k), the barycentric offsets (x1, x2)
+and the exact dihedral angle.  Each polytope's data is built once, on
+first use, and kept on it.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from eak import linalg
-from eak.exactval import AngleValue, angle_of_cos_ratio, primitive_integer_vector
-from eak.lattice import (
-    EmbeddedLattice,
-    basis_from_generators,
-    intersection_with_integer_lattice,
-    lattice_primitive,
-)
-from eak.linalg import Vec
+from eak.exactval import AngleValue, angle_of_cos_ratio
 from eak.polytope import Face, Polytope
 
 
@@ -50,19 +44,9 @@ class CodimTwoData:
     h_inv: int
     x1: Fraction
     x2: Fraction
-    dot1: Fraction  # <v_F1, xbar_G> = k*x2
-    dot2: Fraction  # <v_F2, xbar_G> = k*x1
+    dot1: Fraction  # <v_F1, xbar_G> = b1 = k*x2
+    dot2: Fraction  # <v_F2, xbar_G> = b2 = k*x1
     vol_star: Fraction
-    gram_lambda_G: Fraction  # det(B^T B) of Lambda_G = lin(G)^perp cap Z^d
-    dual_lattice: EmbeddedLattice  # Lambda_G^* in lin(G)^perp
-    v_F1_G: Vec  # primitive dual-lattice vector orthogonal to v_F1
-    v_F2_G: Vec
-    basis_v1: Vec  # cone-type basis (v1, v2) of Lambda_G^*:
-    basis_v2: Vec  # v_F1_G = v1 and v_F2_G = h*v1 + k*v2
-
-    @property
-    def ratio12(self) -> Fraction:
-        return self.norm1_sq / self.norm2_sq
 
     def membership_scale(self, t) -> bool:
         """Whether t * xbar_G lies in Lambda_G^*."""
@@ -95,47 +79,14 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
     dot12 = linalg.dot(v1, v2)
     c_G = angle_of_cos_ratio(-dot12, n1 * n2)
 
-    # Lambda_G = lin(G)^perp cap Z^d and its dual, the projection of Z^d.
-    lam = intersection_with_integer_lattice([linalg.vec(v1), linalg.vec(v2)])
-    proj = linalg.orthogonal_projection([linalg.vec(v1), linalg.vec(v2)])
-    dual = basis_from_generators(linalg.columns(proj), rank=2)
-
-    # Primitive generators of the transverse cone boundary: f_{m,other} is
-    # the component of the other normal orthogonal to v_{F_m}.
-    f1_dir = linalg.vec_sub(linalg.vec_scale(n1, v2), linalg.vec_scale(dot12, v1))
-    f2_dir = linalg.vec_sub(linalg.vec_scale(n2, v1), linalg.vec_scale(dot12, v2))
-    v_F1_G = lattice_primitive(dual, f1_dir)
-    v_F2_G = lattice_primitive(dual, f2_dir)
-
-    # Cone type (h, k): complete the coordinates of v_F1_G to a unimodular
-    # basis of Z^2 and normalize so v_F2_G = h*v1 + k*v2 with 0 <= h < k.
-    c1 = tuple(int(c) for c in dual.coordinates(v_F1_G))
-    c2 = tuple(int(c) for c in dual.coordinates(v_F2_G))
-    _, u = linalg.complete_primitive_2d(c1)
-    sol = linalg.solve(linalg.from_columns([c1, u]), c2)
-    alpha, beta = int(sol[0]), int(sol[1])
-    if beta < 0:
-        u = (-u[0], -u[1])
-        beta = -beta
-    k = beta
-    m, h = divmod(alpha, k)
-    u = (u[0] + m * c1[0], u[1] + m * c1[1])
-    basis_v1 = dual.from_coordinates(c1)
-    basis_v2 = dual.from_coordinates(u)
-    if math.gcd(h, k) != 1:
-        raise AssertionError("cone type (h, k) not coprime")
+    # x -> (<v1, x>, <v2, x>) maps the dual of Lambda_G onto the sublattice
+    # of Z^2 of index k that contains (1, -h): k is the gcd of the 2x2
+    # minors of [v1; v2], and any integer x with <v1, x> = 1 gives h.  The
+    # cone generators map to (0, k) and (k, 0), so the projection of G,
+    # which maps to (b1, b2), has coordinates x1 = b2/k and x2 = b1/k.
+    k = math.gcd(*linalg.maximal_minors([v1, v2]).values())
+    h = -sum(a * x for a, x in zip(v2, _unit_preimage(v1))) % k
     h_inv = 1 if k == 1 else pow(h, -1, k)
-
-    # Offsets: xbar_G is the projection of any point of G; its coordinates
-    # in (v_F1_G, v_F2_G) are (x1, x2), and pairing with the normals gives
-    # b's back: <v_F1, xbar> = k*x2, <v_F2, xbar> = k*x1.
-    g0 = P.face_vertices(face)[0]
-    xbar = linalg.mat_vec(proj, g0)
-    coords = linalg.solve(linalg.from_columns([v_F1_G, v_F2_G]), xbar)
-    if coords is None:
-        raise AssertionError("projected point not in the transverse plane")
-    x1, x2 = coords[0], coords[1]
-
     return CodimTwoData(
         face=face,
         f1=i,
@@ -149,18 +100,23 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
         k=k,
         h=h,
         h_inv=h_inv,
-        x1=x1,
-        x2=x2,
-        dot1=linalg.dot(v1, xbar),
-        dot2=linalg.dot(v2, xbar),
+        x1=b_j / k,
+        x2=b_i / k,
+        dot1=b_i,
+        dot2=b_j,
         vol_star=P.relative_volume(face),
-        gram_lambda_G=lam.gram_det,
-        dual_lattice=dual,
-        v_F1_G=v_F1_G,
-        v_F2_G=v_F2_G,
-        basis_v1=basis_v1,
-        basis_v2=basis_v2,
     )
+
+
+def _unit_preimage(v: tuple[int, ...]) -> list[int]:
+    """An integer x with <v, x> = 1, for a primitive integer v, from a
+    chain of extended gcds over its coordinates."""
+    g, x = v[0], [1] + [0] * (len(v) - 1)
+    for idx in range(1, len(v)):
+        g, s, t = linalg.extended_gcd(g, v[idx])
+        x = [s * c for c in x]
+        x[idx] = t
+    return x
 
 
 def all_facet_data(P: Polytope) -> tuple[FacetData, ...]:

@@ -18,7 +18,6 @@ from typing import Sequence
 
 from eak import linalg
 from eak.exactval import format_rational, parse_rational, primitive_integer_vector
-from eak.lattice import intersection_with_integer_lattice
 from eak.linalg import Vec
 
 MAX_DIM = 4
@@ -229,17 +228,20 @@ class Polytope:
 
     def relative_volume(self, face: Face) -> Fraction:
         """Face volume normalized to the induced integer lattice; 1 for a
-        vertex, by convention."""
+        vertex, by convention.
+
+        Dropping the coordinates of the first nonzero maximal minor m of
+        the face's tight normals maps the face injectively; the integer
+        lattice of its span goes to a sublattice of index |m| / g, g the
+        gcd of the maximal minors (1 for a facet, k for a codim-2 face)."""
         if face.dim == 0:
             return Fraction(1)
-        pts = self.face_vertices(face)
-        base = pts[0]
-        dirs = [linalg.vec_sub(p, base) for p in pts[1:]]
-        lat = intersection_with_integer_lattice(dirs)
-        coords = [tuple(Fraction(0) for _ in range(lat.rank))] + [
-            lat.coordinates(d) for d in dirs
-        ]
-        return convex_volume(coords, face.dim)
+        normals = [self.inequalities[i][0] for i in sorted(face.tight_set)]
+        minors = linalg.maximal_minors(normals)
+        drop, m = next((cols, m) for cols, m in minors.items() if m)
+        keep = [j for j in range(self.dim) if j not in drop]
+        pts = [tuple(p[j] for j in keep) for p in self.face_vertices(face)]
+        return convex_volume(pts, face.dim) * math.gcd(*minors.values()) / abs(m)
 
     def __repr__(self) -> str:
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)})"
@@ -294,8 +296,13 @@ def triangulate_convex(
     points: Sequence[Vec], dim: int, facets: Sequence | None = None
 ) -> list[tuple[int, ...]]:
     """Triangulation of the hull of full-dimensional points: index tuples
-    of (dim+1)-simplices, fanned from the lexicographically first point.
-    The hull's facet inequalities are computed unless given."""
+    of (dim+1)-simplices, fanned from the first point over the
+    triangulated facets that miss it.  Each facet recurses on its points
+    in the given order, with one coordinate dropped where its normal is
+    nonzero (an injective affine map of its span).  So, for points in
+    convex position, every face is triangulated alike from each facet
+    that contains it.  The hull's facet inequalities are computed unless
+    given."""
     points = [linalg.vec(p) for p in points]
     if dim == 0:
         return [(0,)]
@@ -303,35 +310,16 @@ def triangulate_convex(
         lo = min(range(len(points)), key=lambda i: points[i])
         hi = max(range(len(points)), key=lambda i: points[i])
         return [(lo, hi)]
-    apex = min(range(len(points)), key=lambda i: points[i])
     simplices = []
     for a, b in facets if facets is not None else hull_facets(points, dim):
-        if linalg.dot(a, points[apex]) == b:
+        if linalg.dot(a, points[0]) == b:
             continue
         face_ids = [i for i, p in enumerate(points) if linalg.dot(a, p) == b]
-        face_pts = [points[i] for i in face_ids]
-        base = face_pts[0]
-        span = [linalg.vec_sub(p, base) for p in face_pts[1:]]
-        basis = _subspace_basis(span)
-        local = [_coords_in_basis(basis, linalg.vec_sub(p, base)) for p in face_pts]
+        j = next(j for j, c in enumerate(a) if c)
+        local = [points[i][:j] + points[i][j + 1:] for i in face_ids]
         for sub in triangulate_convex(local, dim - 1):
-            simplices.append(tuple(sorted((apex, *(face_ids[i] for i in sub)))))
+            simplices.append(tuple(sorted((0, *(face_ids[i] for i in sub)))))
     return simplices
-
-
-def _subspace_basis(span: list[Vec]) -> list[Vec]:
-    basis: list[Vec] = []
-    for v in span:
-        if linalg.rank(basis + [v]) > len(basis):
-            basis.append(v)
-    return basis
-
-
-def _coords_in_basis(basis: list[Vec], v: Vec) -> Vec:
-    g = linalg.gram(basis)
-    rhs = tuple(linalg.dot(b, v) for b in basis)
-    coords = linalg.mat_vec(linalg.inverse(g), rhs)
-    return coords
 
 
 def convex_volume(points: Sequence[Vec], dim: int, facets: Sequence | None = None) -> Fraction:

@@ -5,11 +5,21 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from eak import local_data
+from eak import linalg, local_data
+from eak.lattice import (
+    EmbeddedLattice,
+    basis_from_generators,
+    intersection_with_integer_lattice,
+    lattice_primitive,
+)
+from eak.linalg import Vec
 from eak.polytope import Polytope
 
 
@@ -96,6 +106,19 @@ def random_rational_polytope(rng: random.Random, npts=(6, 10)) -> Polytope:
             continue
 
 
+@st.composite
+def rational_polytopes(draw, dims: tuple[int, int], extra: int) -> Polytope:
+    """Hull of d + 1..d + 1 + extra points with |num| <= 3, den <= 3, for d
+    in the closed range dims."""
+    d = draw(st.integers(*dims))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 1 + extra))
+    try:
+        return Polytope(d, pts)
+    except ValueError:
+        assume(False)
+
+
 def random_tetrahedron(rng: random.Random, rad=3) -> Polytope:
     """Non-degenerate integer tetrahedron with coordinates in [-rad, rad]."""
     while True:
@@ -115,3 +138,64 @@ def rhombic_dodecahedron(image) -> Polytope:
     cube = itertools.product((-1, 1), repeat=3)
     axes = [tuple(2 * s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)]
     return Polytope(3, [image(*v) for v in (*cube, *axes)])
+
+
+@dataclass(frozen=True)
+class TransverseLattice:
+    """The transverse lattice of a codim-2 face G and its cone, built
+    from the lattices themselves."""
+
+    lam: EmbeddedLattice  # Lambda_G = lin(G)^perp cap Z^d
+    dual: EmbeddedLattice  # Lambda_G^*, the projection of Z^d
+    v_F1_G: Vec  # primitive dual-lattice vector orthogonal to v_F1
+    v_F2_G: Vec
+    basis_v1: Vec  # cone-type basis (v1, v2) of Lambda_G^*:
+    basis_v2: Vec  # v_F1_G = v1 and v_F2_G = h*v1 + k*v2
+    k: int
+    h: int
+    x1: Fraction  # xbar_G = x1*v_F1_G + x2*v_F2_G
+    x2: Fraction
+    xbar: Vec  # projection of G onto lin(G)^perp
+
+
+def transverse_lattice(P: Polytope, g: local_data.CodimTwoData) -> TransverseLattice:
+    """Reference for the cone type and offsets of a codim-2 face: Lambda_G,
+    its dual, the primitive cone generators and a unimodular completion."""
+    v1, v2 = linalg.vec(g.v_F1), linalg.vec(g.v_F2)
+    n1, n2, dot12 = linalg.norm_sq(v1), linalg.norm_sq(v2), linalg.dot(v1, v2)
+    lam = intersection_with_integer_lattice([v1, v2])
+    proj = linalg.orthogonal_projection([v1, v2])
+    dual = basis_from_generators(linalg.columns(proj), rank=2)
+
+    # f_{m,other}: the component of the other normal orthogonal to v_{F_m}
+    f1_dir = linalg.vec_sub(linalg.vec_scale(n1, v2), linalg.vec_scale(dot12, v1))
+    f2_dir = linalg.vec_sub(linalg.vec_scale(n2, v1), linalg.vec_scale(dot12, v2))
+    v_F1_G = lattice_primitive(dual, f1_dir)
+    v_F2_G = lattice_primitive(dual, f2_dir)
+
+    # complete the coordinates of v_F1_G to a unimodular basis of Z^2 and
+    # normalize so v_F2_G = h*v1 + k*v2 with 0 <= h < k
+    c1 = tuple(int(c) for c in dual.coordinates(v_F1_G))
+    c2 = tuple(int(c) for c in dual.coordinates(v_F2_G))
+    _, u = linalg.complete_primitive_2d(c1)
+    alpha, beta = (int(c) for c in linalg.solve(linalg.from_columns([c1, u]), c2))
+    if beta < 0:
+        u, beta = (-u[0], -u[1]), -beta
+    m, h = divmod(alpha, beta)
+    u = (u[0] + m * c1[0], u[1] + m * c1[1])
+
+    xbar = linalg.mat_vec(proj, P.face_vertices(g.face)[0])
+    x1, x2 = linalg.solve(linalg.from_columns([v_F1_G, v_F2_G]), xbar)
+    return TransverseLattice(
+        lam=lam,
+        dual=dual,
+        v_F1_G=v_F1_G,
+        v_F2_G=v_F2_G,
+        basis_v1=dual.from_coordinates(c1),
+        basis_v2=dual.from_coordinates(u),
+        k=beta,
+        h=h,
+        x1=x1,
+        x2=x2,
+        xbar=xbar,
+    )

@@ -21,7 +21,7 @@ from eak.concrete import (
 from eak.bernoulli import one_sided_B1
 from eak.dedekind import _reciprocity_rhs, dr_sum_direct, dr_sum_fast
 from eak.exactval import AngleValue, ExactValue
-from eak.lattice import EmbeddedLattice, intersection_with_integer_lattice
+from eak.lattice import EmbeddedLattice
 from eak.lattice_sum import (
     LatticeSumProblem,
     gunnels_sczech,
@@ -31,7 +31,12 @@ from eak.lattice_sum import (
 from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
 
-from conftest import random_integer_polytope, random_rational_polytope, random_tetrahedron
+from conftest import (
+    random_integer_polytope,
+    random_rational_polytope,
+    random_tetrahedron,
+    transverse_lattice,
+)
 
 DELTA = Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
 ORDER = Polytope(3, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)])
@@ -136,16 +141,18 @@ def test_criterion_06_transverse_cone_invariants():
     for _ in range(100):
         P = random_rational_polytope(rng)
         for g in all_codim2_data(P):
-            assert linalg.dot(g.v_F1_G, g.v_F1) == 0
-            assert linalg.dot(g.v_F2_G, g.v_F2) == 0
-            assert linalg.dot(g.v_F1_G, g.v_F2) == g.k
-            assert linalg.dot(g.v_F2_G, g.v_F1) == g.k
+            r = transverse_lattice(P, g)
+            assert (g.h, g.k, g.x1, g.x2) == (r.h, r.k, r.x1, r.x2)
+            assert linalg.dot(r.v_F1_G, g.v_F1) == 0
+            assert linalg.dot(r.v_F2_G, g.v_F2) == 0
+            assert linalg.dot(r.v_F1_G, g.v_F2) == g.k
+            assert linalg.dot(r.v_F2_G, g.v_F1) == g.k
             gram2 = linalg.det(linalg.gram([linalg.vec(g.v_F1), linalg.vec(g.v_F2)]))
-            assert Fraction(g.k) ** 2 == abs(gram2) / g.gram_lambda_G
+            assert Fraction(g.k) ** 2 == abs(gram2) / r.lam.gram_det
             assert g.dot1 == g.k * g.x2 and g.dot2 == g.k * g.x1
-            assert g.norm2_sq == g.gram_lambda_G * linalg.norm_sq(g.v_F2_G)
-            assert tuple(g.v_F2_G) == tuple(
-                g.h * a + g.k * b for a, b in zip(g.basis_v1, g.basis_v2)
+            assert g.norm2_sq == r.lam.gram_det * linalg.norm_sq(r.v_F2_G)
+            assert tuple(r.v_F2_G) == tuple(
+                g.h * a + g.k * b for a, b in zip(r.basis_v1, r.basis_v2)
             )
     _report("criterion 06 (transverse-cone invariants on 100 random rational polytopes)")
 
@@ -215,10 +222,10 @@ def test_criterion_10_lattice_sum_consistency():
         for g in all_codim2_data(P):
             if checked >= 20:
                 break
-            lam = intersection_with_integer_lattice([linalg.vec(g.v_F1), linalg.vec(g.v_F2)])
+            r = transverse_lattice(P, g)
             t = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-            xbar = tuple(t * (g.x1 * a + g.x2 * b) for a, b in zip(g.v_F1_G, g.v_F2_G))
-            p = LatticeSumProblem(lam, (g.v_F1_G, g.v_F2_G), (1, 1), xbar)
+            xbar = tuple(t * (g.x1 * a + g.x2 * b) for a, b in zip(r.v_F1_G, r.v_F2_G))
+            p = LatticeSumProblem(r.lam, (r.v_F1_G, r.v_F2_G), (1, 1), xbar)
             expected = ExactValue.of(
                 -dr_sum_fast(g.h, g.k, (g.x1 + g.h * g.x2) * t, -g.k * g.x2 * t)
             )

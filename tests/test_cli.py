@@ -151,6 +151,15 @@ def test_input_errors(delta_path, tmp_path, capsys):
     rank3.write_text(json.dumps({"basis": unit, "w": unit, "e": [2, 2, 2], "x": ["1/3", "0", "0"]}))
     assert run(["lattice-sum", str(rank3)]) == 2
     _one_line_error(capsys, "rank")
+    # a zero denominator is an input error, in a polytope and in a basis
+    zero_den = tmp_path / "zero_den.json"
+    zero_den.write_text(json.dumps({"dim": 1, "vertices": [["0"], ["1/0"]]}))
+    assert run(["analyze", str(zero_den)]) == 2
+    _one_line_error(capsys, "zero denominator")
+    zero_basis = tmp_path / "zero_basis.json"
+    zero_basis.write_text(json.dumps({"basis": [["1/0"]], "w": [["1"]], "e": [2], "x": ["0"]}))
+    assert run(["lattice-sum", str(zero_basis)]) == 2
+    _one_line_error(capsys, "zero denominator")
 
 
 def test_verify_refuses_int64_overflow(tmp_path, capsys):

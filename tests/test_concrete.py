@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eak import linalg, polytope
@@ -19,7 +19,7 @@ from eak.concrete import (
 from eak.exactval import AngleValue, ExactValue
 from eak.polytope import Polytope
 
-from conftest import rhombic_dodecahedron
+from conftest import rational_polytopes, rhombic_dodecahedron
 
 
 def test_hyperoctahedral_group():
@@ -150,23 +150,15 @@ def reference_multitiling_level(P: Polytope, samples: int, seed: int) -> TilingR
     return TilingReport(level, samples, None)
 
 
-@st.composite
-def rational_polytopes(draw) -> Polytope:
-    """Hull of d + 1..d + 2 points with |num| <= 3, den <= 3, d = 1..3."""
-    d = draw(st.integers(1, 3))
-    coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 2))
-    try:
-        return Polytope(d, pts)
-    except ValueError:
-        assume(False)
-
-
 HALF = Fraction(1, 2)
 
 
 @settings(max_examples=30, deadline=None)
-@given(P=rational_polytopes(), samples=st.integers(1, 16), seed=st.integers(0, 10**6))
+@given(
+    P=rational_polytopes(dims=(1, 3), extra=1),
+    samples=st.integers(1, 16),
+    seed=st.integers(0, 10**6),
+)
 @example(P=Polytope(2, [(0, 0), (1, 0), (1, 1)]), samples=16, seed=0)  # level 4
 @example(P=Polytope(3, [(0, 0, 0), (HALF, 0, 0), (HALF, HALF, 0), (HALF, HALF, HALF)]),
          samples=16, seed=1)  # level 1

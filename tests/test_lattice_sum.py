@@ -8,7 +8,7 @@ from eak import linalg
 from eak.bernoulli import periodized
 from eak.dedekind import dr_sum_fast
 from eak.exactval import ExactValue
-from eak.lattice import EmbeddedLattice, intersection_with_integer_lattice
+from eak.lattice import EmbeddedLattice
 from eak.lattice_sum import (
     LatticeSumProblem,
     gunnels_sczech,
@@ -18,6 +18,8 @@ from eak.lattice_sum import (
 )
 from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
+
+from conftest import transverse_lattice
 
 Z1 = EmbeddedLattice(1, ((1,),))
 Z2 = EmbeddedLattice(2, ((1, 0), (0, 1)))
@@ -74,10 +76,10 @@ def test_residue_form_requires_convergence():
 def test_conditionally_convergent_decomposition(delta):
     """Rank-two (1,1) sums match the dihedral-angle / Dedekind splitting."""
     for g in all_codim2_data(delta):
-        lam = intersection_with_integer_lattice([linalg.vec(g.v_F1), linalg.vec(g.v_F2)])
+        r = transverse_lattice(delta, g)
         for t in (Fraction(1, 2), Fraction(1), Fraction(2, 3)):
-            xbar = tuple(t * (g.x1 * a + g.x2 * b) for a, b in zip(g.v_F1_G, g.v_F2_G))
-            p = LatticeSumProblem(lam, (g.v_F1_G, g.v_F2_G), (1, 1), xbar)
+            xbar = tuple(t * (g.x1 * a + g.x2 * b) for a, b in zip(r.v_F1_G, r.v_F2_G))
+            p = LatticeSumProblem(r.lam, (r.v_F1_G, r.v_F2_G), (1, 1), xbar)
             expected = ExactValue.of(
                 -dr_sum_fast(g.h, g.k, (g.x1 + g.h * g.x2) * t, -g.k * g.x2 * t)
             )

@@ -1,11 +1,18 @@
+import itertools
+import math
 import random
+import sys
 from fractions import Fraction
 
-from eak import linalg
-from eak.exactval import AngleValue
-from eak.local_data import all_codim2_data, all_facet_data
+from hypothesis import example, given, settings
 
-from conftest import random_rational_polytope
+from eak import lattice, linalg
+from eak.exactval import AngleValue
+from eak.lattice import intersection_with_integer_lattice
+from eak.local_data import all_codim2_data, all_facet_data
+from eak.polytope import Polytope, hull_facets, triangulate_convex
+
+from conftest import random_rational_polytope, rational_polytopes, transverse_lattice
 
 
 def test_facet_data_delta(delta):
@@ -30,12 +37,12 @@ def test_codim2_data_delta(delta):
         # right dihedral angle, unimodular transverse cone at the origin
         assert g.c_G == AngleValue(0, Fraction(0))
         assert (g.h, g.k, g.x1, g.x2) == (0, 1, 0, 0)
-        assert g.gram_lambda_G == 1
+        assert transverse_lattice(delta, g).lam.gram_det == 1
         assert g.vol_star == 1
     for g in diagonal:
         assert g.c_G == AngleValue(1, Fraction(1, 3))
         assert (g.h, g.k, g.x1, g.x2) == (0, 1, 1, 0)
-        assert g.gram_lambda_G == 2
+        assert transverse_lattice(delta, g).lam.gram_det == 2
         assert g.dot12 == -1
 
 
@@ -57,19 +64,148 @@ def test_transverse_cone_invariants_random():
     for _ in range(3):
         P = random_rational_polytope(rng)
         for g in all_codim2_data(P):
+            r = transverse_lattice(P, g)
             # pairings of the cone generators with the facet normals
-            assert linalg.dot(g.v_F1_G, g.v_F1) == 0
-            assert linalg.dot(g.v_F2_G, g.v_F2) == 0
-            assert linalg.dot(g.v_F1_G, g.v_F2) == g.k
-            assert linalg.dot(g.v_F2_G, g.v_F1) == g.k
+            assert linalg.dot(r.v_F1_G, g.v_F1) == 0
+            assert linalg.dot(r.v_F2_G, g.v_F2) == 0
+            assert linalg.dot(r.v_F1_G, g.v_F2) == g.k
+            assert linalg.dot(r.v_F2_G, g.v_F1) == g.k
             # k^2 equals the normal Gram determinant over det(Lambda_G)^2
             gram2 = linalg.det(linalg.gram([linalg.vec(g.v_F1), linalg.vec(g.v_F2)]))
-            assert Fraction(g.k) ** 2 == abs(gram2) / g.gram_lambda_G
+            assert Fraction(g.k) ** 2 == abs(gram2) / r.lam.gram_det
             assert g.dot1 == g.k * g.x2 and g.dot2 == g.k * g.x1
-            assert g.norm2_sq == g.gram_lambda_G * linalg.norm_sq(g.v_F2_G)
+            assert g.norm2_sq == r.lam.gram_det * linalg.norm_sq(r.v_F2_G)
             # second generator in the unimodular cone basis
-            assert tuple(g.v_F2_G) == tuple(
-                g.h * a + g.k * b for a, b in zip(g.basis_v1, g.basis_v2)
+            assert tuple(r.v_F2_G) == tuple(
+                g.h * a + g.k * b for a, b in zip(r.basis_v1, r.basis_v2)
             )
             assert 0 <= g.h < max(g.k, 1) or (g.k == 1 and g.h == 0)
             assert (g.h * g.h_inv - 1) % g.k == 0 if g.k > 1 else g.h_inv == 1
+
+
+# ---------------------------------------------------------------------------
+# references: relative volumes in a basis of the face's integer lattice, and
+# the triangulation recursing in Gram coordinates of each facet
+
+
+def reference_triangulation(points, dim):
+    points = [linalg.vec(p) for p in points]
+    if dim == 1:
+        lo = min(range(len(points)), key=lambda i: points[i])
+        hi = max(range(len(points)), key=lambda i: points[i])
+        return [(lo, hi)]
+    apex = min(range(len(points)), key=lambda i: points[i])
+    simplices = []
+    for a, b in hull_facets(points, dim):
+        if linalg.dot(a, points[apex]) == b:
+            continue
+        face_ids = [i for i, p in enumerate(points) if linalg.dot(a, p) == b]
+        base = points[face_ids[0]]
+        basis = []
+        for i in face_ids[1:]:
+            v = linalg.vec_sub(points[i], base)
+            if linalg.rank(basis + [v]) > len(basis):
+                basis.append(v)
+        g_inv = linalg.inverse(linalg.gram(basis))
+        local = [
+            linalg.mat_vec(g_inv, [linalg.dot(c, linalg.vec_sub(points[i], base)) for c in basis])
+            for i in face_ids
+        ]
+        for sub in reference_triangulation(local, dim - 1):
+            simplices.append(tuple(sorted((apex, *(face_ids[i] for i in sub)))))
+    return simplices
+
+
+def simplex_volume(points, simplex):
+    base = linalg.vec(points[simplex[0]])
+    edges = [linalg.vec_sub(points[i], base) for i in simplex[1:]]
+    return abs(linalg.det(edges)) / math.factorial(len(edges))
+
+
+def reference_relative_volume(P, face):
+    if face.dim == 0:
+        return Fraction(1)
+    pts = P.face_vertices(face)
+    dirs = [linalg.vec_sub(p, pts[0]) for p in pts[1:]]
+    lat = intersection_with_integer_lattice(dirs)
+    coords = [(Fraction(0),) * lat.rank] + [lat.coordinates(d) for d in dirs]
+    return sum(simplex_volume(coords, s) for s in reference_triangulation(coords, face.dim))
+
+
+def assert_triangulates(points, dim, simplices, volume):
+    """The simplices tile the hull of the points: they are nondegenerate,
+    their volumes add up to the hull's, each ridge on the hull's boundary
+    lies in one simplex and every other ridge in two, on opposite sides.
+    So the simplices cover the hull exactly once."""
+    points = [linalg.vec(p) for p in points]
+    assert all(simplex_volume(points, s) > 0 for s in simplices)
+    assert sum(simplex_volume(points, s) for s in simplices) == volume
+    boundary = hull_facets(points, dim)
+    sides = {}
+    for s in simplices:
+        for apex in s:
+            ridge = tuple(i for i in s if i != apex)
+            sides.setdefault(ridge, []).append(apex)
+    for ridge, apexes in sides.items():
+        on_boundary = any(all(linalg.dot(a, points[i]) == b for i in ridge) for a, b in boundary)
+        if on_boundary:
+            assert len(apexes) == 1
+            continue
+        assert len(apexes) == 2
+        diffs = [linalg.vec_sub(points[i], points[ridge[0]]) for i in ridge[1:]]
+        (normal,) = linalg.nullspace(diffs)
+        offset = linalg.dot(normal, points[ridge[0]])
+        p, q = (linalg.dot(normal, points[i]) - offset for i in apexes)
+        assert p * q < 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(P=rational_polytopes(dims=(2, 4), extra=3))
+@example(P=Polytope(3, list(itertools.product((0, 1), repeat=3))))
+@example(P=Polytope(4, [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (1, 1, 5, 0), (0, 1, 1, 2)]))
+# the Gram-coordinate recursion cuts the rectangular 2-face x = z = 1 of this
+# 4-polytope along different diagonals from its two facets
+@example(P=Polytope(4, [
+    (-2, 1, 0, 0), (-2, 1, 0, 1), (-2, 1, 1, 0), (-2, 1, 1, 2),
+    (0, -2, 0, 0), (0, -2, 0, 1), (0, -2, 1, 0), (0, -2, 1, 1),
+    (1, -2, 0, 0), (1, -2, 0, 2), (1, -2, 1, 0), (1, -2, 1, 2),
+    (1, -1, 0, 0), (1, -1, 0, 1), (1, -1, 1, 0), (1, -1, 1, 2),
+]))
+def test_local_data_matches_lattice_reference(P):
+    for g in all_codim2_data(P):
+        r = transverse_lattice(P, g)
+        assert (g.k, g.h, g.x1, g.x2) == (r.k, r.h, r.x1, r.x2)
+        assert (g.dot1, g.dot2) == (linalg.dot(g.v_F1, r.xbar), linalg.dot(g.v_F2, r.xbar))
+    for face in P.facets() + P.codim2_faces():
+        assert P.relative_volume(face) == reference_relative_volume(P, face)
+    volume = sum(
+        simplex_volume(P.vertices, s) for s in reference_triangulation(P.vertices, P.dim)
+    )
+    assert P.volume() == volume
+    assert_triangulates(P.vertices, P.dim, triangulate_convex(P.vertices, P.dim), volume)
+
+
+def test_local_data_builds_no_lattice(monkeypatch):
+    """The facet and codim-2 data come from the normals alone: nothing
+    eak.lattice defines is called and no matrix is inverted."""
+
+    def refuse(name):
+        def stub(*args, **kwargs):
+            raise AssertionError(f"local data called {name}")
+        return stub
+
+    exported = [
+        name for name, obj in vars(lattice).items()
+        if not name.startswith("_") and getattr(obj, "__module__", None) == "eak.lattice"
+    ]
+    for module in [m for k, m in sys.modules.items() if k.startswith("eak.")]:
+        for name in exported:
+            if getattr(module, name, None) is getattr(lattice, name):
+                monkeypatch.setattr(module, name, refuse(name))
+    monkeypatch.setattr(linalg, "inverse", refuse("linalg.inverse"))
+    for P in (
+        Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        Polytope(4, [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (1, 1, 5, 0), (0, 1, 1, 2)]),
+    ):
+        assert len(all_facet_data(P)) == len(P.facets())
+        assert len(all_codim2_data(P)) == len(P.codim2_faces())
