@@ -74,9 +74,12 @@ def _exact_json(v: ExactValue):
 
 def _emit(report: dict, json_path: str | None) -> None:
     if json_path:
-        with open(json_path, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
+        try:
+            with open(json_path, "w") as f:
+                json.dump(report, f, indent=2, sort_keys=True)
+                f.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {json_path}: {exc}")
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,6 @@ class QuasiCoefficient:
         t = Fraction(t)
         return exact_sum(self.term(f, t) for f in self.terms)
 
-    def eval_rational(self, t) -> Fraction:
-        return self.eval(t).as_rational()
-
 
 def _facet_term_a(f: FacetData, t: Fraction) -> Fraction:
     return -f.vol_star * periodized(1, f.x_F_dot * t)

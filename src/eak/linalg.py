@@ -103,11 +103,19 @@ def det(m: Sequence[Sequence]) -> Fraction:
 
 def maximal_minors(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
     """The maximal minors of an integer matrix with no more rows than
-    columns, keyed by their column subsets in lexicographic order."""
-    return {
-        cols: int(det([[r[j] for j in cols] for r in rows]))
-        for cols in itertools.combinations(range(len(rows[0])), len(rows))
-    }
+    columns, keyed by their column subsets in lexicographic order; {(): 1}
+    for no rows.  Built a row at a time, by Laplace expansion along it."""
+    minors: dict[tuple[int, ...], int] = {(): 1}
+    for k, row in enumerate(rows, 1):
+        minors = {
+            cols: sum(
+                (-1) ** (k - 1 - i) * row[c] * minors[cols[:i] + cols[i + 1:]]
+                for i, c in enumerate(cols)
+                if row[c]
+            )
+            for cols in itertools.combinations(range(len(row)), k)
+        }
+    return minors
 
 
 def rref(m: Sequence[Sequence]) -> tuple[Mat, list[int]]:

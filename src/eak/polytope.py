@@ -1,10 +1,13 @@
-"""Rational polytopes: representations, faces to codimension two, volumes.
+"""Rational polytopes: representations, the face lattice, volumes.
 
 Polytopes are bounded, full-dimensional, with rational vertex data, in
 ambient dimension at most four.  Construction from either vertices or
 inequalities funnels through the same canonicalization: brute-force
 supporting-hyperplane discovery at desk scale, primitive integer
-normals, lexicographically sorted vertices.
+normals, lexicographically sorted vertices.  That hull is the only one
+taken: every face of every codimension comes from the facets' vertex
+sets, and every volume, of P or of a face in the lattice of its span,
+from pyramids over the faces one codimension down.
 """
 
 from __future__ import annotations
@@ -96,11 +99,11 @@ class Polytope:
             sorted(planes)
         )
         # Data derived from P alone, each built on first use and kept: the
-        # faces, their local data (filled by eak.local_data), the volume and
-        # the solid angle on each face met by a lattice point of a dilate
-        # (filled by eak.oracle), by the tuple of its tight inequality indices.
-        self._facets: list[Face] | None = None
-        self._codim2: list[Face] | None = None
+        # faces by codimension, their local data (filled by eak.local_data),
+        # the volume and the solid angle on each face met by a lattice point
+        # of a dilate (filled by eak.oracle), by the tuple of its tight
+        # inequality indices.
+        self._faces: dict[int, list[Face]] = {}
         self._facet_data: tuple | None = None
         self._codim2_data: tuple | None = None
         self._volume: Fraction | None = None
@@ -109,15 +112,13 @@ class Polytope:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def from_vertices(dim: int, vertices: Sequence[Sequence]) -> "Polytope":
-        return Polytope(dim, vertices)
-
-    @staticmethod
     def from_inequalities(dim: int, rows: Sequence[tuple[Sequence[int], object]]) -> "Polytope":
         if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dimension {dim} outside [1, {MAX_DIM}]")
         norm_rows = []
         for a, b in rows:
+            if len(a) != dim:
+                raise ValueError(f"inequality normal has {len(a)} entries, expected dim = {dim}")
             a_prim = primitive_integer_vector(a)
             scale = Fraction(next(x for x in a if x != 0), next(x for x in a_prim if x != 0))
             norm_rows.append((a_prim, Fraction(b) / scale))
@@ -140,7 +141,7 @@ class Polytope:
             raise ValueError("exactly one of 'vertices' or 'inequalities' required")
         if has_v:
             verts = [[_parse_rat(c) for c in v] for v in data["vertices"]]
-            return Polytope.from_vertices(dim, verts)
+            return Polytope(dim, verts)
         rows = []
         for row in data["inequalities"]:
             rows.append(([int(c) for c in row["a"]], _parse_rat(row["b"])))
@@ -159,45 +160,59 @@ class Polytope:
 
     # -- faces ------------------------------------------------------------
 
+    def faces_of_codim(self, c: int) -> list[Face]:
+        """The faces of codimension c: P itself for c = 0, the facets in
+        inequality order for c = 1, and for c >= 2 the facets of the faces
+        of codimension c - 1, sorted by their vertex ids."""
+        if not 0 <= c <= self.dim:
+            raise ValueError(f"codimension {c} outside [0, {self.dim}]")
+        if c not in self._faces:
+            if c == 0:
+                faces = [Face(frozenset(), tuple(range(len(self.vertices))), self.dim, 0)]
+            elif c == 1:
+                faces = [
+                    Face(
+                        frozenset([i]),
+                        tuple(j for j, v in enumerate(self.vertices) if linalg.dot(a, v) == b),
+                        self.dim - 1,
+                        1,
+                    )
+                    for i, (a, b) in enumerate(self.inequalities)
+                ]
+            else:
+                found = {
+                    G.vertex_ids: G for F in self.faces_of_codim(c - 1) for G in self._facets_of(F)
+                }
+                faces = sorted(found.values(), key=lambda f: f.vertex_ids)
+            self._faces[c] = faces
+        return self._faces[c]
+
     def facets(self) -> list[Face]:
-        if self._facets is None:
-            faces = []
-            for i, (a, b) in enumerate(self.inequalities):
-                ids = tuple(
-                    j for j, v in enumerate(self.vertices) if linalg.dot(a, v) == b
-                )
-                faces.append(Face(frozenset([i]), ids, self.dim - 1, 1))
-            self._facets = faces
-        return self._facets
+        return self.faces_of_codim(1)
 
     def codim2_faces(self) -> list[Face]:
-        if self._codim2 is None:
-            found: dict[frozenset[int], Face] = {}
-            facets = self.facets()
-            for i, j in itertools.combinations(range(len(facets)), 2):
-                common = tuple(sorted(set(facets[i].vertex_ids) & set(facets[j].vertex_ids)))
-                if not common:
-                    continue
-                pts = [self.vertices[k] for k in common]
-                if _affine_rank(pts) != self.dim - 2:
-                    continue
-                key = frozenset(common)
-                if key not in found:
-                    tight = frozenset(
-                        idx
-                        for idx, (a, b) in enumerate(self.inequalities)
-                        if all(linalg.dot(a, p) == b for p in pts)
-                    )
-                    found[key] = Face(tight, common, self.dim - 2, 2)
-            self._codim2 = sorted(found.values(), key=lambda f: f.vertex_ids)
-        return self._codim2
+        return self.faces_of_codim(2)
 
-    def faces_of_codim(self, c: int) -> list[Face]:
-        if c == 1:
-            return self.facets()
-        if c == 2:
-            return self.codim2_faces()
-        raise ValueError("only codimensions 1 and 2 are enumerated")
+    def _facets_of(self, face: Face) -> list[Face]:
+        """The facets of a face, sorted by vertex ids: the inclusion-maximal
+        nonempty intersections of its vertex set with those of the facets of
+        P that do not contain it.  Each is a face of P, tight on the facets
+        of P whose vertex sets contain it."""
+        facet_ids = [frozenset(f.vertex_ids) for f in self.faces_of_codim(1)]
+        own = frozenset(face.vertex_ids)
+        cuts = {own & s for i, s in enumerate(facet_ids) if i not in face.tight_set}
+        cuts.discard(frozenset())
+        facets = [
+            Face(
+                frozenset(i for i, s in enumerate(facet_ids) if cut <= s),
+                tuple(sorted(cut)),
+                face.dim - 1,
+                face.codim + 1,
+            )
+            for cut in cuts
+            if not any(cut < other for other in cuts)
+        ]
+        return sorted(facets, key=lambda f: f.vertex_ids)
 
     def face_vertices(self, face: Face) -> list[Vec]:
         return [self.vertices[i] for i in face.vertex_ids]
@@ -219,29 +234,43 @@ class Polytope:
         return all(linalg.dot(a, x) <= b * t for a, b in self.inequalities)
 
     def volume(self) -> Fraction:
+        """Euclidean volume: the relative volume of P as its own face."""
         if self._volume is None:
-            self._volume = convex_volume(list(self.vertices), self.dim, self.inequalities)
+            self._volume = self.relative_volume(self.faces_of_codim(0)[0])
         return self._volume
 
     def denominator(self) -> int:
         return math.lcm(*(c.denominator for v in self.vertices for c in v))
 
     def relative_volume(self, face: Face) -> Fraction:
-        """Face volume normalized to the induced integer lattice; 1 for a
-        vertex, by convention.
+        """Face volume normalized to the integer lattice of its span; 1 for
+        a vertex, by convention, and the lattice length for an edge.
 
-        Dropping the coordinates of the first nonzero maximal minor m of
-        the face's tight normals maps the face injectively; the integer
-        lattice of its span goes to a sublattice of index |m| / g, g the
-        gcd of the maximal minors (1 for a facet, k for a codim-2 face)."""
+        A face F of dimension k >= 2 is the union of the pyramids from its
+        first vertex p over its facets G, so
+        vol*(F) = (1/k) sum_G vol*(G) (b_v - <v, p>) / m_G, for v a normal
+        tight on G but not on F.  The lattice height of p over G is
+        (b_v - <v, p>) / m_G, where m_G, the index of the values of <v, .>
+        on the lattice of F, is g(R + v) / g(R): R the tight normals of F
+        and g the gcd of the maximal minors (at a facet, m_G is the k of its
+        codim-2 faces).  This needs R independent.  In dimension <= 4 it
+        is: a face of dimension >= 2 is P (R empty), a facet, or a ridge,
+        and a ridge lies in exactly two facets."""
         if face.dim == 0:
             return Fraction(1)
+        verts = self.face_vertices(face)
+        if face.dim == 1:
+            diff = linalg.vec_sub(verts[1], verts[0])
+            j = next(j for j, c in enumerate(diff) if c)
+            return diff[j] / primitive_integer_vector(diff)[j]
         normals = [self.inequalities[i][0] for i in sorted(face.tight_set)]
-        minors = linalg.maximal_minors(normals)
-        drop, m = next((cols, m) for cols, m in minors.items() if m)
-        keep = [j for j in range(self.dim) if j not in drop]
-        pts = [tuple(p[j] for j in keep) for p in self.face_vertices(face)]
-        return convex_volume(pts, face.dim) * math.gcd(*minors.values()) / abs(m)
+        g = math.gcd(*linalg.maximal_minors(normals).values())
+        total = Fraction(0)
+        for G in self._facets_of(face):
+            a, b = self.inequalities[min(G.tight_set - face.tight_set)]
+            m = math.gcd(*linalg.maximal_minors(normals + [a]).values())
+            total += self.relative_volume(G) * (b - linalg.dot(a, verts[0])) * g / m
+        return total / face.dim
 
     def __repr__(self) -> str:
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)})"
@@ -287,49 +316,3 @@ def _parse_rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise ValueError(f"rationals must be strings 'p/q' or integers, got {value!r}")
-
-
-# ---------------------------------------------------------------------------
-# exact volume via recursive boundary triangulation
-
-def triangulate_convex(
-    points: Sequence[Vec], dim: int, facets: Sequence | None = None
-) -> list[tuple[int, ...]]:
-    """Triangulation of the hull of full-dimensional points: index tuples
-    of (dim+1)-simplices, fanned from the first point over the
-    triangulated facets that miss it.  Each facet recurses on its points
-    in the given order, with one coordinate dropped where its normal is
-    nonzero (an injective affine map of its span).  So, for points in
-    convex position, every face is triangulated alike from each facet
-    that contains it.  The hull's facet inequalities are computed unless
-    given."""
-    points = [linalg.vec(p) for p in points]
-    if dim == 0:
-        return [(0,)]
-    if dim == 1:
-        lo = min(range(len(points)), key=lambda i: points[i])
-        hi = max(range(len(points)), key=lambda i: points[i])
-        return [(lo, hi)]
-    simplices = []
-    for a, b in facets if facets is not None else hull_facets(points, dim):
-        if linalg.dot(a, points[0]) == b:
-            continue
-        face_ids = [i for i, p in enumerate(points) if linalg.dot(a, p) == b]
-        j = next(j for j, c in enumerate(a) if c)
-        local = [points[i][:j] + points[i][j + 1:] for i in face_ids]
-        for sub in triangulate_convex(local, dim - 1):
-            simplices.append(tuple(sorted((0, *(face_ids[i] for i in sub)))))
-    return simplices
-
-
-def convex_volume(points: Sequence[Vec], dim: int, facets: Sequence | None = None) -> Fraction:
-    """Exact Euclidean dim-volume of the convex hull of the points,
-    measured in their own coordinates; facets as in triangulate_convex."""
-    points = [linalg.vec(p) for p in points]
-    total = Fraction(0)
-    fact = math.factorial(dim)
-    for simplex in triangulate_convex(points, dim, facets):
-        base = points[simplex[0]]
-        edges = [linalg.vec_sub(points[i], base) for i in simplex[1:]]
-        total += abs(linalg.det(edges)) / fact
-    return total

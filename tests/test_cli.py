@@ -160,6 +160,18 @@ def test_input_errors(delta_path, tmp_path, capsys):
     zero_basis.write_text(json.dumps({"basis": [["1/0"]], "w": [["1"]], "e": [2], "x": ["0"]}))
     assert run(["lattice-sum", str(zero_basis)]) == 2
     _one_line_error(capsys, "zero denominator")
+    # an inequality normal must have dim entries, no more and no fewer
+    for a in ([1, 0, 0, 0], [1, 0]):
+        rows = [{"a": a, "b": "1"}] + [
+            {"a": [-int(i == j) for j in range(3)], "b": "0"} for i in range(3)
+        ]
+        wrong = tmp_path / "wrong_length.json"
+        wrong.write_text(json.dumps({"dim": 3, "inequalities": rows}))
+        assert run(["analyze", str(wrong)]) == 2
+        _one_line_error(capsys, f"{len(a)} entries", "dim = 3")
+    # an unwritable report path is an input error, not a traceback
+    assert run(["analyze", delta_path, "--json", str(tmp_path / "missing" / "x.json")]) == 2
+    _one_line_error(capsys, "cannot write")
 
 
 def test_verify_refuses_int64_overflow(tmp_path, capsys):

@@ -82,14 +82,14 @@ def test_multitiling_level(order, delta):
 def test_tiling_builds_no_local_data(cube, local_data_builds, monkeypatch):
     # the sample point is mapped, not P: no image is hulled, nothing derived
     calls = []
-    for name in ("convex_volume", "hull_facets"):
-        original = getattr(polytope, name)
+    for owner, name in ((polytope, "hull_facets"), (polytope.Polytope, "relative_volume")):
+        original = getattr(owner, name)
 
         def counted(*args, original=original):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(polytope, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     assert symmetrized_multitiling_level(cube, samples=4).level == 48
     assert not local_data_builds and not calls
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -104,3 +105,17 @@ def test_inverse_times_matrix_is_identity(rows):
 @given(square_matrices(3))
 def test_det_transpose_invariance(rows):
     assert linalg.det(rows) == linalg.det(linalg.transpose(rows))
+
+
+@given(st.data())
+def test_maximal_minors_match_det(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    rows = data.draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=k, max_size=k))
+    minors = linalg.maximal_minors(rows)
+    if not rows:
+        assert minors == {(): 1}
+        return
+    assert list(minors) == list(itertools.combinations(range(n), k))
+    for cols, m in minors.items():
+        assert m == linalg.det([[r[j] for j in cols] for r in rows])

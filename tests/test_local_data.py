@@ -6,11 +6,11 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings
 
-from eak import lattice, linalg
+from eak import lattice, linalg, polytope
 from eak.exactval import AngleValue
 from eak.lattice import intersection_with_integer_lattice
 from eak.local_data import all_codim2_data, all_facet_data
-from eak.polytope import Polytope, hull_facets, triangulate_convex
+from eak.polytope import Polytope, hull_facets
 
 from conftest import random_rational_polytope, rational_polytopes, transverse_lattice
 
@@ -83,6 +83,15 @@ def test_transverse_cone_invariants_random():
             assert (g.h * g.h_inv - 1) % g.k == 0 if g.k > 1 else g.h_inv == 1
 
 
+# a 4-polytope with 16 vertices and rectangular 2-faces, such as x = z = 1
+SIXTEEN_VERTICES = [
+    (-2, 1, 0, 0), (-2, 1, 0, 1), (-2, 1, 1, 0), (-2, 1, 1, 2),
+    (0, -2, 0, 0), (0, -2, 0, 1), (0, -2, 1, 0), (0, -2, 1, 1),
+    (1, -2, 0, 0), (1, -2, 0, 2), (1, -2, 1, 0), (1, -2, 1, 2),
+    (1, -1, 0, 0), (1, -1, 0, 1), (1, -1, 1, 0), (1, -1, 1, 2),
+]
+
+
 # ---------------------------------------------------------------------------
 # references: relative volumes in a basis of the face's integer lattice, and
 # the triangulation recursing in Gram coordinates of each facet
@@ -132,57 +141,23 @@ def reference_relative_volume(P, face):
     return sum(simplex_volume(coords, s) for s in reference_triangulation(coords, face.dim))
 
 
-def assert_triangulates(points, dim, simplices, volume):
-    """The simplices tile the hull of the points: they are nondegenerate,
-    their volumes add up to the hull's, each ridge on the hull's boundary
-    lies in one simplex and every other ridge in two, on opposite sides.
-    So the simplices cover the hull exactly once."""
-    points = [linalg.vec(p) for p in points]
-    assert all(simplex_volume(points, s) > 0 for s in simplices)
-    assert sum(simplex_volume(points, s) for s in simplices) == volume
-    boundary = hull_facets(points, dim)
-    sides = {}
-    for s in simplices:
-        for apex in s:
-            ridge = tuple(i for i in s if i != apex)
-            sides.setdefault(ridge, []).append(apex)
-    for ridge, apexes in sides.items():
-        on_boundary = any(all(linalg.dot(a, points[i]) == b for i in ridge) for a, b in boundary)
-        if on_boundary:
-            assert len(apexes) == 1
-            continue
-        assert len(apexes) == 2
-        diffs = [linalg.vec_sub(points[i], points[ridge[0]]) for i in ridge[1:]]
-        (normal,) = linalg.nullspace(diffs)
-        offset = linalg.dot(normal, points[ridge[0]])
-        p, q = (linalg.dot(normal, points[i]) - offset for i in apexes)
-        assert p * q < 0
-
-
 @settings(max_examples=40, deadline=None)
 @given(P=rational_polytopes(dims=(2, 4), extra=3))
 @example(P=Polytope(3, list(itertools.product((0, 1), repeat=3))))
 @example(P=Polytope(4, [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (1, 1, 5, 0), (0, 1, 1, 2)]))
-# the Gram-coordinate recursion cuts the rectangular 2-face x = z = 1 of this
-# 4-polytope along different diagonals from its two facets
-@example(P=Polytope(4, [
-    (-2, 1, 0, 0), (-2, 1, 0, 1), (-2, 1, 1, 0), (-2, 1, 1, 2),
-    (0, -2, 0, 0), (0, -2, 0, 1), (0, -2, 1, 0), (0, -2, 1, 1),
-    (1, -2, 0, 0), (1, -2, 0, 2), (1, -2, 1, 0), (1, -2, 1, 2),
-    (1, -1, 0, 0), (1, -1, 0, 1), (1, -1, 1, 0), (1, -1, 1, 2),
-]))
+@example(P=Polytope(4, SIXTEEN_VERTICES))
 def test_local_data_matches_lattice_reference(P):
     for g in all_codim2_data(P):
         r = transverse_lattice(P, g)
         assert (g.k, g.h, g.x1, g.x2) == (r.k, r.h, r.x1, r.x2)
         assert (g.dot1, g.dot2) == (linalg.dot(g.v_F1, r.xbar), linalg.dot(g.v_F2, r.xbar))
-    for face in P.facets() + P.codim2_faces():
-        assert P.relative_volume(face) == reference_relative_volume(P, face)
+    for c in range(1, P.dim + 1):
+        for face in P.faces_of_codim(c):
+            assert P.relative_volume(face) == reference_relative_volume(P, face)
     volume = sum(
         simplex_volume(P.vertices, s) for s in reference_triangulation(P.vertices, P.dim)
     )
     assert P.volume() == volume
-    assert_triangulates(P.vertices, P.dim, triangulate_convex(P.vertices, P.dim), volume)
 
 
 def test_local_data_builds_no_lattice(monkeypatch):
@@ -207,5 +182,25 @@ def test_local_data_builds_no_lattice(monkeypatch):
         Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
         Polytope(4, [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (1, 1, 5, 0), (0, 1, 1, 2)]),
     ):
+        assert len(all_facet_data(P)) == len(P.facets())
+        assert len(all_codim2_data(P)) == len(P.codim2_faces())
+
+
+def test_volumes_take_no_hull_below_p(monkeypatch):
+    """Once P is built, its volume and every facet and codim-2 datum come
+    from its face lattice: no hull is taken and no rank is computed."""
+    polytopes = [
+        Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        Polytope(4, [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (1, 1, 5, 0), (0, 1, 1, 2)]),
+        Polytope(4, SIXTEEN_VERTICES),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hull or rank taken below P")
+
+    monkeypatch.setattr(polytope, "hull_facets", refuse)
+    monkeypatch.setattr(linalg, "rank", refuse)
+    for P, volume in zip(polytopes, (Fraction(1, 6), Fraction(5, 2), Fraction(5))):
+        assert P.volume() == volume
         assert len(all_facet_data(P)) == len(P.facets())
         assert len(all_codim2_data(P)) == len(P.codim2_faces())

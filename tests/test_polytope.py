@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from eak.polytope import Polytope, convex_volume
+from eak import linalg
+from eak.polytope import Polytope
+
+from conftest import rational_polytopes
 
 
 def test_vertex_hull_drops_interior_points():
@@ -52,7 +56,7 @@ def test_volume_and_denominator(delta, cube, half_order):
     assert half_order.volume() == Fraction(1, 48)
     assert delta.denominator() == 1
     assert half_order.denominator() == 2
-    assert convex_volume([(0, 0), (1, 0), (0, 1)], 2) == Fraction(1, 2)
+    assert Polytope(2, [(0, 0), (1, 0), (0, 1)]).volume() == Fraction(1, 2)
 
 
 def test_face_lattice_counts(delta, cube):
@@ -64,6 +68,51 @@ def test_face_lattice_counts(delta, cube):
         assert f.dim == 1 and len(f.vertex_ids) == 2
         i, j = delta.incident_facets(f)
         assert i < j
+    assert [len(cube.faces_of_codim(c)) for c in range(4)] == [1, 6, 12, 8]
+    (whole,) = cube.faces_of_codim(0)
+    assert whole.tight_set == frozenset() and len(whole.vertex_ids) == 8
+    assert all(len(v.tight_set) == 3 for v in cube.faces_of_codim(3))
+    for c in (-1, 4):
+        with pytest.raises(ValueError):
+            cube.faces_of_codim(c)
+
+
+def reference_faces(P):
+    """Every face of P as (tight set, vertex ids, dim, codim): the vertex
+    sets cut out by the tight sets, found by closing the facets' vertex
+    sets under intersection, with the codimension read off their affine
+    rank."""
+    facet_sets = [
+        frozenset(j for j, v in enumerate(P.vertices) if linalg.dot(a, v) == b)
+        for a, b in P.inequalities
+    ]
+    cuts = frontier = {frozenset(range(len(P.vertices)))}
+    while frontier:
+        frontier = {s & f for s in frontier for f in facet_sets} - cuts - {frozenset()}
+        cuts = cuts | frontier
+    faces = set()
+    for cut in cuts:
+        pts = [P.vertices[j] for j in sorted(cut)]
+        dim = linalg.rank([linalg.vec_sub(p, pts[0]) for p in pts[1:]]) if len(pts) > 1 else 0
+        tight = frozenset(i for i, f in enumerate(facet_sets) if cut <= f)
+        faces.add((tight, tuple(sorted(cut)), dim, P.dim - dim))
+    return faces
+
+
+@settings(max_examples=40, deadline=None)
+@given(P=rational_polytopes(dims=(2, 4), extra=3))
+def test_faces_match_brute_force_reference(P):
+    found = set()
+    for c in range(P.dim + 1):
+        faces = P.faces_of_codim(c)
+        assert all(f.codim == c for f in faces)
+        assert len({f.vertex_ids for f in faces}) == len(faces)
+        if c == 1:
+            assert [f.tight_set for f in faces] == [{i} for i in range(len(P.inequalities))]
+        else:
+            assert [f.vertex_ids for f in faces] == sorted(f.vertex_ids for f in faces)
+        found |= {(f.tight_set, f.vertex_ids, f.dim, f.codim) for f in faces}
+    assert found == reference_faces(P)
 
 
 def test_relative_volume(delta, cube):
