@@ -98,6 +98,11 @@ class Polytope:
         self.inequalities: tuple[tuple[tuple[int, ...], Fraction], ...] = tuple(
             sorted(planes)
         )
+        # the vertex ids on each facet: every face is cut from these sets
+        self._facet_vertex_sets: tuple[frozenset[int], ...] = tuple(
+            frozenset(j for j, v in enumerate(self.vertices) if linalg.dot(a, v) == b)
+            for a, b in self.inequalities
+        )
         # Data derived from P alone, each built on first use and kept: the
         # faces by codimension, their local data (filled by eak.local_data),
         # the volume and the solid angle on each face met by a lattice point
@@ -163,21 +168,18 @@ class Polytope:
     def faces_of_codim(self, c: int) -> list[Face]:
         """The faces of codimension c: P itself for c = 0, the facets in
         inequality order for c = 1, and for c >= 2 the facets of the faces
-        of codimension c - 1, sorted by their vertex ids."""
-        if not 0 <= c <= self.dim:
-            raise ValueError(f"codimension {c} outside [0, {self.dim}]")
+        of codimension c - 1, sorted by their vertex ids; none for c > dim."""
+        if c < 0:
+            raise ValueError(f"negative codimension {c}")
+        if c > self.dim:
+            return []
         if c not in self._faces:
             if c == 0:
                 faces = [Face(frozenset(), tuple(range(len(self.vertices))), self.dim, 0)]
             elif c == 1:
                 faces = [
-                    Face(
-                        frozenset([i]),
-                        tuple(j for j, v in enumerate(self.vertices) if linalg.dot(a, v) == b),
-                        self.dim - 1,
-                        1,
-                    )
-                    for i, (a, b) in enumerate(self.inequalities)
+                    Face(frozenset([i]), tuple(sorted(s)), self.dim - 1, 1)
+                    for i, s in enumerate(self._facet_vertex_sets)
                 ]
             else:
                 found = {
@@ -198,13 +200,13 @@ class Polytope:
         nonempty intersections of its vertex set with those of the facets of
         P that do not contain it.  Each is a face of P, tight on the facets
         of P whose vertex sets contain it."""
-        facet_ids = [frozenset(f.vertex_ids) for f in self.faces_of_codim(1)]
+        facet_sets = self._facet_vertex_sets
         own = frozenset(face.vertex_ids)
-        cuts = {own & s for i, s in enumerate(facet_ids) if i not in face.tight_set}
+        cuts = {own & s for i, s in enumerate(facet_sets) if i not in face.tight_set}
         cuts.discard(frozenset())
         facets = [
             Face(
-                frozenset(i for i, s in enumerate(facet_ids) if cut <= s),
+                frozenset(i for i, s in enumerate(facet_sets) if cut <= s),
                 tuple(sorted(cut)),
                 face.dim - 1,
                 face.codim + 1,

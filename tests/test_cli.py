@@ -33,6 +33,17 @@ def test_analyze(delta_path, local_data_builds, capsys):
     assert set(local_data_builds.values()) == {1}
 
 
+def test_analyze_segment(tmp_path, capsys):
+    # a 1-polytope has no codim-2 faces: the list is printed empty
+    segment = tmp_path / "segment.json"
+    segment.write_text(json.dumps({"dim": 1, "vertices": [["0"], ["3/2"]]}))
+    assert run(["analyze", str(segment), "--flavor", "both", "--eval", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "volume=3/2" in out
+    assert out.split("codim-2 faces (facet pair | h | k | x1 | x2 | vol*):\n")[1].startswith("\n")
+    assert "a_d2 = 0" in out and "e_d1 = 1/2" in out
+
+
 def test_analyze_json_report(delta_path, tmp_path, capsys):
     report = tmp_path / "report.json"
     assert run(["analyze", delta_path, "--eval", "1/2", "--json", str(report)]) == 0

@@ -72,9 +72,9 @@ def test_face_lattice_counts(delta, cube):
     (whole,) = cube.faces_of_codim(0)
     assert whole.tight_set == frozenset() and len(whole.vertex_ids) == 8
     assert all(len(v.tight_set) == 3 for v in cube.faces_of_codim(3))
-    for c in (-1, 4):
-        with pytest.raises(ValueError):
-            cube.faces_of_codim(c)
+    assert cube.faces_of_codim(4) == []
+    with pytest.raises(ValueError):
+        cube.faces_of_codim(-1)
 
 
 def reference_faces(P):
