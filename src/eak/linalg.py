@@ -118,6 +118,14 @@ def maximal_minors(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
     return minors
 
 
+def cross(rows: Sequence[Sequence[int]], dim: int) -> tuple[int, ...]:
+    """The cross product of dim - 1 integer rows, (1,) for none in dimension
+    1: entry j is (-1)^j times the maximal minor leaving out column j, so
+    <cross, x> = det[x; rows], zero exactly when the rows are dependent."""
+    minors = maximal_minors(rows)
+    return tuple((-1) ** j * minors[(*range(j), *range(j + 1, dim))] for j in range(dim))
+
+
 def rref(m: Sequence[Sequence]) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     a = [list(vec(r)) for r in m]

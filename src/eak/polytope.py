@@ -2,12 +2,13 @@
 
 Polytopes are bounded, full-dimensional, with rational vertex data, in
 ambient dimension at most four.  Construction from either vertices or
-inequalities funnels through the same canonicalization: brute-force
-supporting-hyperplane discovery at desk scale, primitive integer
-normals, lexicographically sorted vertices.  That hull is the only one
-taken: every face of every codimension comes from the facets' vertex
-sets, and every volume, of P or of a face in the lattice of its span,
-from pyramids over the faces one codimension down.
+inequalities funnels through the same canonicalization, in integers:
+each d-subset's plane from the cross product of its difference vectors,
+primitive normals, and as vertices, lexicographically sorted, the points
+no other point shares all facets with.  That hull is the only one taken:
+every face of every codimension comes from the facets' vertex sets, and
+every volume, of P or of a face in the lattice of its span, from
+pyramids over the faces one codimension down.
 """
 
 from __future__ import annotations
@@ -36,41 +37,32 @@ class Face:
     codim: int
 
 
-def _affine_rank(points: Sequence[Vec]) -> int:
-    if len(points) < 2:
-        return 0
-    base = points[0]
-    return linalg.rank([linalg.vec_sub(p, base) for p in points[1:]])
-
-
 def hull_facets(points: Sequence[Vec], dim: int) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All supporting hyperplanes (primitive a, b) of a full-dimensional
-    point set, with the convention <a, x> <= b inside."""
+    """All supporting hyperplanes (primitive a, b) of a point set, <a, x> <= b
+    inside: at least dim + 1 if it is full-dimensional, else at most one.  The
+    normals are cross products of difference vectors of d-subsets, in integers
+    once the points are scaled by the lcm of their denominators."""
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    pts = [tuple(int(c * scale) for c in p) for p in points]
     facets: list[tuple[tuple[int, ...], Fraction]] = []
     # each plane spanned by a d-subset, in both orientations: the side test
     # runs once per plane, not once per subset spanning it
     seen: set[tuple] = set()
-    for subset in itertools.combinations(range(len(points)), dim):
-        pts = [points[i] for i in subset]
-        diffs = [linalg.vec_sub(p, pts[0]) for p in pts[1:]]
-        if linalg.rank(diffs) != dim - 1:
+    for first, *rest in itertools.combinations(pts, dim):
+        normal = linalg.cross([[x - y for x, y in zip(p, first)] for p in rest], dim)
+        g = math.gcd(*normal)
+        if not g:
             continue
-        normals = linalg.nullspace(diffs) if diffs else [
-            tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)
-        ]
-        if len(normals) != 1:
-            continue
-        a = primitive_integer_vector(normals[0])
-        b = linalg.dot(a, pts[0])
+        a = tuple(c // g for c in normal)
+        b = sum(x * y for x, y in zip(a, first))
         if (a, b) in seen:
             continue
         neg = (tuple(-c for c in a), -b)
         seen.update(((a, b), neg))
-        side = {(-1 if linalg.dot(a, p) < b else (1 if linalg.dot(a, p) > b else 0))
-                for p in points}
-        if 1 in side and -1 in side:
-            continue
-        facets.append(neg if 1 in side else (a, b))
+        if any(sum(x * y for x, y in zip(a, p)) > b for p in pts):
+            a, b = neg
+        if all(sum(x * y for x, y in zip(a, p)) <= b for p in pts):
+            facets.append((a, Fraction(b, scale)))
     return facets
 
 
@@ -83,35 +75,29 @@ class Polytope:
         pts = sorted({linalg.vec(v) for v in vertices})
         if any(len(p) != dim for p in pts):
             raise ValueError("vertex dimension mismatch")
-        if _affine_rank(pts) != dim:
+        planes = sorted(hull_facets(pts, dim))
+        if len(planes) <= dim:
             raise ValueError("polytope is not full-dimensional")
-        planes = hull_facets(pts, dim)
-        # keep extreme points only: a point is a vertex iff its tight
-        # normals span the ambient space
-        verts = []
-        for p in pts:
-            tight = [a for a, b in planes if linalg.dot(a, p) == b]
-            if len(tight) >= dim and linalg.rank(tight) == dim:
-                verts.append(p)
+        # keep extreme points only: a point is a vertex iff no other point
+        # lies on every facet through it
+        on = [{i for i, (a, b) in enumerate(planes) if linalg.dot(a, p) == b} for p in pts]
+        verts = [j for j, s in enumerate(on) if not any(s <= t for t in on[:j] + on[j + 1:])]
         self.dim = dim
-        self.vertices: tuple[Vec, ...] = tuple(sorted(verts))
-        self.inequalities: tuple[tuple[tuple[int, ...], Fraction], ...] = tuple(
-            sorted(planes)
-        )
+        self.vertices: tuple[Vec, ...] = tuple(pts[j] for j in verts)
+        self.inequalities: tuple[tuple[tuple[int, ...], Fraction], ...] = tuple(planes)
         # the vertex ids on each facet: every face is cut from these sets
         self._facet_vertex_sets: tuple[frozenset[int], ...] = tuple(
-            frozenset(j for j, v in enumerate(self.vertices) if linalg.dot(a, v) == b)
-            for a, b in self.inequalities
+            frozenset(v for v, j in enumerate(verts) if i in on[j]) for i in range(len(planes))
         )
         # Data derived from P alone, each built on first use and kept: the
         # faces by codimension, their local data (filled by eak.local_data),
-        # the volume and the solid angle on each face met by a lattice point
-        # of a dilate (filled by eak.oracle), by the tuple of its tight
-        # inequality indices.
+        # the relative volume of each face, by its vertex ids, and the solid
+        # angle on each face met by a lattice point of a dilate (filled by
+        # eak.oracle), by the tuple of its tight inequality indices.
         self._faces: dict[int, list[Face]] = {}
         self._facet_data: tuple | None = None
         self._codim2_data: tuple | None = None
-        self._volume: Fraction | None = None
+        self._volumes: dict[tuple[int, ...], Fraction] = {}
         self._face_angles: dict = {}
 
     # -- constructors -----------------------------------------------------
@@ -139,7 +125,7 @@ class Polytope:
     def from_json(data: dict) -> "Polytope":
         if "dim" not in data:
             raise ValueError("missing 'dim'")
-        dim = int(data["dim"])
+        dim = _parse_int(data["dim"], "'dim'")
         has_v = "vertices" in data
         has_h = "inequalities" in data
         if has_v == has_h:
@@ -147,9 +133,8 @@ class Polytope:
         if has_v:
             verts = [[_parse_rat(c) for c in v] for v in data["vertices"]]
             return Polytope(dim, verts)
-        rows = []
-        for row in data["inequalities"]:
-            rows.append(([int(c) for c in row["a"]], _parse_rat(row["b"])))
+        rows = [([_parse_int(c, "an entry of 'a'") for c in row["a"]], _parse_rat(row["b"]))
+                for row in data["inequalities"]]
         return Polytope.from_inequalities(dim, rows)
 
     @staticmethod
@@ -237,9 +222,7 @@ class Polytope:
 
     def volume(self) -> Fraction:
         """Euclidean volume: the relative volume of P as its own face."""
-        if self._volume is None:
-            self._volume = self.relative_volume(self.faces_of_codim(0)[0])
-        return self._volume
+        return self.relative_volume(self.faces_of_codim(0)[0])
 
     def denominator(self) -> int:
         return math.lcm(*(c.denominator for v in self.vertices for c in v))
@@ -257,7 +240,12 @@ class Polytope:
         and g the gcd of the maximal minors (at a facet, m_G is the k of its
         codim-2 faces).  This needs R independent.  In dimension <= 4 it
         is: a face of dimension >= 2 is P (R empty), a facet, or a ridge,
-        and a ridge lies in exactly two facets."""
+        and a ridge lies in exactly two facets.  Each face's sum runs once."""
+        if face.vertex_ids not in self._volumes:
+            self._volumes[face.vertex_ids] = self._pyramid_volume(face)
+        return self._volumes[face.vertex_ids]
+
+    def _pyramid_volume(self, face: Face) -> Fraction:
         if face.dim == 0:
             return Fraction(1)
         verts = self.face_vertices(face)
@@ -282,19 +270,13 @@ class Polytope:
 # construction helpers
 
 def _check_bounded(rows: list[tuple[tuple[int, ...], Fraction]], dim: int) -> None:
-    """Reject recession rays: a nonzero u with <a_i, u> <= 0 for all i."""
+    """Reject recession rays: a nonzero u with <a_i, u> <= 0 for all i.  An
+    extreme one is orthogonal to d - 1 independent rows."""
     normals = [r[0] for r in rows]
-    for subset in itertools.combinations(range(len(normals)), dim - 1):
-        sel = [normals[i] for i in subset]
-        if dim > 1 and linalg.rank(sel) != dim - 1:
-            continue
-        kernel = linalg.nullspace(sel) if sel else [
-            tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)
-        ]
-        for u in kernel:
-            for cand in (u, tuple(-c for c in u)):
-                if all(linalg.dot(a, cand) <= 0 for a in normals):
-                    raise ValueError("unbounded polyhedron (recession ray)")
+    for subset in itertools.combinations(normals, dim - 1):
+        u = linalg.cross(subset, dim)
+        if any(u) and any(all(s * linalg.dot(a, u) <= 0 for a in normals) for s in (1, -1)):
+            raise ValueError("unbounded polyhedron (recession ray)")
 
 
 def _enumerate_vertices(rows, dim: int) -> list[Vec]:
@@ -310,6 +292,16 @@ def _enumerate_vertices(rows, dim: int) -> list[Vec]:
         if all(linalg.dot(a, x) <= bb for a, bb in rows):
             verts.add(x)
     return sorted(verts)
+
+
+def _parse_int(value, field: str) -> int:
+    """An integer or integer string; a float or a boolean is refused."""
+    try:
+        if type(value) is int or isinstance(value, str):
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def _parse_rat(value) -> Fraction:

@@ -7,12 +7,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from eak import linalg, local_data
+from eak import linalg, local_data, polytope
+from eak.exactval import primitive_integer_vector
 from eak.lattice import (
     EmbeddedLattice,
     basis_from_generators,
@@ -20,7 +22,15 @@ from eak.lattice import (
     lattice_primitive,
 )
 from eak.linalg import Vec
-from eak.polytope import Polytope
+from eak.polytope import MAX_DIM, Polytope
+
+# a 4-polytope with 16 vertices and rectangular 2-faces, such as x = z = 1
+SIXTEEN_VERTICES = [
+    (-2, 1, 0, 0), (-2, 1, 0, 1), (-2, 1, 1, 0), (-2, 1, 1, 2),
+    (0, -2, 0, 0), (0, -2, 0, 1), (0, -2, 1, 0), (0, -2, 1, 1),
+    (1, -2, 0, 0), (1, -2, 0, 2), (1, -2, 1, 0), (1, -2, 1, 2),
+    (1, -1, 0, 0), (1, -1, 0, 1), (1, -1, 1, 0), (1, -1, 1, 2),
+]
 
 
 @pytest.fixture
@@ -199,3 +209,104 @@ def transverse_lattice(P: Polytope, g: local_data.CodimTwoData) -> TransverseLat
         x2=x2,
         xbar=xbar,
     )
+
+
+# ---------------------------------------------------------------------------
+# reference: P built with Fraction linear algebra, full dimension from the
+# affine rank, each hull plane from the rank and nullspace of a d-subset's
+# difference vectors, each vertex from the rank of its tight normals, and
+# boundedness from the nullspace of every d - 1 normals
+
+
+def reference_hull_facets(points, dim):
+    """All supporting hyperplanes (primitive a, b) of a full-dimensional
+    point set, with the convention <a, x> <= b inside."""
+    facets = []
+    seen = set()
+    for subset in itertools.combinations(range(len(points)), dim):
+        pts = [points[i] for i in subset]
+        diffs = [linalg.vec_sub(p, pts[0]) for p in pts[1:]]
+        if linalg.rank(diffs) != dim - 1:
+            continue
+        normals = linalg.nullspace(diffs) if diffs else [
+            tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)
+        ]
+        if len(normals) != 1:
+            continue
+        a = primitive_integer_vector(normals[0])
+        b = linalg.dot(a, pts[0])
+        if (a, b) in seen:
+            continue
+        neg = (tuple(-c for c in a), -b)
+        seen.update(((a, b), neg))
+        side = {(-1 if linalg.dot(a, p) < b else (1 if linalg.dot(a, p) > b else 0))
+                for p in points}
+        if 1 in side and -1 in side:
+            continue
+        facets.append(neg if 1 in side else (a, b))
+    return facets
+
+
+def _reference_affine_rank(points) -> int:
+    if len(points) < 2:
+        return 0
+    return linalg.rank([linalg.vec_sub(p, points[0]) for p in points[1:]])
+
+
+class ReferencePolytope(Polytope):
+    """A Polytope whose vertices, inequalities and facet vertex sets come
+    from the reference construction; everything derived from them is
+    Polytope's own."""
+
+    def __init__(self, dim, vertices):
+        if not 1 <= dim <= MAX_DIM:
+            raise ValueError(f"dimension {dim} outside [1, {MAX_DIM}]")
+        pts = sorted({linalg.vec(v) for v in vertices})
+        if any(len(p) != dim for p in pts):
+            raise ValueError("vertex dimension mismatch")
+        if _reference_affine_rank(pts) != dim:
+            raise ValueError("polytope is not full-dimensional")
+        planes = reference_hull_facets(pts, dim)
+        # a point is a vertex iff its tight normals span the ambient space
+        verts = []
+        for p in pts:
+            tight = [a for a, b in planes if linalg.dot(a, p) == b]
+            if len(tight) >= dim and linalg.rank(tight) == dim:
+                verts.append(p)
+        self.dim = dim
+        self.vertices = tuple(sorted(verts))
+        self.inequalities = tuple(sorted(planes))
+        self._facet_vertex_sets = tuple(
+            frozenset(j for j, v in enumerate(self.vertices) if linalg.dot(a, v) == b)
+            for a, b in self.inequalities
+        )
+        self._faces = {}
+        self._facet_data = None
+        self._codim2_data = None
+        self._volumes = {}
+        self._face_angles = {}
+
+
+def reference_check_bounded(rows, dim):
+    """Reject recession rays: a nonzero u with <a_i, u> <= 0 for all i."""
+    normals = [r[0] for r in rows]
+    for subset in itertools.combinations(range(len(normals)), dim - 1):
+        sel = [normals[i] for i in subset]
+        if dim > 1 and linalg.rank(sel) != dim - 1:
+            continue
+        kernel = linalg.nullspace(sel) if sel else [
+            tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)
+        ]
+        for u in kernel:
+            for cand in (u, tuple(-c for c in u)):
+                if all(linalg.dot(a, cand) <= 0 for a in normals):
+                    raise ValueError("unbounded polyhedron (recession ray)")
+
+
+def reference_from_inequalities(dim, rows) -> Polytope:
+    """Polytope.from_inequalities with the reference boundedness test and
+    construction; its span check and vertex enumeration are shared."""
+    with mock.patch.multiple(
+        polytope, Polytope=ReferencePolytope, _check_bounded=reference_check_bounded
+    ):
+        return Polytope.from_inequalities(dim, rows)

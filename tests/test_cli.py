@@ -180,6 +180,18 @@ def test_input_errors(delta_path, tmp_path, capsys):
         wrong.write_text(json.dumps({"dim": 3, "inequalities": rows}))
         assert run(["analyze", str(wrong)]) == 2
         _one_line_error(capsys, f"{len(a)} entries", "dim = 3")
+    # a float or a boolean is refused where an integer is read, not truncated
+    square = [{"a": a, "b": b} for a, b in (([-1, 0], "0"), ([0, 1], "1"), ([0, -1], "0"))]
+    for field, data in (
+        ("'a'", {"dim": 2, "inequalities": [{"a": [1.5, 0], "b": "1"}, *square]}),
+        ("'a'", {"dim": 2, "inequalities": [{"a": [True, 0], "b": "1"}, *square]}),
+        ("'dim'", {**DELTA, "dim": 3.9}),
+        ("'dim'", {**DELTA, "dim": True}),
+    ):
+        inexact = tmp_path / "inexact.json"
+        inexact.write_text(json.dumps(data))
+        assert run(["analyze", str(inexact)]) == 2
+        _one_line_error(capsys, field, "must be an integer")
     # an unwritable report path is an input error, not a traceback
     assert run(["analyze", delta_path, "--json", str(tmp_path / "missing" / "x.json")]) == 2
     _one_line_error(capsys, "cannot write")

@@ -119,3 +119,19 @@ def test_maximal_minors_match_det(data):
     assert list(minors) == list(itertools.combinations(range(n), k))
     for cols, m in minors.items():
         assert m == linalg.det([[r[j] for j in cols] for r in rows])
+
+
+@given(st.data())
+def test_cross_is_the_determinant_against_its_rows(data):
+    # <cross(R), x> = det[x; R] for every x: orthogonal to each row of R,
+    # and zero exactly when the rows are dependent
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    vector = st.lists(small_ints, min_size=n, max_size=n)
+    rows = data.draw(st.lists(vector, min_size=n - 1, max_size=n - 1))
+    if data.draw(st.booleans()) and n > 2:
+        rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+    u = linalg.cross(rows, n)
+    x = data.draw(vector)
+    assert linalg.dot(u, x) == linalg.det([x, *rows])
+    assert all(linalg.dot(u, r) == 0 for r in rows)
+    assert any(u) == (linalg.rank(rows) == n - 1)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -10,9 +11,15 @@ from eak import lattice, linalg, polytope
 from eak.exactval import AngleValue
 from eak.lattice import intersection_with_integer_lattice
 from eak.local_data import all_codim2_data, all_facet_data
-from eak.polytope import Polytope, hull_facets
+from eak.polytope import Polytope
 
-from conftest import random_rational_polytope, rational_polytopes, transverse_lattice
+from conftest import (
+    SIXTEEN_VERTICES,
+    random_rational_polytope,
+    rational_polytopes,
+    reference_hull_facets,
+    transverse_lattice,
+)
 
 
 def test_facet_data_delta(delta):
@@ -83,15 +90,6 @@ def test_transverse_cone_invariants_random():
             assert (g.h * g.h_inv - 1) % g.k == 0 if g.k > 1 else g.h_inv == 1
 
 
-# a 4-polytope with 16 vertices and rectangular 2-faces, such as x = z = 1
-SIXTEEN_VERTICES = [
-    (-2, 1, 0, 0), (-2, 1, 0, 1), (-2, 1, 1, 0), (-2, 1, 1, 2),
-    (0, -2, 0, 0), (0, -2, 0, 1), (0, -2, 1, 0), (0, -2, 1, 1),
-    (1, -2, 0, 0), (1, -2, 0, 2), (1, -2, 1, 0), (1, -2, 1, 2),
-    (1, -1, 0, 0), (1, -1, 0, 1), (1, -1, 1, 0), (1, -1, 1, 2),
-]
-
-
 # ---------------------------------------------------------------------------
 # references: relative volumes in a basis of the face's integer lattice, and
 # the triangulation recursing in Gram coordinates of each facet
@@ -105,7 +103,7 @@ def reference_triangulation(points, dim):
         return [(lo, hi)]
     apex = min(range(len(points)), key=lambda i: points[i])
     simplices = []
-    for a, b in hull_facets(points, dim):
+    for a, b in reference_hull_facets(points, dim):
         if linalg.dot(a, points[apex]) == b:
             continue
         face_ids = [i for i, p in enumerate(points) if linalg.dot(a, p) == b]
@@ -204,3 +202,22 @@ def test_volumes_take_no_hull_below_p(monkeypatch):
         assert P.volume() == volume
         assert len(all_facet_data(P)) == len(P.facets())
         assert len(all_codim2_data(P)) == len(P.codim2_faces())
+
+
+def test_each_face_volume_is_summed_once(monkeypatch):
+    """volume() and all facet and codim-2 data share one relative volume
+    per face: its pyramid sum runs once."""
+    sums: Counter = Counter()
+    pyramid_volume = Polytope._pyramid_volume
+
+    def counted(P, face):
+        sums[face.vertex_ids] += 1
+        return pyramid_volume(P, face)
+
+    monkeypatch.setattr(Polytope, "_pyramid_volume", counted)
+    P = Polytope(4, SIXTEEN_VERTICES)
+    assert P.volume() == 5
+    assert len(all_facet_data(P)) == len(P.facets())
+    assert len(all_codim2_data(P)) == len(P.codim2_faces())
+    assert set(sums.values()) == {1}
+    assert {F.vertex_ids for c in range(4) for F in P.faces_of_codim(c)} <= set(sums)

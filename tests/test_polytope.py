@@ -1,12 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eak import linalg
 from eak.polytope import Polytope
 
-from conftest import rational_polytopes
+from conftest import (
+    SIXTEEN_VERTICES,
+    ReferencePolytope,
+    rational_polytopes,
+    reference_from_inequalities,
+)
 
 
 def test_vertex_hull_drops_interior_points():
@@ -19,10 +25,13 @@ def test_not_full_dimensional():
         Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
 
 
-def test_vertex_inequality_round_trip(delta):
-    Q = Polytope.from_inequalities(3, list(delta.inequalities))
-    assert Q.vertices == delta.vertices
-    assert Q.inequalities == delta.inequalities
+def test_vertex_inequality_round_trip(delta, cube):
+    # the cube's opposite facets give dependent normal pairs, which span no
+    # recession ray
+    for P in (delta, cube):
+        Q = Polytope.from_inequalities(3, list(P.inequalities))
+        assert Q.vertices == P.vertices
+        assert Q.inequalities == P.inequalities
 
 
 def test_from_inequalities_rejects_unbounded():
@@ -32,14 +41,91 @@ def test_from_inequalities_rejects_unbounded():
         Polytope.from_inequalities(2, [((1, 0), 0), ((-1, 0), -1), ((0, 1), 1), ((0, -1), 0)])
 
 
+@st.composite
+def point_sets(draw) -> tuple[int, list]:
+    """d = 1..4 and d + 1..d + 3 points with denominators <= 5, some
+    midpoints among them, in general position, flattened into a hyperplane
+    or onto a line."""
+    d = draw(st.integers(1, 4))
+    point = st.tuples(*[st.builds(Fraction, st.integers(-3, 3), st.integers(1, 5))] * d)
+    pts = draw(st.lists(point, min_size=d + 1, max_size=d + 3))
+    pairs = st.tuples(*[st.integers(0, len(pts) - 1)] * 2)
+    pts += [linalg.vec_scale(Fraction(1, 2), linalg.vec_add(pts[i], pts[j]))
+            for i, j in draw(st.lists(pairs, max_size=2))]
+    flat = draw(st.sampled_from(["none", "none", "hyperplane", "line"]))
+    if flat == "hyperplane":
+        w = draw(point)  # the last coordinate becomes <w, x> + w_d over the others
+        pts = [(*p[:-1], linalg.dot(w[:-1], p[:-1]) + w[-1]) for p in pts]
+    elif flat == "line":
+        u = draw(point)
+        pts = [tuple(c + p[0] * x for c, x in zip(pts[0], u)) for p in pts]
+    return d, pts
+
+
+def construction(build, *args):
+    """What build(*args) made of P, or its refusal."""
+    try:
+        P = build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return P.vertices, P.inequalities, P._facet_vertex_sets, P.volume()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=point_sets(), data=st.data())
+@example(case=(2, [(0, 0), (2, 0), (0, 2), (2, 2), (1, 0), (1, 1)]), data=None)
+@example(case=(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]), data=None)
+@example(case=(4, SIXTEEN_VERTICES), data=None)
+def test_construction_matches_fraction_reference(case, data):
+    """The integer hull and incidence vertex test build the same P as the
+    Fraction rank and nullspace reference, or refuse with the same message;
+    so does from_inequalities on its shuffled rows with one row dropped."""
+    d, pts = case
+    built = construction(Polytope, d, pts)
+    assert built == construction(ReferencePolytope, d, pts)
+    if isinstance(built, str) or data is None:
+        return
+    rows = data.draw(st.permutations(built[1]))
+    drop = data.draw(st.integers(0, len(rows) - 1))
+    rows = rows[:drop] + rows[drop + 1:]
+    assert construction(Polytope.from_inequalities, d, rows) == construction(
+        reference_from_inequalities, d, rows
+    )
+
+
+def test_construction_takes_no_rank(monkeypatch):
+    """P is built from vertices with no rank or nullspace, and
+    from_inequalities tests boundedness with no nullspace."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank or nullspace taken")
+
+    monkeypatch.setattr(linalg, "nullspace", refuse)
+    rows = [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 1, 1), 1)]
+    assert len(Polytope.from_inequalities(3, rows).vertices) == 4
+    with pytest.raises(ValueError, match="recession ray"):
+        Polytope.from_inequalities(2, [((1, 0), Fraction(1)), ((0, 1), Fraction(1))])
+    with pytest.raises(ValueError, match="empty polytope"):
+        Polytope.from_inequalities(2, [((1, 0), 0), ((-1, 0), -1), ((0, 1), 1), ((0, -1), 0)])
+    monkeypatch.setattr(linalg, "rank", refuse)
+    simplex4 = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (1, 1, 5, 0), (0, 1, 1, 2)]
+    for dim, points, vertices in (
+        (1, [(0,), (Fraction(3, 2),), (1,)], 2),
+        (3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 4),
+        (4, simplex4, 5),
+        (4, SIXTEEN_VERTICES, 16),
+    ):
+        assert len(Polytope(dim, points).vertices) == vertices
+
+
 def test_json_round_trip(delta):
     Q = Polytope.from_json(delta.to_json())
     assert Q.vertices == delta.vertices
     R = Polytope.from_json(
         {
-            "dim": 2,
+            "dim": "2",
             "inequalities": [
-                {"a": [-1, 0], "b": "0"},
+                {"a": ["-1", "0"], "b": "0"},
                 {"a": [0, -1], "b": "0"},
                 {"a": [1, 1], "b": "1/2"},
             ],
