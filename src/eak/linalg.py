@@ -1,14 +1,15 @@
 """Small exact linear algebra over the rationals and the integers.
 
 Vectors are tuples of Fractions (or ints), matrices are tuples of row
-tuples.  Everything here is sized for ambient dimension at most four, so
-plain Gaussian elimination with exact Fractions is the right tool; the
-integer side provides a column-style Hermite normal form for lattice
-basis extraction.
+tuples, sized for ambient dimension at most four.  Polytopes and their
+local data are built from integer maximal minors and cross products;
+exact Fraction elimination and Hermite reduction serve the lattice code
+and the oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -101,27 +102,39 @@ def det(m: Sequence[Sequence]) -> Fraction:
     return result
 
 
+@functools.cache
+def _laplace_plan(n: int, k: int) -> tuple[tuple, tuple]:
+    """The k-subsets of n columns, in lexicographic order, and the terms
+    (sign, column, index of the (k - 1)-subset left) of each one's
+    expansion along a k-th row."""
+    below = {cols: i for i, cols in enumerate(itertools.combinations(range(n), k - 1))}
+    keys = tuple(itertools.combinations(range(n), k))
+    return keys, tuple(tuple(((-1) ** (k - 1 - i), c, below[cols[:i] + cols[i + 1:]])
+                             for i, c in enumerate(cols)) for cols in keys)
+
+
 def maximal_minors(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
     """The maximal minors of an integer matrix with no more rows than
     columns, keyed by their column subsets in lexicographic order; {(): 1}
     for no rows.  Built a row at a time, by Laplace expansion along it."""
-    minors: dict[tuple[int, ...], int] = {(): 1}
+    keys, minors = ((),), [1]
     for k, row in enumerate(rows, 1):
-        minors = {
-            cols: sum(
-                (-1) ** (k - 1 - i) * row[c] * minors[cols[:i] + cols[i + 1:]]
-                for i, c in enumerate(cols)
-                if row[c]
-            )
-            for cols in itertools.combinations(range(len(row)), k)
-        }
-    return minors
+        keys, plan = _laplace_plan(len(row), k)
+        expanded = []
+        for terms in plan:
+            total = 0
+            for sign, c, i in terms:
+                if row[c]:
+                    total += sign * row[c] * minors[i]
+            expanded.append(total)
+        minors = expanded
+    return dict(zip(keys, minors))
 
 
 def cross(rows: Sequence[Sequence[int]], dim: int) -> tuple[int, ...]:
-    """The cross product of dim - 1 integer rows, (1,) for none in dimension
-    1: entry j is (-1)^j times the maximal minor leaving out column j, so
-    <cross, x> = det[x; rows], zero exactly when the rows are dependent."""
+    """The cross product of dim - 1 integer rows: entry j is (-1)^j times
+    the maximal minor leaving out column j, so <cross, x> = det[x; rows],
+    zero exactly when the rows are dependent."""
     minors = maximal_minors(rows)
     return tuple((-1) ** j * minors[(*range(j), *range(j + 1, dim))] for j in range(dim))
 

@@ -1,21 +1,20 @@
 """Rational polytopes: representations, the face lattice, volumes.
 
 Polytopes are bounded, full-dimensional, with rational vertex data, in
-ambient dimension at most four.  Construction from either vertices or
-inequalities funnels through the same canonicalization, in integers:
-each d-subset's plane from the cross product of its difference vectors,
-primitive normals, and as vertices, lexicographically sorted, the points
-no other point shares all facets with.  That hull is the only one taken:
-every face of every codimension comes from the facets' vertex sets, and
-every volume, of P or of a face in the lattice of its span, from
-pyramids over the faces one codimension down.
+ambient dimension at most four.  Both descriptions are built in integers
+by one cone kernel: points give the facets, inequalities the vertices,
+each a cross product of rows.  Facet normals are primitive; vertices,
+sorted, are the points no other point shares all facets with.  That hull
+is the only one taken: every face of every codimension comes from the
+facets' vertex sets, and every volume, of P or of a face in the lattice
+of its span, from pyramids over the faces one codimension down.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -37,32 +36,45 @@ class Face:
     codim: int
 
 
+def _cone_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]] | None:
+    """The primitive extreme rays of the cone {c : <c, r> <= 0 for every
+    integer row r in Z^n}, or None when the rows do not span Q^n.  Each is
+    the cross product of n - 1 rows, with the sign that meets every row;
+    the rows span iff a nonzero cross product is not orthogonal to all."""
+    rays, seen = [], set()
+    for subset in itertools.combinations(rows, n - 1):
+        c = linalg.cross(subset, n)
+        g = math.gcd(*c)
+        if not g or (c := tuple(x // g for x in c)) in seen:
+            continue
+        neg = tuple(-x for x in c)
+        seen.update((c, neg))
+        side = 0
+        for r in rows:
+            value = sum(map(operator.mul, c, r))
+            if value and side * value < 0:
+                break
+            side = side or value
+        else:
+            if not side:
+                return None
+            rays.append(c if side < 0 else neg)
+    return rays if seen else None
+
+
 def hull_facets(points: Sequence[Vec], dim: int) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All supporting hyperplanes (primitive a, b) of a point set, <a, x> <= b
-    inside: at least dim + 1 if it is full-dimensional, else at most one.  The
-    normals are cross products of difference vectors of d-subsets, in integers
-    once the points are scaled by the lcm of their denominators."""
+    """All supporting hyperplanes (primitive a, b) of a full-dimensional
+    point set, <a, x> <= b inside; a set that is not full-dimensional is
+    refused.  Each is a cone ray (a, B) of the rows (L p, -1), L the lcm of
+    the denominators, read as <a, x> <= B / L."""
     scale = math.lcm(*(c.denominator for p in points for c in p))
-    pts = [tuple(int(c * scale) for c in p) for p in points]
-    facets: list[tuple[tuple[int, ...], Fraction]] = []
-    # each plane spanned by a d-subset, in both orientations: the side test
-    # runs once per plane, not once per subset spanning it
-    seen: set[tuple] = set()
-    for first, *rest in itertools.combinations(pts, dim):
-        normal = linalg.cross([[x - y for x, y in zip(p, first)] for p in rest], dim)
-        g = math.gcd(*normal)
-        if not g:
-            continue
-        a = tuple(c // g for c in normal)
-        b = sum(x * y for x, y in zip(a, first))
-        if (a, b) in seen:
-            continue
-        neg = (tuple(-c for c in a), -b)
-        seen.update(((a, b), neg))
-        if any(sum(x * y for x, y in zip(a, p)) > b for p in pts):
-            a, b = neg
-        if all(sum(x * y for x, y in zip(a, p)) <= b for p in pts):
-            facets.append((a, Fraction(b, scale)))
+    rays = _cone_rays([(*(int(c * scale) for c in p), -1) for p in points], dim + 1)
+    if rays is None:
+        raise ValueError("polytope is not full-dimensional")
+    facets = []
+    for *a, b in rays:
+        g = math.gcd(*a)
+        facets.append((tuple(c // g for c in a), Fraction(b, g * scale)))
     return facets
 
 
@@ -76,8 +88,6 @@ class Polytope:
         if any(len(p) != dim for p in pts):
             raise ValueError("vertex dimension mismatch")
         planes = sorted(hull_facets(pts, dim))
-        if len(planes) <= dim:
-            raise ValueError("polytope is not full-dimensional")
         # keep extreme points only: a point is a vertex iff no other point
         # lies on every facet through it
         on = [{i for i, (a, b) in enumerate(planes) if linalg.dot(a, p) == b} for p in pts]
@@ -104,22 +114,26 @@ class Polytope:
 
     @staticmethod
     def from_inequalities(dim: int, rows: Sequence[tuple[Sequence[int], object]]) -> "Polytope":
+        """P = {x : <a, x> <= b}: each cone ray (y, s) of the rows (a, -b) and
+        (0, ..., 0, -1), in integers, is a vertex y / s or, at s = 0, a
+        recession ray."""
         if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dimension {dim} outside [1, {MAX_DIM}]")
-        norm_rows = []
+        cone = [(0,) * dim + (-1,)]
         for a, b in rows:
             if len(a) != dim:
                 raise ValueError(f"inequality normal has {len(a)} entries, expected dim = {dim}")
-            a_prim = primitive_integer_vector(a)
-            scale = Fraction(next(x for x in a if x != 0), next(x for x in a_prim if x != 0))
-            norm_rows.append((a_prim, Fraction(b) / scale))
-        if linalg.rank([r[0] for r in norm_rows]) != dim:
+            row = [Fraction(c) for c in a] + [-Fraction(b)]
+            scale = math.lcm(*(c.denominator for c in row))
+            cone.append(tuple(int(c * scale) for c in row))
+        rays = _cone_rays(cone, dim + 1)
+        if rays is None:
             raise ValueError("unbounded polyhedron (normals do not span)")
-        _check_bounded(norm_rows, dim)
-        verts = _enumerate_vertices(norm_rows, dim)
-        if not verts:
+        if any(not s for *_, s in rays):
+            raise ValueError("unbounded polyhedron (recession ray)")
+        if not rays:
             raise ValueError("empty polytope")
-        return Polytope(dim, verts)
+        return Polytope(dim, [[Fraction(c, s) for c in y] for *y, s in rays])
 
     @staticmethod
     def from_json(data: dict) -> "Polytope":
@@ -133,14 +147,12 @@ class Polytope:
         if has_v:
             verts = [[_parse_rat(c) for c in v] for v in data["vertices"]]
             return Polytope(dim, verts)
-        rows = [([_parse_int(c, "an entry of 'a'") for c in row["a"]], _parse_rat(row["b"]))
-                for row in data["inequalities"]]
+        try:
+            rows = [([_parse_int(c, "an entry of 'a'") for c in row["a"]], _parse_rat(row["b"]))
+                    for row in data["inequalities"]]
+        except KeyError as exc:
+            raise ValueError(f"missing {exc} in an inequality") from None
         return Polytope.from_inequalities(dim, rows)
-
-    @staticmethod
-    def load(path: str) -> "Polytope":
-        with open(path) as f:
-            return Polytope.from_json(json.load(f))
 
     def to_json(self) -> dict:
         return {
@@ -267,32 +279,7 @@ class Polytope:
 
 
 # ---------------------------------------------------------------------------
-# construction helpers
-
-def _check_bounded(rows: list[tuple[tuple[int, ...], Fraction]], dim: int) -> None:
-    """Reject recession rays: a nonzero u with <a_i, u> <= 0 for all i.  An
-    extreme one is orthogonal to d - 1 independent rows."""
-    normals = [r[0] for r in rows]
-    for subset in itertools.combinations(normals, dim - 1):
-        u = linalg.cross(subset, dim)
-        if any(u) and any(all(s * linalg.dot(a, u) <= 0 for a in normals) for s in (1, -1)):
-            raise ValueError("unbounded polyhedron (recession ray)")
-
-
-def _enumerate_vertices(rows, dim: int) -> list[Vec]:
-    verts = set()
-    for subset in itertools.combinations(range(len(rows)), dim):
-        a_rows = [rows[i][0] for i in subset]
-        if linalg.rank(a_rows) != dim:
-            continue
-        b = [rows[i][1] for i in subset]
-        x = linalg.solve(a_rows, b)
-        if x is None:
-            continue
-        if all(linalg.dot(a, x) <= bb for a, bb in rows):
-            verts.add(x)
-    return sorted(verts)
-
+# JSON parsing
 
 def _parse_int(value, field: str) -> int:
     """An integer or integer string; a float or a boolean is refused."""
@@ -307,6 +294,6 @@ def _parse_int(value, field: str) -> int:
 def _parse_rat(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     raise ValueError(f"rationals must be strings 'p/q' or integers, got {value!r}")

@@ -7,13 +7,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from eak import linalg, local_data, polytope
+from eak import linalg, local_data
 from eak.exactval import primitive_integer_vector
 from eak.lattice import (
     EmbeddedLattice,
@@ -214,8 +213,9 @@ def transverse_lattice(P: Polytope, g: local_data.CodimTwoData) -> TransverseLat
 # ---------------------------------------------------------------------------
 # reference: P built with Fraction linear algebra, full dimension from the
 # affine rank, each hull plane from the rank and nullspace of a d-subset's
-# difference vectors, each vertex from the rank of its tight normals, and
-# boundedness from the nullspace of every d - 1 normals
+# difference vectors, each vertex from the rank of its tight normals; from
+# inequalities, boundedness from the nullspace of every d - 1 normals and
+# each vertex from a solve of d rows
 
 
 def reference_hull_facets(points, dim):
@@ -303,10 +303,30 @@ def reference_check_bounded(rows, dim):
                     raise ValueError("unbounded polyhedron (recession ray)")
 
 
+def reference_enumerate_vertices(rows, dim):
+    """The points where d rows of independent normals are tight and every
+    row holds, each from a Fraction solve."""
+    verts = set()
+    for subset in itertools.combinations(range(len(rows)), dim):
+        a_rows = [rows[i][0] for i in subset]
+        if linalg.rank(a_rows) != dim:
+            continue
+        x = linalg.solve(a_rows, [rows[i][1] for i in subset])
+        if x is not None and all(linalg.dot(a, x) <= b for a, b in rows):
+            verts.add(x)
+    return sorted(verts)
+
+
 def reference_from_inequalities(dim, rows) -> Polytope:
-    """Polytope.from_inequalities with the reference boundedness test and
-    construction; its span check and vertex enumeration are shared."""
-    with mock.patch.multiple(
-        polytope, Polytope=ReferencePolytope, _check_bounded=reference_check_bounded
-    ):
-        return Polytope.from_inequalities(dim, rows)
+    """P = {x : <a, x> <= b} by Fraction linear algebra: the span from the
+    rank of the normals, boundedness from the nullspace of every d - 1
+    normals and the vertices from a solve of every d rows, hulled by
+    ReferencePolytope."""
+    rows = [(linalg.vec(a), Fraction(b)) for a, b in rows]
+    if linalg.rank([a for a, _ in rows]) != dim:
+        raise ValueError("unbounded polyhedron (normals do not span)")
+    reference_check_bounded(rows, dim)
+    verts = reference_enumerate_vertices(rows, dim)
+    if not verts:
+        raise ValueError("empty polytope")
+    return ReferencePolytope(dim, verts)

@@ -192,6 +192,17 @@ def test_input_errors(delta_path, tmp_path, capsys):
         inexact.write_text(json.dumps(data))
         assert run(["analyze", str(inexact)]) == 2
         _one_line_error(capsys, field, "must be an integer")
+    # a boolean is not a rational, and an inequality names a missing key
+    for words, data in (
+        (("rationals", "True"), {"dim": 1, "vertices": [[True], [0]]}),
+        (("rationals", "True"), {"dim": 2, "inequalities": [{"a": [1, 0], "b": True}, *square]}),
+        (("missing 'b'", "inequality"), {"dim": 2, "inequalities": [{"a": [1, 0]}, *square]}),
+        (("missing 'a'", "inequality"), {"dim": 2, "inequalities": [{"b": "1"}, *square]}),
+    ):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps(data))
+        assert run(["analyze", str(malformed)]) == 2
+        _one_line_error(capsys, *words)
     # an unwritable report path is an input error, not a traceback
     assert run(["analyze", delta_path, "--json", str(tmp_path / "missing" / "x.json")]) == 2
     _one_line_error(capsys, "cannot write")

@@ -21,24 +21,37 @@ def test_vertex_hull_drops_interior_points():
 
 
 def test_not_full_dimensional():
-    with pytest.raises(ValueError):
-        Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    for points in ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)]):
+        with pytest.raises(ValueError, match="not full-dimensional"):
+            Polytope(3, points)
 
 
 def test_vertex_inequality_round_trip(delta, cube):
     # the cube's opposite facets give dependent normal pairs, which span no
-    # recession ray
+    # recession ray; a zero normal with b >= 0 cuts nothing
     for P in (delta, cube):
-        Q = Polytope.from_inequalities(3, list(P.inequalities))
-        assert Q.vertices == P.vertices
-        assert Q.inequalities == P.inequalities
+        for extra in ([], [((0, 0, 0), 0)], [((0, 0, 0), Fraction(1, 2))]):
+            Q = Polytope.from_inequalities(3, list(P.inequalities) + extra)
+            assert Q.vertices == P.vertices
+            assert Q.inequalities == P.inequalities
 
 
 def test_from_inequalities_rejects_unbounded():
-    with pytest.raises(ValueError):
-        Polytope.from_inequalities(2, [((1, 0), Fraction(1)), ((0, 1), Fraction(1))])
-    with pytest.raises(ValueError):
-        Polytope.from_inequalities(2, [((1, 0), 0), ((-1, 0), -1), ((0, 1), 1), ((0, -1), 0)])
+    """Each refusal with its message, as the reference refuses it."""
+    for dim, rows, message in (
+        (2, [((1, 0), Fraction(1)), ((0, 1), Fraction(1))], "recession ray"),
+        (2, [((1, 0), 0), ((-1, 0), -1), ((0, 1), 1), ((0, -1), 0)], "empty polytope"),
+        # a slab: every cross product of the rows is zero
+        (3, [((1, 0, 0), 1), ((-1, 0, 0), 0)], "normals do not span"),
+        # a strip: the cross products are orthogonal to every row
+        (2, [((1, 0), 1), ((-1, 0), 0)], "normals do not span"),
+        (1, [((1,), 1)], "recession ray"),
+        (1, [((1,), 1), ((-1,), -2)], "empty polytope"),
+        (2, [((0, 0), -1), ((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)], "empty polytope"),
+    ):
+        with pytest.raises(ValueError, match=message) as exc:
+            Polytope.from_inequalities(dim, rows)
+        assert str(exc.value) == construction(reference_from_inequalities, dim, rows)
 
 
 @st.composite
@@ -79,7 +92,8 @@ def construction(build, *args):
 def test_construction_matches_fraction_reference(case, data):
     """The integer hull and incidence vertex test build the same P as the
     Fraction rank and nullspace reference, or refuse with the same message;
-    so does from_inequalities on its shuffled rows with one row dropped."""
+    so does from_inequalities on its shuffled rows with one row dropped,
+    against Fraction solves of every d rows."""
     d, pts = case
     built = construction(Polytope, d, pts)
     assert built == construction(ReferencePolytope, d, pts)
@@ -94,20 +108,14 @@ def test_construction_matches_fraction_reference(case, data):
 
 
 def test_construction_takes_no_rank(monkeypatch):
-    """P is built from vertices with no rank or nullspace, and
-    from_inequalities tests boundedness with no nullspace."""
+    """P is built from vertices or from inequalities, and an unbounded or
+    empty system refused, with no rank, solve or nullspace."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("rank or nullspace taken")
+        raise AssertionError("rank, solve or nullspace taken")
 
-    monkeypatch.setattr(linalg, "nullspace", refuse)
-    rows = [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 1, 1), 1)]
-    assert len(Polytope.from_inequalities(3, rows).vertices) == 4
-    with pytest.raises(ValueError, match="recession ray"):
-        Polytope.from_inequalities(2, [((1, 0), Fraction(1)), ((0, 1), Fraction(1))])
-    with pytest.raises(ValueError, match="empty polytope"):
-        Polytope.from_inequalities(2, [((1, 0), 0), ((-1, 0), -1), ((0, 1), 1), ((0, -1), 0)])
-    monkeypatch.setattr(linalg, "rank", refuse)
+    for name in ("rank", "solve", "nullspace"):
+        monkeypatch.setattr(linalg, name, refuse)
     simplex4 = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (1, 1, 5, 0), (0, 1, 1, 2)]
     for dim, points, vertices in (
         (1, [(0,), (Fraction(3, 2),), (1,)], 2),
@@ -116,6 +124,14 @@ def test_construction_takes_no_rank(monkeypatch):
         (4, SIXTEEN_VERTICES, 16),
     ):
         assert len(Polytope(dim, points).vertices) == vertices
+    rows = [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 1, 1), 1)]
+    assert len(Polytope.from_inequalities(3, rows).vertices) == 4
+    P = Polytope(4, simplex4)
+    assert Polytope.from_inequalities(4, list(P.inequalities)).vertices == P.vertices
+    with pytest.raises(ValueError, match="recession ray"):
+        Polytope.from_inequalities(2, [((1, 0), Fraction(1)), ((0, 1), Fraction(1))])
+    with pytest.raises(ValueError, match="empty polytope"):
+        Polytope.from_inequalities(2, [((1, 0), 0), ((-1, 0), -1), ((0, 1), 1), ((0, -1), 0)])
 
 
 def test_json_round_trip(delta):
