@@ -179,13 +179,12 @@ def _cmd_verify(args) -> int:
     vol = P.volume()
     for t in args.t:
         t = Fraction(t)
-        count_samples = [
-            (t + j * m, Fraction(oracle.count_points(P, t + j * m))) for j in range(4)
-        ]
+        count_samples, angle_samples = [], []
+        for s in (t + j * m for j in range(4)):
+            interior, boundary, A, C = oracle._enumerate(P, s)
+            count_samples.append((s, Fraction(interior + len(boundary))))
+            angle_samples.append((s, oracle._angle_sum(P, interior, boundary, A, C)))
         ec = oracle.interpolate_coefficients(count_samples, 3)
-        angle_samples = [
-            (t + j * m, oracle.solid_angle_sum(P, t + j * m)) for j in range(4)
-        ]
         ac = oracle.interpolate_coefficients(angle_samples, 3)
         rows = [
             ("vol", ExactValue.of(vol), ExactValue.of(ec[0])),

@@ -23,10 +23,6 @@ def vec(entries: Sequence) -> Vec:
     return tuple(Fraction(e) for e in entries)
 
 
-def mat(rows: Sequence[Sequence]) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
 def dot(u: Sequence, v: Sequence) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
@@ -166,25 +162,6 @@ def rref(m: Sequence[Sequence]) -> tuple[Mat, list[int]]:
 
 def rank(m: Sequence[Sequence]) -> int:
     return len(rref(m)[1])
-
-
-def solve(a: Sequence[Sequence], b: Sequence) -> Vec | None:
-    """One exact solution of A x = b, or None when inconsistent.
-
-    Free variables (if any) are set to zero.
-    """
-    rows = [list(vec(r)) + [Fraction(b[i])] for i, r in enumerate(a)]
-    red, pivots = rref(rows)
-    n = len(a[0]) if a else 0
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        if c == n:
-            return None
-        x[c] = red[r][n]
-    for r in range(len(pivots), len(red)):
-        if red[r][n] != 0:
-            return None
-    return tuple(x)
 
 
 def inverse(m: Sequence[Sequence]) -> Mat:
@@ -327,16 +304,6 @@ def _integer_kernel_of_integer_matrix(rows: list[tuple[int, ...]], n: int) -> li
         col += 1
         row += 1
     return [tuple(u[j]) for j in range(col, n)]
-
-
-def complete_primitive_2d(c: Sequence[int]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Unimodular basis (c, u) of Z^2 extending the primitive vector c."""
-    a, b = int(c[0]), int(c[1])
-    g, s, t = extended_gcd(a, b)
-    if g != 1:
-        raise ValueError("vector is not primitive")
-    # det((a, -t), (b, s)) = a*s + b*t = 1
-    return (a, b), (-t, s)
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:

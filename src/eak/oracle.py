@@ -40,8 +40,8 @@ class BudgetExceeded(RuntimeError):
 
 def _scaled_system(P: Polytope, t: Fraction):
     """Integer system A x <= C equivalent to x in t*P, plus the integer
-    bounding box of t*P.  Refuses when a row's value over the box could
-    leave int64, where the scan would wrap silently."""
+    bounding box of t*P.  Refuses when a row's slack c - <a, x> over the
+    box could leave int64, where the scan would wrap silently."""
     lo = []
     hi = []
     for j in range(P.dim):
@@ -54,7 +54,7 @@ def _scaled_system(P: Polytope, t: Fraction):
     for a, b in P.inequalities:
         c = b * t
         row = [c.denominator * int(x) for x in a]
-        bound = max(sum(abs(x) * r for x, r in zip(row, reach)), abs(c.numerator))
+        bound = sum(abs(x) * r for x, r in zip(row, reach)) + abs(c.numerator)
         if bound >= INT64_LIMIT:
             raise BudgetExceeded(
                 f"the scaled system at t={t} needs integers up to {bound}, "
@@ -83,7 +83,7 @@ def _enumerate(P: Polytope, t: Fraction, budget: int = ENUMERATION_BUDGET):
 
 
 def count_points(P: Polytope, t, budget: int = ENUMERATION_BUDGET) -> int:
-    """|tP cap Z^d| by exact box scan."""
+    """|tP cap Z^d| by the exact line scan."""
     interior, boundary, _, _ = _enumerate(P, Fraction(t), budget)
     return interior + len(boundary)
 
@@ -145,8 +145,11 @@ def solid_angle_sum(P: Polytope, t, budget: int = ENUMERATION_BUDGET) -> ExactVa
     _scaled_system bounds every row), and each group adds its count times
     the angle of its face.  The angle does not depend on t > 0, so it is
     kept in P._face_angles for every later t."""
-    t = Fraction(t)
-    interior, boundary, A, C = _enumerate(P, t, budget)
+    return _angle_sum(P, *_enumerate(P, Fraction(t), budget))
+
+
+def _angle_sum(P: Polytope, interior: int, boundary: np.ndarray, A, C) -> ExactValue | float:
+    """A_P(t) from the scan (interior, boundary, A, C) of t*P."""
     patterns, counts = np.unique(boundary @ A.T == C, axis=0, return_counts=True)
     angles = P._face_angles
     terms = [ExactValue.of(interior)]

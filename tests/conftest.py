@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from eak.lattice import (
     intersection_with_integer_lattice,
     lattice_primitive,
 )
-from eak.linalg import Vec
+from eak.linalg import Mat, Vec
 from eak.polytope import MAX_DIM, Polytope
 
 # a 4-polytope with 16 vertices and rectangular 2-faces, such as x = z = 1
@@ -149,6 +150,76 @@ def rhombic_dodecahedron(image) -> Polytope:
     return Polytope(3, [image(*v) for v in (*cube, *axes)])
 
 
+# ---------------------------------------------------------------------------
+# reference: the box scan, one int64 matrix product per value of the first
+# coordinate over the whole slab of the box
+
+
+def reference_scan_box(A, C, lo, hi):
+    """(interior_count, boundary_points) for A x <= C over the box [lo, hi],
+    every candidate point tested against every row."""
+    A, C, lo, hi = (np.asarray(v, dtype=np.int64) for v in (A, C, lo, hi))
+    d = len(lo)
+    if np.any(hi < lo):
+        return 0, np.empty((0, d), dtype=np.int64)
+    axes = [np.arange(lo[j], hi[j] + 1, dtype=np.int64) for j in range(1, d)]
+    if axes:
+        rest = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    else:
+        rest = np.empty((1, 0), dtype=np.int64)
+    interior = 0
+    boundary = []
+    pts = np.empty((rest.shape[0], d), dtype=np.int64)
+    pts[:, 1:] = rest
+    for x0 in range(int(lo[0]), int(hi[0]) + 1):
+        pts[:, 0] = x0
+        S = pts @ A.T
+        inside = np.all(S <= C, axis=1)
+        tight = inside & np.any(S == C, axis=1)
+        interior += int(inside.sum()) - int(tight.sum())
+        if tight.any():
+            boundary.append(pts[tight].copy())
+    bnd = np.concatenate(boundary, axis=0) if boundary else np.empty((0, d), dtype=np.int64)
+    return interior, bnd
+
+
+# ---------------------------------------------------------------------------
+# Fraction solves and a unimodular completion, used by the references below
+
+
+def mat(rows) -> Mat:
+    return tuple(linalg.vec(r) for r in rows)
+
+
+def solve(a, b) -> Vec | None:
+    """One exact solution of A x = b, or None when inconsistent.
+
+    Free variables (if any) are set to zero.
+    """
+    rows = [list(linalg.vec(r)) + [Fraction(b[i])] for i, r in enumerate(a)]
+    red, pivots = linalg.rref(rows)
+    n = len(a[0]) if a else 0
+    x = [Fraction(0)] * n
+    for r, c in enumerate(pivots):
+        if c == n:
+            return None
+        x[c] = red[r][n]
+    for r in range(len(pivots), len(red)):
+        if red[r][n] != 0:
+            return None
+    return tuple(x)
+
+
+def complete_primitive_2d(c) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Unimodular basis (c, u) of Z^2 extending the primitive vector c."""
+    a, b = int(c[0]), int(c[1])
+    g, s, t = linalg.extended_gcd(a, b)
+    if g != 1:
+        raise ValueError("vector is not primitive")
+    # det((a, -t), (b, s)) = a*s + b*t = 1
+    return (a, b), (-t, s)
+
+
 @dataclass(frozen=True)
 class TransverseLattice:
     """The transverse lattice of a codim-2 face G and its cone, built
@@ -186,15 +257,15 @@ def transverse_lattice(P: Polytope, g: local_data.CodimTwoData) -> TransverseLat
     # normalize so v_F2_G = h*v1 + k*v2 with 0 <= h < k
     c1 = tuple(int(c) for c in dual.coordinates(v_F1_G))
     c2 = tuple(int(c) for c in dual.coordinates(v_F2_G))
-    _, u = linalg.complete_primitive_2d(c1)
-    alpha, beta = (int(c) for c in linalg.solve(linalg.from_columns([c1, u]), c2))
+    _, u = complete_primitive_2d(c1)
+    alpha, beta = (int(c) for c in solve(linalg.from_columns([c1, u]), c2))
     if beta < 0:
         u, beta = (-u[0], -u[1]), -beta
     m, h = divmod(alpha, beta)
     u = (u[0] + m * c1[0], u[1] + m * c1[1])
 
     xbar = linalg.mat_vec(proj, P.face_vertices(g.face)[0])
-    x1, x2 = linalg.solve(linalg.from_columns([v_F1_G, v_F2_G]), xbar)
+    x1, x2 = solve(linalg.from_columns([v_F1_G, v_F2_G]), xbar)
     return TransverseLattice(
         lam=lam,
         dual=dual,
@@ -311,7 +382,7 @@ def reference_enumerate_vertices(rows, dim):
         a_rows = [rows[i][0] for i in subset]
         if linalg.rank(a_rows) != dim:
             continue
-        x = linalg.solve(a_rows, [rows[i][1] for i in subset])
+        x = solve(a_rows, [rows[i][1] for i in subset])
         if x is not None and all(linalg.dot(a, x) <= b for a, b in rows):
             verts.add(x)
     return sorted(verts)

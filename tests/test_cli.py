@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from eak import oracle
+from eak import _kernels, oracle
 from eak.cli import run
 
 from conftest import rhombic_dodecahedron
@@ -80,6 +80,22 @@ def test_verify_classifies_each_face_once(delta_path, monkeypatch, capsys):
     assert run(["verify", delta_path, "--t", "1", "--t", "1/2"]) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert 0 < len(faces) == len(set(faces)) <= 4 + 6 + 4
+
+
+def test_verify_scans_each_dilation_once(delta_path, monkeypatch, capsys):
+    # two values of t, four dilations t + j each: one scan gives both the
+    # count and the solid-angle sum of a dilation
+    scans = []
+    scan_box = _kernels.scan_box
+
+    def counted(*args):
+        scans.append(args)
+        return scan_box(*args)
+
+    monkeypatch.setattr(_kernels, "scan_box", counted)
+    assert run(["verify", delta_path, "--t", "1", "--t", "1/2"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(scans) == 8
 
 
 def test_concrete_refuses_a_numerically_zero_defect(tmp_path, capsys):

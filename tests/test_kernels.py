@@ -1,6 +1,10 @@
 import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from eak import _kernels
+
+from conftest import reference_scan_box
 
 
 def _simplex_system(t):
@@ -29,3 +33,42 @@ def test_numpy_scan_empty_boundary():
     interior, boundary = _kernels.scan_box(A, C, lo, hi)
     assert interior == 9 and len(boundary) == 0
 
+
+@st.composite
+def integer_systems(draw):
+    """(A, C, lo, hi) in d = 1..4 with small entries; some rows have a zero
+    last entry, some repeat an earlier row (every point tight on one is
+    tight on both), and some boxes are empty."""
+    d = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if rows and draw(st.integers(0, 4)) == 0:
+            rows.append(draw(st.sampled_from(rows)))
+            continue
+        a = draw(st.lists(entry, min_size=d, max_size=d))
+        if draw(st.booleans()):
+            a[-1] = 0
+        rows.append((a, draw(st.integers(-4, 8))))
+    lo = draw(st.lists(st.integers(-4, 2), min_size=d, max_size=d))
+    hi = [low + draw(st.integers(-1, 5)) for low in lo]
+    return [a for a, _ in rows], [c for _, c in rows], lo, hi
+
+
+# a_d = 0 rows with zero and with nonzero slack on their lines
+@example(([[1, 0], [0, 1], [-1, 0]], [1, 2, 1], [-2, -2], [2, 2]))
+# an empty box, and an infeasible system
+@example(([[1, 1]], [0], [0, 1], [3, 0]))
+@example(([[1, 0, 1], [-1, 0, -1]], [-1, -1], [-2, -2, -2], [2, 2, 2]))
+# a point tight on three rows, and a d = 1 system with a zero row
+@example(([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, -1]],
+          [2, 2, 2, 1, 0], [0, 0, 0, 0], [2, 2, 2, 1]))
+@example(([[0], [2], [-3]], [0, 5, 4], [-3], [4]))
+@given(integer_systems())
+def test_line_scan_matches_the_box_scan(system):
+    A, C, lo, hi = (np.array(v, dtype=np.int64) for v in system)
+    interior, boundary = _kernels.scan_box(A, C, lo, hi)
+    ref_interior, ref_boundary = reference_scan_box(A, C, lo, hi)
+    assert interior == ref_interior
+    assert boundary.dtype == np.int64 and boundary.shape[1] == len(lo)
+    assert np.array_equal(boundary, ref_boundary)

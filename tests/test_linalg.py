@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import complete_primitive_2d, mat, solve
 from eak import linalg
 
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -17,9 +18,9 @@ def square_matrices(n):
 
 
 def test_det_and_inverse():
-    m = linalg.mat([[2, 1], [1, 1]])
+    m = mat([[2, 1], [1, 1]])
     assert linalg.det(m) == 1
-    assert linalg.inverse(m) == linalg.mat([[1, -1], [-1, 2]])
+    assert linalg.inverse(m) == mat([[1, -1], [-1, 2]])
     assert linalg.det([[1, 2], [2, 4]]) == 0
     with pytest.raises(ValueError):
         linalg.inverse([[1, 2], [2, 4]])
@@ -27,10 +28,10 @@ def test_det_and_inverse():
 
 def test_solve_and_rank():
     m = [[1, 2, 3], [0, 1, 1]]
-    x = linalg.solve(m, (6, 2))
+    x = solve(m, (6, 2))
     assert x is not None
-    assert linalg.mat_vec(linalg.mat(m), x) == linalg.vec((6, 2))
-    assert linalg.solve([[1, 0], [1, 0]], (0, 1)) is None
+    assert linalg.mat_vec(mat(m), x) == linalg.vec((6, 2))
+    assert solve([[1, 0], [1, 0]], (0, 1)) is None
     assert linalg.rank(m) == 2
     assert linalg.rank([[1, 2], [2, 4]]) == 1
 
@@ -66,7 +67,7 @@ def test_hnf_column_basis_spans_same_lattice():
     assert len(basis) == 2
 
     def in_lattice(v, basis):
-        x = linalg.solve(linalg.from_columns(basis), linalg.vec(v))
+        x = solve(linalg.from_columns(basis), linalg.vec(v))
         return x is not None and all(c.denominator == 1 for c in x)
 
     assert all(in_lattice(g, basis) for g in gens)
@@ -89,7 +90,7 @@ def test_complete_primitive_2d(a, b):
 
     if gcd(a, b) != 1:
         return
-    c, u = linalg.complete_primitive_2d(linalg.vec((a, b)))
+    c, u = complete_primitive_2d(linalg.vec((a, b)))
     assert c == linalg.vec((a, b))
     assert linalg.det([c, u]) in (1, -1)
 
@@ -99,7 +100,7 @@ def test_inverse_times_matrix_is_identity(rows):
     if linalg.det(rows) == 0:
         return
     inv = linalg.inverse(rows)
-    assert linalg.mat_mul(inv, linalg.mat(rows)) == linalg.identity(3)
+    assert linalg.mat_mul(inv, mat(rows)) == linalg.identity(3)
 
 
 @given(square_matrices(3))

@@ -39,6 +39,16 @@ def test_count_refuses_int64_overflow(q):
         oracle.count_points(P, Fraction(q + 1, q))
 
 
+def test_count_refuses_slack_beyond_int64():
+    # [-10, 10]^3 at t = (q+1)/q: the row q*x1 <= 10(q+1) stays below 2**63
+    # over the box (11q) and so does its bound (10q + 10), but its slack
+    # 10(q+1) + 11q on the line x1 = -11 does not
+    q = 6 * 10**17 + 1
+    P = Polytope(3, [(x, y, z) for x in (-10, 10) for y in (-10, 10) for z in (-10, 10)])
+    with pytest.raises(oracle.BudgetExceeded, match="int64"):
+        oracle.count_points(P, Fraction(q + 1, q))
+
+
 def test_count_exact_near_int64_limit():
     # rows scaled by 4*10**16+1 over a box of side 21 stay below 2**63
     q = 4 * 10**16 + 1
