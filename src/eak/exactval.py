@@ -122,10 +122,16 @@ class ExactValue:
     Canonical form: angles with sign -1 are rewritten through their
     supplement, angles with a rational number of turns are folded into the
     rational part, angles with cos^2 > 1/2 are rewritten through their
-    complement, identical angles are merged and zero coefficients dropped.
-    So two values with equal canonical forms are equal.  The converse
-    fails for values tied by other relations among arccos terms: such a
-    difference has a nonzero form and is numerically zero.
+    complement, identical angles are merged and zero coefficients dropped;
+    the terms are sorted by cos^2.  So two values with equal canonical
+    forms are equal.  The converse fails for values tied by other
+    relations among arccos terms: such a difference has a nonzero form and
+    is numerically zero.
+
+    Only the leaves canonicalize: the constructor and :meth:`angle_turn`.
+    Arithmetic (``+``, ``-``, ``*``, ``/``, :func:`exact_sum`) assumes its
+    ExactValue operands are canonical, as every ExactValue is, and only
+    merges their terms by angle and drops zero coefficients.
     """
 
     rational_part: Fraction
@@ -164,7 +170,7 @@ class ExactValue:
 
     @staticmethod
     def of(x: RationalLike) -> "ExactValue":
-        return ExactValue(Fraction(x))
+        return _canonical(Fraction(x), ())
 
     @staticmethod
     def angle_turn(angle: AngleValue, coeff: RationalLike = 1) -> "ExactValue":
@@ -182,14 +188,13 @@ class ExactValue:
 
     def __add__(self, other: Union["ExactValue", RationalLike]) -> "ExactValue":
         other = _coerce(other)
-        return ExactValue(self.rational_part + other.rational_part,
-                          self.angle_terms + other.angle_terms)
+        return _merged(self.rational_part + other.rational_part,
+                       (self.angle_terms, other.angle_terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactValue":
-        return ExactValue(-self.rational_part,
-                          tuple((-c, a) for c, a in self.angle_terms))
+        return _canonical(-self.rational_part, tuple((-c, a) for c, a in self.angle_terms))
 
     def __sub__(self, other: Union["ExactValue", RationalLike]) -> "ExactValue":
         return self + (-_coerce(other))
@@ -199,8 +204,9 @@ class ExactValue:
 
     def __mul__(self, scalar: RationalLike) -> "ExactValue":
         s = Fraction(scalar)
-        return ExactValue(self.rational_part * s,
-                          tuple((c * s, a) for c, a in self.angle_terms))
+        if not s:
+            return _canonical(Fraction(0), ())
+        return _canonical(self.rational_part * s, tuple((c * s, a) for c, a in self.angle_terms))
 
     __rmul__ = __mul__
 
@@ -230,17 +236,41 @@ class ExactValue:
         return " + ".join(parts)
 
 
+def _canonical(rat: Fraction, terms: tuple) -> ExactValue:
+    """The ExactValue with this rational part and these terms, which are
+    already canonical: built without canonicalizing again."""
+    value = object.__new__(ExactValue)
+    object.__setattr__(value, "rational_part", rat)
+    object.__setattr__(value, "angle_terms", terms)
+    return value
+
+
+def _merged(rat: Fraction, term_lists: Iterable[tuple]) -> ExactValue:
+    """rat plus the terms of canonical values, merged by angle, with zero
+    coefficients dropped and the terms sorted by cos^2."""
+    acc: dict[AngleValue, Fraction] = {}
+    for terms in term_lists:
+        for coeff, angle in terms:
+            acc[angle] = acc[angle] + coeff if angle in acc else coeff
+    merged = sorted(((c, a) for a, c in acc.items() if c), key=lambda term: term[1].cos_squared)
+    return _canonical(rat, tuple(merged))
+
+
 def _coerce(x: Union[ExactValue, RationalLike]) -> ExactValue:
     if isinstance(x, ExactValue):
         return x
-    return ExactValue.of(x)
+    return _canonical(Fraction(x), ())
 
 
 def exact_sum(values: Iterable[Union[ExactValue, RationalLike]]) -> ExactValue:
-    """Sum of the values, canonicalized once rather than once per addend."""
+    """Sum of the values in one merge: ExactValue addends are taken as
+    canonical, and other addends as rationals."""
     rat = Fraction(0)
-    terms: list = []
-    for v in map(_coerce, values):
-        rat += v.rational_part
-        terms.extend(v.angle_terms)
-    return ExactValue(rat, tuple(terms))
+    term_lists = []
+    for v in values:
+        if isinstance(v, ExactValue):
+            rat += v.rational_part
+            term_lists.append(v.angle_terms)
+        else:
+            rat += Fraction(v)
+    return _merged(rat, term_lists)

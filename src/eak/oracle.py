@@ -1,13 +1,14 @@
 """Brute-force ground truth: exact lattice-point counts, solid angles
-and Vandermonde extraction of quasi-coefficients from samples.
+and Newton interpolation of quasi-coefficients from samples.
 
 The solid angle of tP is constant on the relative interior of each face,
-and the set of inequalities tight at a point of tP names the face of P
-whose dilate holds the point in its relative interior.  One rule gives
-the angle from the tight set alone: 1 inside, 1/2 on a facet, the
-dihedral angle on a codim-2 face, and on a codim-3 face (a vertex of a
-3-polytope, an edge of a 4-polytope) Girard's theorem on the transverse
-cone: half the sum of its dihedral angles less (n - 2)/4 for n facets.
+and the set of inequalities tight at a point of tP is the tight set of
+the face of P whose dilate holds the point in its relative interior.
+The face lattice of P gives that face's codimension, and one rule the
+angle: 1 inside, 1/2 on a facet, the dihedral angle c_G of the local
+data on a codim-2 face, and on a codim-3 face (a vertex of a 3-polytope,
+an edge of a 4-polytope) Girard's theorem on the transverse cone: half
+the sum of its dihedral angles less (n - 2)/4 for n facets.
 Only the vertices of a 4-polytope fall back to Monte Carlo.  So A_P(t)
 is the interior count plus, for each tight set met on the boundary, its
 point count times one angle, and that angle, kept on the polytope,
@@ -21,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from eak import _kernels, linalg
-from eak.exactval import ExactValue, angle_of_cos_ratio, exact_sum
+from eak import _kernels, linalg, local_data
+from eak.exactval import ExactValue, exact_sum
 from eak.polytope import Polytope
 
 ENUMERATION_BUDGET = 10**7
@@ -91,36 +92,31 @@ def count_points(P: Polytope, t, budget: int = ENUMERATION_BUDGET) -> int:
 # ---------------------------------------------------------------------------
 # solid angles
 
-def _edge_turn(a1, a2) -> ExactValue:
-    """Dihedral angle fraction at a codim-2 locus with facet normals a1, a2."""
-    angle = angle_of_cos_ratio(
-        -linalg.dot(a1, a2), linalg.norm_sq(a1) * linalg.norm_sq(a2)
-    )
-    return ExactValue.angle_turn(angle)
-
-
 def _transverse_angle(P: Polytope, tight: tuple[int, ...]) -> ExactValue | float:
     """Solid angle of P on the relative interior of the face with tight
-    inequality set `tight`, by the rank c of its normals.  At c = 3 the
-    dihedral angles of the transverse cone sit at the codim-2 faces of P
-    inside the tight set; at c = 4, a vertex of a 4-polytope, the angle
+    inequality set `tight`, by that face's codimension c in the face
+    lattice of P.  At c = 2 it is the face's dihedral angle c_G; at c = 3
+    the dihedral angles of the transverse cone sit at the codim-2 faces of
+    P inside the tight set; at c = 4, a vertex of a 4-polytope, the angle
     is a Monte Carlo float."""
-    normals = [P.inequalities[i][0] for i in tight]
-    c = linalg.rank(normals)
+    inside = frozenset(tight)
+    c = next(
+        (F.codim for k in range(P.dim + 1) for F in P.faces_of_codim(k) if F.tight_set == inside),
+        None,
+    )
+    if c is None:
+        raise ValueError(f"no face of P has the tight set {sorted(inside)}")
     if c == 0:
         return ExactValue.of(1)
     if c == 1:
         return ExactValue.of(Fraction(1, 2))
+    codim2 = local_data.all_codim2_data(P)
     if c == 2:
-        return _edge_turn(*normals)
+        return next(ExactValue.angle_turn(g.c_G) for g in codim2 if g.face.tight_set == inside)
     if c == 3:
-        inside = set(tight)
-        turns = [
-            _edge_turn(*(P.inequalities[i][0] for i in G.tight_set))
-            for G in P.codim2_faces()
-            if G.tight_set <= inside
-        ]
+        turns = [ExactValue.angle_turn(g.c_G) for g in codim2 if g.face.tight_set <= inside]
         return exact_sum(turns) / 2 - Fraction(len(tight) - 2, 4)
+    normals = [P.inequalities[i][0] for i in tight]
     u = np.random.default_rng(MC_SEED).standard_normal((MC_SAMPLES, P.dim))
     return float(np.mean(np.all(u @ np.array(normals, dtype=float).T <= 0.0, axis=1)))
 
@@ -167,24 +163,26 @@ def _angle_sum(P: Polytope, interior: int, boundary: np.ndarray, A, C) -> ExactV
 # coefficient extraction and consistency checks
 
 def interpolate_coefficients(samples: Sequence[tuple], degree: int):
-    """Solve for polynomial coefficients (highest degree first) from
-    degree+1 exact samples (t_j, value_j); values may be Fractions or
-    ExactValues."""
+    """Polynomial coefficients (highest degree first) from degree+1 exact
+    samples (t_j, value_j), by Newton's divided differences expanded into
+    the monomial basis.  Values may be Fractions or ExactValues; the
+    coefficients are all ExactValues if any value is one, else Fractions."""
     if len(samples) != degree + 1:
         raise ValueError(f"need {degree + 1} samples for degree {degree}")
     ts = [Fraction(t) for t, _ in samples]
     if len(set(ts)) != len(ts):
         raise ValueError("duplicate sample points make the system singular")
-    vandermonde = [[t**k for k in range(degree, -1, -1)] for t in ts]
-    inv = linalg.inverse(vandermonde)
     values = [v for _, v in samples]
-    exact_mode = any(isinstance(v, ExactValue) for v in values)
-    coeffs = []
-    for i in range(degree + 1):
-        if exact_mode:
-            coeffs.append(exact_sum(v * inv[i][j] for j, v in enumerate(values)))
-        else:
-            coeffs.append(sum((Fraction(v) * inv[i][j] for j, v in enumerate(values)), Fraction(0)))
+    lift = ExactValue.of if any(isinstance(v, ExactValue) for v in values) else Fraction
+    diffs = [v if isinstance(v, ExactValue) else lift(v) for v in values]
+    for j in range(1, degree + 1):
+        for i in range(degree, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (ts[i] - ts[i - j])
+    # p(t) = d_0 + (t - t_0)(d_1 + (t - t_1)(d_2 + ...)), from the inside out
+    coeffs = [diffs[degree]]
+    for k in range(degree - 1, -1, -1):
+        shifted = [c * ts[k] for c in coeffs]
+        coeffs = [coeffs[0]] + [c - s for c, s in zip(coeffs[1:], shifted)] + [diffs[k] - shifted[-1]]
     return coeffs
 
 

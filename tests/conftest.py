@@ -14,7 +14,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from eak import linalg, local_data
-from eak.exactval import primitive_integer_vector
+from eak.exactval import ExactValue, exact_sum, primitive_integer_vector
 from eak.lattice import (
     EmbeddedLattice,
     basis_from_generators,
@@ -181,6 +181,33 @@ def reference_scan_box(A, C, lo, hi):
             boundary.append(pts[tight].copy())
     bnd = np.concatenate(boundary, axis=0) if boundary else np.empty((0, d), dtype=np.int64)
     return interior, bnd
+
+
+# ---------------------------------------------------------------------------
+# reference: interpolation through the inverse of the Fraction Vandermonde
+# matrix
+
+
+def vandermonde_interpolation(samples, degree):
+    """Polynomial coefficients (highest degree first) from degree+1 exact
+    samples (t_j, value_j), each a row of the Vandermonde inverse times the
+    values; ExactValues if any value is one, else Fractions."""
+    if len(samples) != degree + 1:
+        raise ValueError(f"need {degree + 1} samples for degree {degree}")
+    ts = [Fraction(t) for t, _ in samples]
+    if len(set(ts)) != len(ts):
+        raise ValueError("duplicate sample points make the system singular")
+    vandermonde = [[t**k for k in range(degree, -1, -1)] for t in ts]
+    inv = linalg.inverse(vandermonde)
+    values = [v for _, v in samples]
+    exact_mode = any(isinstance(v, ExactValue) for v in values)
+    coeffs = []
+    for i in range(degree + 1):
+        if exact_mode:
+            coeffs.append(exact_sum(v * inv[i][j] for j, v in enumerate(values)))
+        else:
+            coeffs.append(sum((Fraction(v) * inv[i][j] for j, v in enumerate(values)), Fraction(0)))
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -129,3 +129,80 @@ def test_complementary_angles_fold(cs):
         return ExactValue.angle_turn(AngleValue(0 if c == 0 else 1, c))
 
     assert turn(cs) + turn(1 - cs) == ExactValue.of(Fraction(1, 4))
+
+
+# raw terms, not yet canonical: signs -1, rational turns, cos^2 > 1/2 and
+# repeated angles all occur
+raw_terms = st.lists(st.tuples(rationals, angles), max_size=4)
+raw_values = st.tuples(rationals, raw_terms)
+
+
+def _negated(terms):
+    return [(-c, a) for c, a in terms]
+
+
+def _same(value, reference):
+    assert value == reference
+    assert hash(value) == hash(reference)
+
+
+@given(raw_values, raw_values, st.booleans())
+def test_trusted_sums_match_recanonicalized(x, y, cancel):
+    """+ and - on canonical values equal the canonicalization of the
+    concatenated raw terms; with `cancel` the second value carries the
+    negation of the first one's terms, so coefficients cancel to zero."""
+    (ra, ta), (rb, tb) = x, y
+    if cancel:
+        tb = tb + _negated(ta)
+    a, b = ExactValue(ra, tuple(ta)), ExactValue(rb, tuple(tb))
+    _same(a + b, ExactValue(ra + rb, tuple(ta + tb)))
+    _same(a - b, ExactValue(ra - rb, tuple(ta + _negated(tb))))
+    _same(-a, ExactValue(-ra, tuple(_negated(ta))))
+    _same(a + rb, ExactValue(ra + rb, tuple(ta)))
+    _same(rb + a, ExactValue(ra + rb, tuple(ta)))
+    _same(rb - a, ExactValue(rb - ra, tuple(_negated(ta))))
+
+
+@given(raw_values, st.one_of(st.just(Fraction(0)), rationals))
+def test_trusted_scaling_matches_recanonicalized(x, s):
+    r, terms = x
+    a = ExactValue(r, tuple(terms))
+    _same(a * s, ExactValue(r * s, tuple((c * s, t) for c, t in terms)))
+    _same(s * a, a * s)
+    if s:
+        _same(a / s, ExactValue(r / s, tuple((c / s, t) for c, t in terms)))
+
+
+@given(st.lists(st.one_of(raw_values, rationals), max_size=6))
+def test_trusted_exact_sum_matches_recanonicalized(xs):
+    values, rat, terms = [], Fraction(0), []
+    for x in xs:
+        if isinstance(x, Fraction):
+            values.append(x)
+            rat += x
+        else:
+            values.append(ExactValue(x[0], tuple(x[1])))
+            rat += x[0]
+            terms += x[1]
+    _same(exact_sum(values), ExactValue(rat, tuple(terms)))
+
+
+def test_arithmetic_does_not_canonicalize_again(monkeypatch):
+    """Only the leaves canonicalize: +, -, *, / and exact_sum on canonical
+    operands never run ExactValue.__post_init__."""
+    a = ExactValue(Fraction(1, 3), ((Fraction(2), AngleValue(-1, Fraction(2, 3))),
+                                    (Fraction(-1), AngleValue(1, Fraction(2, 5)))))
+    b = ExactValue.angle_turn(AngleValue(1, Fraction(1, 3)), Fraction(-3, 2))
+    calls = []
+    canonicalize = ExactValue.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        canonicalize(self)
+
+    monkeypatch.setattr(ExactValue, "__post_init__", counted)
+    results = [a + b, b + a, a + 1, 1 + a, a - b, 2 - a, -a, a * 3, 3 * a, a * 0, a / 5,
+               exact_sum([a, b, Fraction(1, 7), -a, 4]), ExactValue.of(2), a - a]
+    assert calls == []
+    assert results[-1] == ExactValue(Fraction(0))
+    assert len(calls) == 1  # the constructor above is a leaf

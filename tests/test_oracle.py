@@ -1,19 +1,25 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from eak import cli
 from eak import coefficients as co
-from eak import linalg, oracle
-from eak.exactval import AngleValue, ExactValue, exact_sum
+from eak import linalg, local_data, oracle
+from eak.exactval import AngleValue, ExactValue, angle_of_cos_ratio, exact_sum
 from eak.polytope import Polytope
 
-from conftest import random_integer_polytope, random_rational_polytope
+from conftest import (
+    random_integer_polytope,
+    random_rational_polytope,
+    vandermonde_interpolation,
+)
 
 
 def test_count_points(delta, cube, square):
@@ -122,6 +128,73 @@ def test_gram_relation():
         assert gram == ExactValue.of(0)
 
 
+@settings(deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=4, max_size=4, unique=True))
+def test_gram_relation_on_integer_tetrahedra(points):
+    """omega(P) - sum of facet angles + sum of edge angles - sum of vertex
+    angles, each from _transverse_angle of the face's tight set, is 0 in
+    form: Girard's vertex angles cancel the dihedral ones by Euler's
+    relation, so only the merge of the terms is tested."""
+    P = _hull_or_none(3, points)
+    assume(P is not None)
+    gram = exact_sum(
+        oracle._transverse_angle(P, tuple(sorted(F.tight_set))) * (-1) ** c
+        for c in range(4)
+        for F in P.faces_of_codim(c)
+    )
+    assert gram == ExactValue.of(0)
+
+
+def _edge_turn(a1, a2) -> ExactValue:
+    """The dihedral angle fraction at a codim-2 locus with facet normals
+    a1, a2, from the normals alone."""
+    angle = angle_of_cos_ratio(-linalg.dot(a1, a2), linalg.norm_sq(a1) * linalg.norm_sq(a2))
+    return ExactValue.angle_turn(angle)
+
+
+def _check_dihedral_angles(P):
+    for g in local_data.all_codim2_data(P):
+        tight = tuple(sorted(g.face.tight_set))
+        expected = _edge_turn(*(P.inequalities[i][0] for i in tight))
+        assert ExactValue.angle_turn(g.c_G) == expected
+        assert oracle._transverse_angle(P, tight) == expected
+
+
+def test_dihedral_angle_is_c_G(cube, delta):
+    for P in (cube, delta):
+        _check_dihedral_angles(P)
+
+
+def test_transverse_angle_refuses_a_tight_set_of_no_face(cube):
+    # facets 0 and 5 of the cube are x = 0 and x = 1: they meet nowhere
+    x_facets = [i for i, (a, _) in enumerate(cube.inequalities) if a[1:] == (0, 0)]
+    with pytest.raises(ValueError, match="no face"):
+        oracle._transverse_angle(cube, tuple(x_facets))
+
+
+def test_oracle_path_takes_no_rank_or_inverse(monkeypatch, tmp_path, capsys, delta, cube):
+    """Angles come from the face lattice and the local data, and the
+    coefficients from Newton's divided differences: no rank, rref or
+    inverse is taken on the way."""
+    P4 = Polytope(4, FOUR_POLYTOPE)
+    codim3 = [tuple(sorted(F.tight_set)) for F in P4.faces_of_codim(3)]
+    expected = [oracle._transverse_angle(Polytope(4, FOUR_POLYTOPE), tight) for tight in codim3]
+    path = tmp_path / "delta.json"
+    path.write_text(json.dumps(delta.to_json()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank, rref or inverse taken")
+
+    for name in ("rank", "rref", "inverse"):
+        monkeypatch.setattr(linalg, name, refuse)
+    assert cli.run(["verify", str(path), "--t", "1", "--t", "1/2"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert oracle.solid_angle_sum(cube, 2) == ExactValue.of(8)
+    assert oracle.appendixA_cross_check(delta, 2) == oracle.solid_angle_sum(delta, 2)
+    assert [oracle._transverse_angle(P4, tight) for tight in codim3] == expected
+    assert len(codim3) >= 10
+
+
 def test_two_dimensional_angles(square):
     tri = Polytope(2, [(0, 0), (2, 0), (0, 2)])
     assert oracle.solid_angle_at(tri, (0, 0)) == ExactValue.of(Fraction(1, 4))
@@ -136,6 +209,35 @@ def test_interpolate_coefficients():
         oracle.interpolate_coefficients(samples[:3], 3)
     with pytest.raises(ValueError):
         oracle.interpolate_coefficients([(1, 0), (1, 1)], 1)
+
+
+sample_values = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=20),
+    st.builds(
+        lambda r, c, cs: ExactValue(r, ((c, AngleValue(1, cs)),)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=20),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.sampled_from([Fraction(1, 3), Fraction(2, 5), Fraction(2, 3), Fraction(1, 2)]),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(data=st.data(), degree=st.integers(0, 4), exact=st.booleans())
+def test_newton_matches_vandermonde(data, degree, exact):
+    """Newton's divided differences give the coefficients, and their
+    types, of the Vandermonde inverse: Fractions from Fraction samples,
+    ExactValues as soon as one sample is an ExactValue."""
+    ts = data.draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
+                            min_size=degree + 1, max_size=degree + 1, unique=True))
+    values = data.draw(st.lists(sample_values if exact else st.fractions(max_denominator=50,
+                                                                       min_value=-9, max_value=9),
+                                min_size=degree + 1, max_size=degree + 1))
+    samples = list(zip(ts, values))
+    newton = oracle.interpolate_coefficients(samples, degree)
+    reference = vandermonde_interpolation(samples, degree)
+    assert newton == reference
+    assert [type(c) for c in newton] == [type(c) for c in reference]
 
 
 def test_interpolation_recovers_coefficients(delta):
@@ -223,10 +325,13 @@ def test_four_dimensional_sum_exact_off_the_vertices():
     assert oracle.solid_angle_sum(P, 1) == 1.0
 
 
+FOUR_POLYTOPE = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0),
+                 (0, 0, 0, 1), (1, 1, 1, 1)]
+
+
 def test_four_dimensional_edge_angles_match_monte_carlo():
     # Girard's angle on the edges of a 4-polytope against a sampled estimate
-    P = Polytope(4, [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0),
-                     (0, 0, 0, 1), (1, 1, 1, 1)])
+    P = Polytope(4, FOUR_POLYTOPE)
     u = np.random.default_rng(1).standard_normal((200_000, 4))
     checked = 0
     for v, w in itertools.combinations(P.vertices, 2):
@@ -239,3 +344,9 @@ def test_four_dimensional_edge_angles_match_monte_carlo():
         assert oracle._transverse_angle(P, tight).eval_numeric() == pytest.approx(sampled, abs=4e-3)
         checked += 1
     assert checked >= 10
+
+
+@settings(max_examples=15, deadline=None)
+@given(rational_polytopes(4))
+def test_dihedral_angle_is_c_G_in_dimension_four(P):
+    _check_dihedral_angles(P)
