@@ -13,9 +13,8 @@ from eak import concrete as concrete_mod
 from eak import coefficients, lattice_sum, oracle
 from eak.dedekind import dr_sum_fast
 from eak.exactval import ExactValue, format_rational, parse_rational
-from eak.lattice import EmbeddedLattice
 from eak.local_data import all_codim2_data, all_facet_data
-from eak.polytope import Polytope
+from eak.polytope import Polytope, _parse_int
 
 SCHEMA = "1"
 
@@ -251,18 +250,14 @@ def _cmd_lattice_sum(args) -> int:
                 f"{args.problem}: lattice-sum requires a lattice of rank at most two"
             )
         w_cols = [[parse_rational(str(c)) for c in col] for col in data["w"]]
-        e = [int(v) for v in data["e"]]
+        e = [_parse_int(v, "an entry of 'e'") for v in data["e"]]
         x = [parse_rational(str(c)) for c in data["x"]]
-        dim = len(basis[0])
         problem = lattice_sum.LatticeSumProblem(
-            EmbeddedLattice(dim, tuple(tuple(c) for c in basis)),
-            tuple(tuple(c) for c in w_cols),
-            tuple(e),
-            tuple(x),
+            tuple(map(tuple, basis)), tuple(map(tuple, w_cols)), tuple(e), tuple(x)
         )
+        value = lattice_sum.lattice_sum_finite(problem)
     except (KeyError, ValueError, TypeError, IndexError) as exc:
         raise InputError(f"{args.problem}: {exc}")
-    value = lattice_sum.lattice_sum_finite(problem)
     print(value)
     _emit(
         {"schema": SCHEMA, "command": "lattice-sum", "value": _exact_json(value)},

@@ -4,111 +4,117 @@ Three evaluators for the same family of sums: an exact finite form that
 enumerates dual-lattice points in a fundamental parallelepiped with
 solid-angle weights (rank <= 2), an exact residue form without angle
 weights (valid when every exponent is at least two), and a truncated
-Gaussian-damped series used as a numeric convergence oracle.
+Gaussian-damped series used as a numeric convergence oracle.  The exact
+forms work in integers: a dual-lattice point is named by its integer
+pairings with the lattice basis, and coordinates come from an adjugate.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from eak import linalg
-from eak.bernoulli import bernoulli_poly, frac_part, periodized
-from eak.exactval import ExactValue, angle_of_cos_ratio
-from eak.lattice import EmbeddedLattice
+from eak.bernoulli import bernoulli_poly, periodized
+from eak.exactval import ExactValue, angle_of_cos_ratio, exact_sum
 from eak.linalg import Vec
+from eak.oracle import ENUMERATION_BUDGET
 
 
 @dataclass(frozen=True)
 class LatticeSumProblem:
-    lattice: EmbeddedLattice
+    """The sum over the lattice with basis columns b_1..b_k in Q^d of the
+    linear forms w_1..w_k (columns in its dual lattice) to the exponents
+    e, twisted by x in Q^d."""
+
+    basis: tuple[Vec, ...]  # independent columns
     w_columns: tuple[Vec, ...]  # independent columns in the dual lattice
     exponents: tuple[int, ...]
     x: Vec
+    # the integer pairing matrix M_ij = <w_j, b_i>
+    pairing: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        basis = tuple(linalg.vec(c) for c in self.basis)
         w = tuple(linalg.vec(c) for c in self.w_columns)
-        e = tuple(int(v) for v in self.exponents)
+        e = tuple(self.exponents)
         x = linalg.vec(self.x)
-        if len(w) != self.lattice.rank or len(e) != len(w):
+        if not basis:
+            raise ValueError("empty basis")
+        d = len(basis[0])
+        if any(len(v) != d for v in (*basis, *w, x)):
+            raise ValueError(f"every basis column, linear form and x needs {d} entries")
+        if not any(linalg.maximal_minors(basis).values()):
+            raise ValueError("dependent basis columns")
+        if len(w) != len(basis) or len(e) != len(w):
             raise ValueError("need one linear form and exponent per lattice rank")
+        if any(type(v) is not int for v in e):
+            raise ValueError(f"exponents must be integers, got {e!r}")
         if any(v < 1 for v in e):
             raise ValueError("exponents must be positive")
-        if linalg.det(linalg.gram(list(w))) == 0:
+        # the dual lattice is the part of span(basis) with integer pairings
+        pairing = tuple(tuple(linalg.dot(c, b) for c in w) for b in basis)
+        off_span = any(any(linalg.maximal_minors((*basis, c)).values()) for c in w)
+        if off_span or any(v.denominator != 1 for row in pairing for v in row):
+            raise ValueError("linear-form columns must lie in the dual lattice")
+        pairing = tuple(tuple(int(v) for v in row) for row in pairing)
+        if not any(linalg.maximal_minors(pairing).values()):
             raise ValueError("dependent linear forms")
-        dual = self.lattice.dual()
-        for c in w:
-            if not dual.contains(c):
-                raise ValueError("linear-form columns must lie in the dual lattice")
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "w_columns", w)
         object.__setattr__(self, "exponents", e)
         object.__setattr__(self, "x", x)
-
-
-def _pairing_matrix(p: LatticeSumProblem) -> list[list[int]]:
-    """Integer matrix of pairings <w_j, b_i> with the lattice basis."""
-    return [
-        [int(linalg.dot(w, b)) for w in p.w_columns] for b in p.lattice.basis
-    ]
+        object.__setattr__(self, "pairing", pairing)
 
 
 def lattice_sum_finite(p: LatticeSumProblem) -> ExactValue:
     """Exact finite form: Bernoulli-weighted, solid-angle-weighted sum over
-    dual-lattice points of the parallelepiped spanned by the linear forms."""
-    k = p.lattice.rank
+    dual-lattice points of the parallelepiped spanned by the linear forms.
+
+    A dual-lattice point n is named by z = (<n, b_i>)_i in Z^k, and with
+    c = (<x, b_i>)_i its W-coordinates are y = M^(-1)(z - c); so the points
+    of x + W[0,1]^k are the z in the integer box of c + M[0,1]^k with
+    y = adj(M)(z - c) / det M in [0,1]^k.  Refused (ValueError) when that
+    box has more than ENUMERATION_BUDGET points."""
+    k = len(p.basis)
     if k > 2:
         raise ValueError("numeric mode required for rank above two")
-    m = _pairing_matrix(p)
-    det_m = abs(linalg.det(m))
-    if det_m == 0:
-        raise ValueError("degenerate pairing")
-    dual = p.lattice.dual()
-    # project x onto span(lattice): pairings with W see only that component
-    w_mat = linalg.from_columns(list(p.w_columns))
-    g_w = linalg.gram(list(p.w_columns))
-    g_w_inv = linalg.inverse(g_w)
-
-    def w_coords(v: Vec) -> Vec:
-        return linalg.mat_vec(g_w_inv, linalg.mat_vec(linalg.transpose(w_mat), v))
-
-    xbar = _project_to_span(p.x, p.lattice)
-    # enumerate dual points n = D m with W-coordinates of n - x in [0,1]^k
-    corners = []
-    for eps in itertools.product((0, 1), repeat=k):
-        corner = xbar
-        for j, e in enumerate(eps):
-            if e:
-                corner = linalg.vec_add(corner, p.w_columns[j])
-        corners.append(dual.coordinates(corner))
-    lo = [math.floor(min(c[j] for c in corners)) for j in range(k)]
-    hi = [math.ceil(max(c[j] for c in corners)) for j in range(k)]
-    total = ExactValue.of(0)
-    for mm in itertools.product(*[range(lo[j], hi[j] + 1) for j in range(k)]):
-        n = dual.from_coordinates(mm)
-        y = w_coords(linalg.vec_sub(n, xbar))
-        if any(c < 0 or c > 1 for c in y):
+    m = p.pairing
+    adj, det_m = linalg.adjugate(m)
+    if det_m < 0:
+        adj, det_m = [tuple(-a for a in row) for row in adj], -det_m
+    c = [linalg.dot(p.x, b) for b in p.basis]
+    axes = [range(math.ceil(ci + sum(a for a in row if a < 0)),
+                  math.floor(ci + sum(a for a in row if a > 0)) + 1) for ci, row in zip(c, m)]
+    size = math.prod(len(r) for r in axes)
+    if size > ENUMERATION_BUDGET:
+        raise ValueError(
+            f"the parallelepiped's box has {size} candidate points (budget {ENUMERATION_BUDGET})"
+        )
+    # y = num / den with integer numerators: c = cq / q over a common q
+    q = math.lcm(*(ci.denominator for ci in c))
+    cq = [int(ci * q) for ci in c]
+    den = q * det_m
+    terms = []
+    for z in itertools.product(*axes):
+        u = [q * zi - ci for zi, ci in zip(z, cq)]
+        num = [sum(a * ui for a, ui in zip(row, u)) for row in adj]
+        if any(v < 0 or v > den for v in num):
             continue
-        weight = _parallelepiped_angle(p.w_columns, y)
-        b_val = Fraction(1)
-        for j, e in enumerate(p.exponents):
-            b_val *= bernoulli_poly(e, y[j])
-        total = total + weight * b_val
+        y = [Fraction(v, den) for v in num]
+        b_val = math.prod(bernoulli_poly(e, yj) for e, yj in zip(p.exponents, y))
+        terms.append(_parallelepiped_angle(p.w_columns, y) * b_val)
     sign = -1 if k % 2 else 1
     fact = math.prod(math.factorial(e) for e in p.exponents)
-    return total * Fraction(sign, fact * det_m)
+    return exact_sum(terms) * Fraction(sign, fact * det_m)
 
 
-def _project_to_span(x: Vec, lattice: EmbeddedLattice) -> Vec:
-    proj = linalg.orthogonal_projection(list(lattice.basis))
-    return linalg.mat_vec(proj, x)
-
-
-def _parallelepiped_angle(w_columns: Sequence[Vec], y: Vec) -> ExactValue:
+def _parallelepiped_angle(w_columns: Sequence[Vec], y: Sequence[Fraction]) -> ExactValue:
     """Solid angle of the parallelepiped W[0,1]^k at the point with
     W-coordinates y in [0,1]^k."""
     on_boundary = [j for j, c in enumerate(y) if c == 0 or c == 1]
@@ -117,42 +123,41 @@ def _parallelepiped_angle(w_columns: Sequence[Vec], y: Vec) -> ExactValue:
     if len(on_boundary) == 1:
         return ExactValue.of(Fraction(1, 2))
     # corner of a rank-2 parallelepiped: angle between the inward edges
-    d1 = w_columns[0] if y[0] == 0 else linalg.vec_scale(-1, w_columns[0])
-    d2 = w_columns[1] if y[1] == 0 else linalg.vec_scale(-1, w_columns[1])
-    angle = angle_of_cos_ratio(
-        linalg.dot(d1, d2), linalg.norm_sq(d1) * linalg.norm_sq(d2)
-    )
+    # (-1)^{y_0} w_0 and (-1)^{y_1} w_1
+    w0, w1 = w_columns
+    sign = 1 if y[0] == y[1] else -1
+    angle = angle_of_cos_ratio(sign * linalg.dot(w0, w1), linalg.norm_sq(w0) * linalg.norm_sq(w1))
     return ExactValue.angle_turn(angle)
 
 
 def gunnels_sczech(W: Sequence[Sequence[int]], e: Sequence[int], x: Sequence) -> Fraction:
     """Residue form over Z^d / W Z^d with periodized Bernoulli weights;
-    requires every exponent at least two (absolute convergence)."""
+    requires every exponent at least two (absolute convergence).  With
+    W^(-1) = adj(W) / det W, the residue of n is frac(adj(W) n / det W)."""
     W = [tuple(int(c) for c in row) for row in W]
     e = [int(v) for v in e]
     x = linalg.vec(x)
     d = len(W)
     if any(v < 2 for v in e):
         raise ValueError("conditionally convergent; use lattice_sum_finite")
-    det_w = linalg.det(W)
+    adj, det_w = linalg.adjugate(W)
     if det_w == 0:
         raise ValueError("singular matrix")
-    w_inv = linalg.inverse(W)
-    x_coords = linalg.mat_vec(w_inv, x)
-    # residues of Z^d mod W Z^d, canonicalized by frac(W^{-1} n)
-    residues: set[tuple] = set()
-    L = abs(int(det_w))
+    L = abs(det_w)
+    x_coords = [linalg.dot(row, x) / det_w for row in adj]
+    # the residues frac(W^(-1) n) of Z^d mod W Z^d form a group, so they are
+    # the r / L for r = adj(W) n mod L, a set closed under the sign of det W;
+    # L Z^d lies in W Z^d, so [0, L)^d meets every class
+    residues: set[tuple[int, ...]] = set()
     for n in itertools.product(range(L), repeat=d):
-        residues.add(tuple(frac_part(c) for c in linalg.mat_vec(w_inv, n)))
+        residues.add(tuple(sum(a * c for a, c in zip(row, n)) % L for row in adj))
         if len(residues) == L:
             break
-    if len(residues) != L:
-        raise AssertionError("residue enumeration incomplete")
     total = Fraction(0)
     for res in residues:
         term = Fraction(1)
         for j in range(d):
-            term *= periodized(e[j], res[j] - x_coords[j])
+            term *= periodized(e[j], Fraction(res[j], L) - x_coords[j])
         total += term
     sign = -1 if d % 2 else 1
     fact = math.prod(math.factorial(v) for v in e)
@@ -166,8 +171,7 @@ def lattice_sum_series(p: LatticeSumProblem, epsilon: float, radius: int) -> flo
     linear forms are skipped.  The real part is returned."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    k = p.lattice.rank
-    basis = np.array([[float(c) for c in col] for col in p.lattice.basis]).T  # d x k
+    basis = np.array([[float(c) for c in col] for col in p.basis]).T  # d x k
     w = np.array([[float(c) for c in col] for col in p.w_columns]).T  # d x k
     x = np.array([float(c) for c in p.x])
     # integer coefficient box big enough to cover |xi| <= radius

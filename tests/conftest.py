@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 
 from eak import linalg, local_data
 from eak.exactval import ExactValue, exact_sum, primitive_integer_vector
-from eak.lattice import (
+from eak.linalg import Vec
+from eak.polytope import MAX_DIM, Polytope
+from reference_lattice import (
     EmbeddedLattice,
     basis_from_generators,
     intersection_with_integer_lattice,
     lattice_primitive,
 )
-from eak.linalg import Mat, Vec
-from eak.polytope import MAX_DIM, Polytope
+import reference_linalg as ref
 
 # a 4-polytope with 16 vertices and rectangular 2-faces, such as x = z = 1
 SIXTEEN_VERTICES = [
@@ -198,7 +199,7 @@ def vandermonde_interpolation(samples, degree):
     if len(set(ts)) != len(ts):
         raise ValueError("duplicate sample points make the system singular")
     vandermonde = [[t**k for k in range(degree, -1, -1)] for t in ts]
-    inv = linalg.inverse(vandermonde)
+    inv = ref.inverse(vandermonde)
     values = [v for _, v in samples]
     exact_mode = any(isinstance(v, ExactValue) for v in values)
     coeffs = []
@@ -214,7 +215,7 @@ def vandermonde_interpolation(samples, degree):
 # Fraction solves and a unimodular completion, used by the references below
 
 
-def mat(rows) -> Mat:
+def mat(rows) -> ref.Mat:
     return tuple(linalg.vec(r) for r in rows)
 
 
@@ -224,7 +225,7 @@ def solve(a, b) -> Vec | None:
     Free variables (if any) are set to zero.
     """
     rows = [list(linalg.vec(r)) + [Fraction(b[i])] for i, r in enumerate(a)]
-    red, pivots = linalg.rref(rows)
+    red, pivots = ref.rref(rows)
     n = len(a[0]) if a else 0
     x = [Fraction(0)] * n
     for r, c in enumerate(pivots):
@@ -271,12 +272,12 @@ def transverse_lattice(P: Polytope, g: local_data.CodimTwoData) -> TransverseLat
     v1, v2 = linalg.vec(g.v_F1), linalg.vec(g.v_F2)
     n1, n2, dot12 = linalg.norm_sq(v1), linalg.norm_sq(v2), linalg.dot(v1, v2)
     lam = intersection_with_integer_lattice([v1, v2])
-    proj = linalg.orthogonal_projection([v1, v2])
-    dual = basis_from_generators(linalg.columns(proj), rank=2)
+    proj = ref.orthogonal_projection([v1, v2])
+    dual = basis_from_generators(ref.columns(proj), rank=2)
 
     # f_{m,other}: the component of the other normal orthogonal to v_{F_m}
-    f1_dir = linalg.vec_sub(linalg.vec_scale(n1, v2), linalg.vec_scale(dot12, v1))
-    f2_dir = linalg.vec_sub(linalg.vec_scale(n2, v1), linalg.vec_scale(dot12, v2))
+    f1_dir = linalg.vec_sub(ref.vec_scale(n1, v2), ref.vec_scale(dot12, v1))
+    f2_dir = linalg.vec_sub(ref.vec_scale(n2, v1), ref.vec_scale(dot12, v2))
     v_F1_G = lattice_primitive(dual, f1_dir)
     v_F2_G = lattice_primitive(dual, f2_dir)
 
@@ -285,14 +286,14 @@ def transverse_lattice(P: Polytope, g: local_data.CodimTwoData) -> TransverseLat
     c1 = tuple(int(c) for c in dual.coordinates(v_F1_G))
     c2 = tuple(int(c) for c in dual.coordinates(v_F2_G))
     _, u = complete_primitive_2d(c1)
-    alpha, beta = (int(c) for c in solve(linalg.from_columns([c1, u]), c2))
+    alpha, beta = (int(c) for c in solve(ref.from_columns([c1, u]), c2))
     if beta < 0:
         u, beta = (-u[0], -u[1]), -beta
     m, h = divmod(alpha, beta)
     u = (u[0] + m * c1[0], u[1] + m * c1[1])
 
-    xbar = linalg.mat_vec(proj, P.face_vertices(g.face)[0])
-    x1, x2 = solve(linalg.from_columns([v_F1_G, v_F2_G]), xbar)
+    xbar = ref.mat_vec(proj, P.face_vertices(g.face)[0])
+    x1, x2 = solve(ref.from_columns([v_F1_G, v_F2_G]), xbar)
     return TransverseLattice(
         lam=lam,
         dual=dual,
@@ -324,9 +325,9 @@ def reference_hull_facets(points, dim):
     for subset in itertools.combinations(range(len(points)), dim):
         pts = [points[i] for i in subset]
         diffs = [linalg.vec_sub(p, pts[0]) for p in pts[1:]]
-        if linalg.rank(diffs) != dim - 1:
+        if ref.rank(diffs) != dim - 1:
             continue
-        normals = linalg.nullspace(diffs) if diffs else [
+        normals = ref.nullspace(diffs) if diffs else [
             tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)
         ]
         if len(normals) != 1:
@@ -348,7 +349,7 @@ def reference_hull_facets(points, dim):
 def _reference_affine_rank(points) -> int:
     if len(points) < 2:
         return 0
-    return linalg.rank([linalg.vec_sub(p, points[0]) for p in points[1:]])
+    return ref.rank([linalg.vec_sub(p, points[0]) for p in points[1:]])
 
 
 class ReferencePolytope(Polytope):
@@ -369,7 +370,7 @@ class ReferencePolytope(Polytope):
         verts = []
         for p in pts:
             tight = [a for a, b in planes if linalg.dot(a, p) == b]
-            if len(tight) >= dim and linalg.rank(tight) == dim:
+            if len(tight) >= dim and ref.rank(tight) == dim:
                 verts.append(p)
         self.dim = dim
         self.vertices = tuple(sorted(verts))
@@ -390,9 +391,9 @@ def reference_check_bounded(rows, dim):
     normals = [r[0] for r in rows]
     for subset in itertools.combinations(range(len(normals)), dim - 1):
         sel = [normals[i] for i in subset]
-        if dim > 1 and linalg.rank(sel) != dim - 1:
+        if dim > 1 and ref.rank(sel) != dim - 1:
             continue
-        kernel = linalg.nullspace(sel) if sel else [
+        kernel = ref.nullspace(sel) if sel else [
             tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)
         ]
         for u in kernel:
@@ -407,7 +408,7 @@ def reference_enumerate_vertices(rows, dim):
     verts = set()
     for subset in itertools.combinations(range(len(rows)), dim):
         a_rows = [rows[i][0] for i in subset]
-        if linalg.rank(a_rows) != dim:
+        if ref.rank(a_rows) != dim:
             continue
         x = solve(a_rows, [rows[i][1] for i in subset])
         if x is not None and all(linalg.dot(a, x) <= b for a, b in rows):
@@ -421,7 +422,7 @@ def reference_from_inequalities(dim, rows) -> Polytope:
     normals and the vertices from a solve of every d rows, hulled by
     ReferencePolytope."""
     rows = [(linalg.vec(a), Fraction(b)) for a, b in rows]
-    if linalg.rank([a for a, _ in rows]) != dim:
+    if ref.rank([a for a, _ in rows]) != dim:
         raise ValueError("unbounded polyhedron (normals do not span)")
     reference_check_bounded(rows, dim)
     verts = reference_enumerate_vertices(rows, dim)

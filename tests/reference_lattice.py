@@ -1,0 +1,234 @@
+"""Reference lattices and lattice sums, by Fraction elimination.
+
+An :class:`EmbeddedLattice` is the integer span of independent rational
+basis columns.  Determinants are carried only through the rational Gram
+determinant det(B^T B), never as floating square roots.  The lattice-sum
+references enumerate the dual lattice in its own coordinates and project
+x onto the span of the lattice, as eak.lattice_sum did before it named
+dual-lattice points by their integer pairings.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Sequence
+
+from eak.bernoulli import bernoulli_poly, frac_part, periodized
+from eak.exactval import ExactValue, angle_of_cos_ratio, primitive_integer_vector
+from eak.linalg import Vec, dot, norm_sq, vec, vec_sub
+from reference_linalg import (
+    columns,
+    det,
+    from_columns,
+    gram,
+    hnf_column_basis,
+    integer_kernel,
+    inverse,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    orthogonal_projection,
+    transpose,
+    vec_add,
+    vec_scale,
+)
+
+
+@dataclass(frozen=True)
+class EmbeddedLattice:
+    """Integer span of independent basis columns in Q^d."""
+
+    ambient_dim: int
+    basis: tuple[Vec, ...]  # columns
+    gram_det: Fraction = field(init=False)
+
+    def __post_init__(self):
+        basis = tuple(vec(c) for c in self.basis)
+        if not basis:
+            raise ValueError("empty basis")
+        if any(len(c) != self.ambient_dim for c in basis):
+            raise ValueError("basis column dimension mismatch")
+        gd = det(gram(basis))
+        if gd == 0:
+            raise ValueError("dependent basis columns")
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "gram_det", gd)
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+    def coordinates(self, v: Sequence) -> Vec:
+        """Coordinates of v in the basis; error when v is off the span."""
+        v = vec(v)
+        b = from_columns(self.basis)
+        g = gram(self.basis)
+        coords = mat_vec(inverse(g), mat_vec(transpose(b), v))
+        if mat_vec(b, coords) != v:
+            raise ValueError("vector not in the lattice span")
+        return coords
+
+    def from_coordinates(self, coords: Sequence) -> Vec:
+        b = from_columns(self.basis)
+        return mat_vec(b, vec(coords))
+
+    def contains(self, v: Sequence) -> bool:
+        try:
+            coords = self.coordinates(v)
+        except ValueError:
+            return False
+        return all(c.denominator == 1 for c in coords)
+
+    def dual(self) -> "EmbeddedLattice":
+        """Dual lattice inside span(self): basis B (B^T B)^(-1)."""
+        dual = mat_mul(from_columns(self.basis), inverse(gram(self.basis)))
+        return EmbeddedLattice(self.ambient_dim, tuple(columns(dual)))
+
+    def same_lattice(self, other: "EmbeddedLattice") -> bool:
+        """True when each basis is integrally expressible in the other."""
+        if self.ambient_dim != other.ambient_dim or self.rank != other.rank:
+            return False
+        return all(other.contains(c) for c in self.basis) and all(
+            self.contains(c) for c in other.basis
+        )
+
+
+def basis_from_generators(gens: Sequence[Sequence], rank: int | None = None) -> EmbeddedLattice:
+    """Basis of the lattice generated by rational vectors, via integer
+    Hermite reduction over a cleared common denominator."""
+    gens = [vec(g) for g in gens]
+    gens = [g for g in gens if any(c != 0 for c in g)]
+    if not gens:
+        raise ValueError("no nonzero generators")
+    d = len(gens[0])
+    den = math.lcm(*(c.denominator for g in gens for c in g))
+    int_cols = [tuple(int(c * den) for c in g) for g in gens]
+    basis_int = hnf_column_basis(int_cols)
+    basis = tuple(tuple(Fraction(c, den) for c in col) for col in basis_int)
+    lat = EmbeddedLattice(d, basis)
+    if rank is not None and lat.rank != rank:
+        raise ValueError(f"generators have rank {lat.rank}, expected {rank}")
+    return lat
+
+
+def lattice_primitive(L: EmbeddedLattice, direction: Sequence) -> Vec:
+    """Shortest vector of L on the positive ray of `direction`."""
+    coords = L.coordinates(direction)  # raises off-span
+    prim = primitive_integer_vector(coords)
+    return L.from_coordinates(prim)
+
+
+def intersection_with_integer_lattice(span_vectors: Sequence[Sequence]) -> EmbeddedLattice:
+    """Basis of S intersect Z^d for the rational subspace S = span(vectors)."""
+    vecs = [vec(v) for v in span_vectors]
+    vecs = [v for v in vecs if any(c != 0 for c in v)]
+    if not vecs:
+        raise ValueError("zero subspace")
+    d = len(vecs[0])
+    # S = kernel of the matrix whose rows span the orthogonal complement.
+    complement = nullspace(vecs)
+    if not complement:
+        # S is the whole space.
+        kernel = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    else:
+        kernel = integer_kernel(complement)
+    return EmbeddedLattice(d, tuple(tuple(Fraction(c) for c in col) for col in kernel))
+
+
+# ---------------------------------------------------------------------------
+# the lattice sums
+
+
+def reference_lattice_sum_finite(lattice: EmbeddedLattice, w_columns, exponents, x) -> ExactValue:
+    """The finite form of eak.lattice_sum over the lattice itself: dual
+    points D m in its dual basis D, W-coordinates from the inverse Gram
+    matrix of W, and x projected onto span(lattice)."""
+    w_columns = [vec(c) for c in w_columns]
+    x = vec(x)
+    k = lattice.rank
+    det_m = abs(det([[dot(w, b) for w in w_columns] for b in lattice.basis]))
+    dual = lattice.dual()
+    # project x onto span(lattice): pairings with W see only that component
+    w_mat = from_columns(list(w_columns))
+    g_w = gram(list(w_columns))
+    g_w_inv = inverse(g_w)
+
+    def w_coords(v: Vec) -> Vec:
+        return mat_vec(g_w_inv, mat_vec(transpose(w_mat), v))
+
+    xbar = mat_vec(orthogonal_projection(list(lattice.basis)), x)
+    # enumerate dual points n = D m with W-coordinates of n - x in [0,1]^k
+    corners = []
+    for eps in itertools.product((0, 1), repeat=k):
+        corner = xbar
+        for j, e in enumerate(eps):
+            if e:
+                corner = vec_add(corner, w_columns[j])
+        corners.append(dual.coordinates(corner))
+    lo = [math.floor(min(c[j] for c in corners)) for j in range(k)]
+    hi = [math.ceil(max(c[j] for c in corners)) for j in range(k)]
+    total = ExactValue.of(0)
+    for mm in itertools.product(*[range(lo[j], hi[j] + 1) for j in range(k)]):
+        n = dual.from_coordinates(mm)
+        y = w_coords(vec_sub(n, xbar))
+        if any(c < 0 or c > 1 for c in y):
+            continue
+        weight = _parallelepiped_angle(w_columns, y)
+        b_val = Fraction(1)
+        for j, e in enumerate(exponents):
+            b_val *= bernoulli_poly(e, y[j])
+        total = total + weight * b_val
+    sign = -1 if k % 2 else 1
+    fact = math.prod(math.factorial(e) for e in exponents)
+    return total * Fraction(sign, fact * det_m)
+
+
+def _parallelepiped_angle(w_columns: Sequence[Vec], y: Vec) -> ExactValue:
+    """Solid angle of the parallelepiped W[0,1]^k at the point with
+    W-coordinates y in [0,1]^k."""
+    on_boundary = [j for j, c in enumerate(y) if c == 0 or c == 1]
+    if not on_boundary:
+        return ExactValue.of(1)
+    if len(on_boundary) == 1:
+        return ExactValue.of(Fraction(1, 2))
+    # corner of a rank-2 parallelepiped: angle between the inward edges
+    d1 = w_columns[0] if y[0] == 0 else vec_scale(-1, w_columns[0])
+    d2 = w_columns[1] if y[1] == 0 else vec_scale(-1, w_columns[1])
+    angle = angle_of_cos_ratio(dot(d1, d2), norm_sq(d1) * norm_sq(d2))
+    return ExactValue.angle_turn(angle)
+
+
+def reference_gunnels_sczech(W: Sequence[Sequence[int]], e: Sequence[int], x: Sequence) -> Fraction:
+    """The residue form of eak.lattice_sum with W^(-1) by elimination."""
+    W = [tuple(int(c) for c in row) for row in W]
+    e = [int(v) for v in e]
+    x = vec(x)
+    d = len(W)
+    if any(v < 2 for v in e):
+        raise ValueError("conditionally convergent; use the finite form")
+    det_w = det(W)
+    if det_w == 0:
+        raise ValueError("singular matrix")
+    w_inv = inverse(W)
+    x_coords = mat_vec(w_inv, x)
+    # residues of Z^d mod W Z^d, canonicalized by frac(W^{-1} n)
+    residues: set[tuple] = set()
+    L = abs(int(det_w))
+    for n in itertools.product(range(L), repeat=d):
+        residues.add(tuple(frac_part(c) for c in mat_vec(w_inv, n)))
+        if len(residues) == L:
+            break
+    if len(residues) != L:
+        raise AssertionError("residue enumeration incomplete")
+    total = Fraction(0)
+    for res in residues:
+        term = Fraction(1)
+        for j in range(d):
+            term *= periodized(e[j], res[j] - x_coords[j])
+        total += term
+    sign = -1 if d % 2 else 1
+    fact = math.prod(math.factorial(v) for v in e)
+    return Fraction(sign, fact * L) * total

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import re
+import sys
 
 import pytest
 
@@ -119,6 +121,33 @@ def test_lattice_sum(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1/36"
 
 
+def test_lattice_sum_refuses_malformed_problems(tmp_path, capsys):
+    unit = [[1, 0], [0, 1]]
+    for words, problem in (
+        # a point or a linear form of the wrong length
+        (("2 entries",), {"basis": unit, "w": unit, "e": [1, 1], "x": [0]}),
+        (("2 entries",), {"basis": unit, "w": unit, "e": [1, 1], "x": [0, 0, 5]}),
+        (("2 entries",), {"basis": unit, "w": [[1, 0, 0], [0, 1]], "e": [1, 1], "x": [0, 0]}),
+        # a parallelepiped of (10^6 + 1)^2 candidates is refused, not scanned
+        (("1000002000001 candidate points", "budget"),
+         {"basis": unit, "w": [[10**6, 0], [0, 10**6]], "e": [1, 1], "x": [0, 0]}),
+    ):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert run(["lattice-sum", str(path)]) == 2
+        _one_line_error(capsys, *words)
+
+
+def test_commands_load_no_lattice_module(delta_path, tmp_path, capsys):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"basis": [["1"]], "w": [["1"]], "e": [2], "x": ["1/3"]}))
+    assert run(["verify", delta_path, "--t", "1"]) == 0
+    assert run(["concrete", delta_path, "--tmax", "1", "--samples", "4"]) == 0
+    assert run(["lattice-sum", str(problem)]) == 0
+    assert importlib.util.find_spec("eak.lattice") is None
+    assert "eak.lattice" not in sys.modules
+
+
 def test_concrete(delta_path, capsys):
     assert run(["concrete", delta_path, "--tmax", "1", "--samples", "4"]) == 0
     out = capsys.readouterr().out
@@ -208,6 +237,13 @@ def test_input_errors(delta_path, tmp_path, capsys):
         inexact.write_text(json.dumps(data))
         assert run(["analyze", str(inexact)]) == 2
         _one_line_error(capsys, field, "must be an integer")
+    # so is an exponent of a lattice sum, which would otherwise become 1
+    unit = [[1, 0], [0, 1]]
+    for e in ([1.5, 1], [True, 1]):
+        inexact = tmp_path / "inexact.json"
+        inexact.write_text(json.dumps({"basis": unit, "w": unit, "e": e, "x": [0, 0]}))
+        assert run(["lattice-sum", str(inexact)]) == 2
+        _one_line_error(capsys, "'e'", "must be an integer")
     # a boolean is not a rational, and an inequality names a missing key
     for words, data in (
         (("rationals", "True"), {"dim": 1, "vertices": [[True], [0]]}),

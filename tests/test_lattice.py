@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from eak.lattice import (
+from reference_lattice import (
     EmbeddedLattice,
     basis_from_generators,
     intersection_with_integer_lattice,
