@@ -18,12 +18,6 @@ from eak.polytope import Polytope, _parse_int
 
 SCHEMA = "1"
 
-# the closed-form coefficients of each flavor, codimension one first
-FLAVORS = {
-    "solid-angle": (coefficients.coeff_a_d1, coefficients.coeff_a_d2),
-    "ehrhart": (coefficients.coeff_e_d1, coefficients.coeff_e_d2),
-}
-
 
 class InputError(Exception):
     pass
@@ -43,14 +37,18 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
-def _load_polytope(path: str) -> Polytope:
+def _read_json(path: str):
     try:
         with open(path) as f:
-            data = json.load(f)
+            return json.load(f)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}")
+
+
+def _load_polytope(path: str) -> Polytope:
+    data = _read_json(path)
     try:
         return Polytope.from_json(data)
     except (ValueError, KeyError, TypeError) as exc:
@@ -130,12 +128,12 @@ def _cmd_analyze(args) -> int:
             for g in codim2
         ]
 
-    flavors = ["solid-angle", "ehrhart"] if args.flavor == "both" else [args.flavor]
-    coeffs = {flavor: [make(P) for make in FLAVORS[flavor]] for flavor in flavors}
+    flavors = list(coefficients.FLAVORS) if args.flavor == "both" else [args.flavor]
     evals = []
     for t in args.eval or []:
+        all_values = coefficients.evaluate(P, t)
         for flavor in flavors:
-            values = {c.kind: c.eval(t) for c in coeffs[flavor]}
+            values = {kind: all_values[kind] for kind in coefficients.FLAVORS[flavor]}
             shown = "; ".join(f"{name} = {v}" for name, v in values.items())
             print(f"\nt={format_rational(t)} [{flavor}]: {shown}")
             evals.append(
@@ -171,10 +169,6 @@ def _cmd_verify(args) -> int:
     m = P.denominator()
     checks = []
     ok_all = True
-    e2 = coefficients.coeff_e_d1(P)
-    e1 = coefficients.coeff_e_d2(P)
-    a2 = coefficients.coeff_a_d1(P)
-    a1 = coefficients.coeff_a_d2(P)
     vol = P.volume()
     for t in args.t:
         t = Fraction(t)
@@ -185,12 +179,13 @@ def _cmd_verify(args) -> int:
             angle_samples.append((s, oracle._angle_sum(P, interior, boundary, A, C)))
         ec = oracle.interpolate_coefficients(count_samples, 3)
         ac = oracle.interpolate_coefficients(angle_samples, 3)
+        values = coefficients.evaluate(P, t)
         rows = [
             ("vol", ExactValue.of(vol), ExactValue.of(ec[0])),
-            ("e_d1", e2.eval(t), ExactValue.of(ec[1])),
-            ("e_d2", e1.eval(t), ExactValue.of(ec[2])),
-            ("a_d1", a2.eval(t), ac[1]),
-            ("a_d2", a1.eval(t), ac[2]),
+            ("e_d1", values["e_d1"], ExactValue.of(ec[1])),
+            ("e_d2", values["e_d2"], ExactValue.of(ec[2])),
+            ("a_d1", values["a_d1"], ac[1]),
+            ("a_d2", values["a_d2"], ac[2]),
         ]
         for name, formula, interpolated in rows:
             ok = formula == interpolated
@@ -236,13 +231,7 @@ def _cmd_dedekind(args) -> int:
 
 
 def _cmd_lattice_sum(args) -> int:
-    try:
-        with open(args.problem) as f:
-            data = json.load(f)
-    except OSError as exc:
-        raise InputError(f"cannot read {args.problem}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{args.problem}: malformed JSON: {exc.msg}")
+    data = _read_json(args.problem)
     try:
         basis = [[parse_rational(str(c)) for c in col] for col in data["basis"]]
         if len(basis) > 2:
@@ -328,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="closed-form coefficient tables and evaluations")
     p.add_argument("polytope")
-    p.add_argument("--flavor", choices=["solid-angle", "ehrhart", "both"], default="both")
+    p.add_argument("--flavor", choices=[*coefficients.FLAVORS, "both"], default="both")
     p.add_argument("--eval", action="append", type=_rational, metavar="T")
     p.add_argument("--dump-local", action="store_true")
     p.add_argument("--json")
@@ -336,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate the full degree-3 quasi-polynomial")
     p.add_argument("polytope")
-    p.add_argument("--flavor", choices=["solid-angle", "ehrhart"], default="ehrhart")
+    p.add_argument("--flavor", choices=list(coefficients.FLAVORS), default="ehrhart")
     p.add_argument("--t", action="append", type=_positive_rational, required=True)
     p.add_argument("--json")
     p.set_defaults(func=_cmd_eval)
@@ -379,10 +368,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except oracle.BudgetExceeded as exc:
+    except (InputError, oracle.BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

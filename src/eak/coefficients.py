@@ -4,6 +4,8 @@ The codimension-one coefficients are facet sums of periodized first
 Bernoulli polynomials; the codimension-two coefficients add the
 transverse-cone data: second Bernoulli terms, a Dedekind-Rademacher
 sum, and (for the solid-angle flavor) the exact dihedral angle term.
+One walk per codimension gives both flavors at once, since they differ
+only in the dihedral-angle term and the B1 boundary corrections.
 All evaluations are exact; only the dihedral angles can be irrational,
 and they are carried symbolically in :class:`ExactValue`.
 """
@@ -13,96 +15,107 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from eak.bernoulli import is_integer, one_sided_B1, periodized
 from eak.dedekind import dr_sum_fast
 from eak.exactval import ExactValue, exact_sum
-from eak.local_data import (
-    CodimTwoData,
-    FacetData,
-    all_codim2_data,
-    all_facet_data,
-)
+from eak.local_data import all_codim2_data, all_facet_data
 from eak.polytope import Polytope
+
+
+# the closed-form coefficients of each flavor, codimension one first
+FLAVORS = {"solid-angle": ("a_d1", "a_d2"), "ehrhart": ("e_d1", "e_d2")}
+
+
+def _facet_walk(P: Polytope, t: Fraction) -> dict[str, ExactValue]:
+    """a_{d-1}(t) and e_{d-1}(t) from one pass over the facets.
+
+    a_{d-1} sums -vol*(F) B1~(<v_F,x_F> t); e_{d-1} takes the right limit
+    of B1~ instead, which differs only where <v_F,x_F> t is an integer,
+    by 1/2 there."""
+    a = boundary = Fraction(0)
+    for f in all_facet_data(P):
+        x = f.x_F_dot * t
+        a -= f.vol_star * periodized(1, x)
+        if is_integer(x):
+            boundary += f.vol_star
+    return {"a_d1": ExactValue.of(a), "e_d1": ExactValue.of(a + boundary / 2)}
+
+
+def _codim2_walk(P: Polytope, t: Fraction) -> dict[str, ExactValue]:
+    """a_{d-2}(t) and e_{d-2}(t) from one pass over the codim-2 faces.
+
+    Both flavors share each face's second-Bernoulli part less its
+    Dedekind-Rademacher sum s(h,k;x,y).  The solid-angle flavor adds
+    omega_G - 1/4 where t xbar_G lies in Lambda_G^*; the Ehrhart flavor
+    subtracts one B1 boundary correction for each integral offset."""
+    shared = quarter = correction = Fraction(0)
+    angles = []
+    for g in all_codim2_data(P):
+        # (c_G/2k) ((|v2|/|v1|) B2~(dot1 t) + (|v1|/|v2|) B2~(dot2 t)),
+        # through the rational regrouping c_G |v2|/|v1| = -<v1,v2>/|v1|^2
+        b2 = -g.dot12 / (2 * g.k) * (
+            periodized(2, g.dot1 * t) / g.norm1_sq + periodized(2, g.dot2 * t) / g.norm2_sq
+        )
+        x, y = (g.x1 + g.h * g.x2) * t, -g.k * g.x2 * t
+        shared += (b2 - dr_sum_fast(g.h, g.k, x, y)) * g.vol_star
+        if is_integer(g.k * g.x1 * t):
+            correction += periodized(1, (g.h_inv * g.x1 + g.x2) * t) * g.vol_star
+        if is_integer(y):
+            correction += one_sided_B1(x, "plus") * g.vol_star
+        if g.membership_scale(t):
+            quarter += g.vol_star
+            angles.append(g.omega * g.vol_star)
+    a_d2 = exact_sum([shared - quarter / 4, *angles])
+    return {"a_d2": a_d2, "e_d2": ExactValue.of(shared - correction / 2)}
+
+
+_WALKS = {"a_d1": _facet_walk, "e_d1": _facet_walk, "a_d2": _codim2_walk, "e_d2": _codim2_walk}
+
+
+def evaluate(P: Polytope, t) -> dict[str, ExactValue]:
+    """All four closed-form coefficients at t, keyed by kind: one walk
+    over the facets and one over the codim-2 faces."""
+    t = Fraction(t)
+    return {**_facet_walk(P, t), **_codim2_walk(P, t)}
 
 
 @dataclass(frozen=True)
 class QuasiCoefficient:
-    """Evaluable quasi-coefficient: a sum of per-face closed-form terms."""
+    """One closed-form quasi-coefficient of P; it has period `period`:
+    eval(t + period) == eval(t)."""
 
     kind: str  # one of "a_d1", "a_d2", "e_d1", "e_d2"
     period: int
-    terms: tuple  # the per-face local data of P
-    term: Callable  # (face data, t) -> that face's summand at t
+    polytope: Polytope
 
     def eval(self, t) -> ExactValue:
-        t = Fraction(t)
-        return exact_sum(self.term(f, t) for f in self.terms)
-
-
-def _facet_term_a(f: FacetData, t: Fraction) -> Fraction:
-    return -f.vol_star * periodized(1, f.x_F_dot * t)
-
-
-def _facet_term_e(f: FacetData, t: Fraction) -> Fraction:
-    return -f.vol_star * one_sided_B1(f.x_F_dot * t, "plus")
-
-
-def _b2_part(g: CodimTwoData, t: Fraction) -> Fraction:
-    """(c_G/2k) ((|v2|/|v1|) B2~(dot1 t) + (|v1|/|v2|) B2~(dot2 t)),
-    through the rational regrouping c_G |v2|/|v1| = -<v1,v2>/|v1|^2."""
-    coef1 = -g.dot12 / (2 * g.k * g.norm1_sq)
-    coef2 = -g.dot12 / (2 * g.k * g.norm2_sq)
-    return coef1 * periodized(2, g.dot1 * t) + coef2 * periodized(2, g.dot2 * t)
-
-
-def _dedekind_part(g: CodimTwoData, t: Fraction) -> Fraction:
-    return dr_sum_fast(g.h, g.k, (g.x1 + g.h * g.x2) * t, -g.k * g.x2 * t)
-
-
-def _codim2_term_a(g: CodimTwoData, t: Fraction) -> ExactValue:
-    value = ExactValue.of(_b2_part(g, t) - _dedekind_part(g, t))
-    if g.membership_scale(t):
-        value = value + ExactValue.angle_turn(g.c_G) - Fraction(1, 4)
-    return value * g.vol_star
-
-
-def _codim2_term_e(g: CodimTwoData, t: Fraction) -> Fraction:
-    value = _b2_part(g, t) - _dedekind_part(g, t)
-    if is_integer(g.k * g.x1 * t):
-        value -= Fraction(1, 2) * periodized(1, (g.h_inv * g.x1 + g.x2) * t)
-    if is_integer(g.k * g.x2 * t):
-        value -= Fraction(1, 2) * one_sided_B1((g.x1 + g.h * g.x2) * t, "plus")
-    return value * g.vol_star
+        return _WALKS[self.kind](self.polytope, Fraction(t))[self.kind]
 
 
 def coeff_a_d1(P: Polytope) -> QuasiCoefficient:
-    return QuasiCoefficient("a_d1", P.denominator(), all_facet_data(P), _facet_term_a)
+    return QuasiCoefficient("a_d1", P.denominator(), P)
 
 
 def coeff_e_d1(P: Polytope) -> QuasiCoefficient:
-    return QuasiCoefficient("e_d1", P.denominator(), all_facet_data(P), _facet_term_e)
+    return QuasiCoefficient("e_d1", P.denominator(), P)
 
 
 def coeff_a_d2(P: Polytope) -> QuasiCoefficient:
-    return QuasiCoefficient("a_d2", P.denominator(), all_codim2_data(P), _codim2_term_a)
+    return QuasiCoefficient("a_d2", P.denominator(), P)
 
 
 def coeff_e_d2(P: Polytope) -> QuasiCoefficient:
-    return QuasiCoefficient("e_d2", P.denominator(), all_codim2_data(P), _codim2_term_e)
+    return QuasiCoefficient("e_d2", P.denominator(), P)
 
 
 def recovered_a_d1(P: Polytope, t) -> ExactValue:
     """a_{d-1}(t) reconstructed from Ehrhart data:
     -e_{d-1}(P; -t) + (1/2) sum over facets of vol*(F) 1_Z(<v_F,x_F> t)."""
     t = Fraction(t)
-    e_d1 = coeff_e_d1(P)
-    value = -e_d1.eval(-t)
-    for f in e_d1.terms:
-        if is_integer(f.x_F_dot * t):
-            value = value + f.vol_star / 2
-    return value
+    facets = all_facet_data(P)
+    boundary = sum((f.vol_star for f in facets if is_integer(f.x_F_dot * t)), Fraction(0))
+    return boundary / 2 - coeff_e_d1(P).eval(-t)
 
 
 def tetrahedron_identity(P: Polytope) -> Fraction:
@@ -129,55 +142,38 @@ def tetrahedron_identity(P: Polytope) -> Fraction:
     return total
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuasiPolynomialD3:
-    """Full degree-3 quasi-polynomial: known top coefficients plus a
-    constant term recovered from one exact evaluation per residue class."""
+    """Full degree-3 quasi-polynomial of one flavor: the closed-form top
+    coefficients plus one exact oracle evaluation per value."""
 
-    flavor: str  # "solid-angle" | "ehrhart"
-    vol: Fraction
-    c2: QuasiCoefficient
-    c1: QuasiCoefficient
-    base_eval: Callable  # exact A_P or L_P at small dilations
-    period: int
-
-    def c0(self, t) -> ExactValue:
-        t = Fraction(t)
-        if t <= 0:
-            raise ValueError("positive t required")
-        # representative of t's residue class in (0, period]
-        t0 = t - self.period * math.ceil(t / self.period - 1)
-        base = self.base_eval(t0)
-        if not isinstance(base, ExactValue):
-            base = ExactValue.of(base)
-        return (
-            base
-            - ExactValue.of(self.vol * t0**3)
-            - self.c2.eval(t0) * t0**2
-            - self.c1.eval(t0) * t0
-        )
+    polytope: Polytope
+    flavor: str  # a key of FLAVORS
 
     def value(self, t) -> ExactValue:
-        t = Fraction(t)
+        """base(t0) + vol (t^3 - t0^3) + c2(t) (t^2 - t0^2) + c1(t) (t - t0),
+        base the oracle (A_P or L_P) and t0 in (0, m] with t - t0 a multiple
+        of the period m, so that c2(t0) = c2(t) and c1(t0) = c1(t)."""
+        from eak import oracle
+
+        t, P = Fraction(t), self.polytope
+        if t <= 0:
+            raise ValueError("positive t required")
+        m = P.denominator()
+        t0 = t - m * math.ceil(t / m - 1)
+        base = oracle.solid_angle_sum if self.flavor == "solid-angle" else oracle.count_points
+        c2, c1 = (QuasiCoefficient(kind, m, P).eval(t) for kind in FLAVORS[self.flavor])
         return (
-            ExactValue.of(self.vol * t**3)
-            + self.c2.eval(t) * t**2
-            + self.c1.eval(t) * t
-            + self.c0(t)
+            ExactValue.of(P.volume() * (t**3 - t0**3))
+            + base(P, t0)
+            + c2 * (t**2 - t0**2)
+            + c1 * (t - t0)
         )
 
 
 def complete_quasipolynomial_d3(P: Polytope, flavor: str) -> QuasiPolynomialD3:
     if P.dim != 3:
         raise ValueError("three-dimensional polytope required")
-    from eak import oracle
-
-    if flavor == "solid-angle":
-        c2, c1 = coeff_a_d1(P), coeff_a_d2(P)
-        base = lambda t: oracle.solid_angle_sum(P, t)
-    elif flavor == "ehrhart":
-        c2, c1 = coeff_e_d1(P), coeff_e_d2(P)
-        base = lambda t: Fraction(oracle.count_points(P, t))
-    else:
+    if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    return QuasiPolynomialD3(flavor, P.volume(), c2, c1, base, P.denominator())
+    return QuasiPolynomialD3(P, flavor)

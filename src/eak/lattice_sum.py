@@ -133,7 +133,8 @@ def _parallelepiped_angle(w_columns: Sequence[Vec], y: Sequence[Fraction]) -> Ex
 def gunnels_sczech(W: Sequence[Sequence[int]], e: Sequence[int], x: Sequence) -> Fraction:
     """Residue form over Z^d / W Z^d with periodized Bernoulli weights;
     requires every exponent at least two (absolute convergence).  With
-    W^(-1) = adj(W) / det W, the residue of n is frac(adj(W) n / det W)."""
+    W^(-1) = adj(W) / det W, the residue of n is frac(adj(W) n / det W).
+    Refused (ValueError) when |det W| exceeds ENUMERATION_BUDGET."""
     W = [tuple(int(c) for c in row) for row in W]
     e = [int(v) for v in e]
     x = linalg.vec(x)
@@ -144,24 +145,34 @@ def gunnels_sczech(W: Sequence[Sequence[int]], e: Sequence[int], x: Sequence) ->
     if det_w == 0:
         raise ValueError("singular matrix")
     L = abs(det_w)
+    if L > ENUMERATION_BUDGET:
+        raise ValueError(f"|det W| = {L} residues exceed the budget {ENUMERATION_BUDGET}")
     x_coords = [linalg.dot(row, x) / det_w for row in adj]
-    # the residues frac(W^(-1) n) of Z^d mod W Z^d form a group, so they are
-    # the r / L for r = adj(W) n mod L, a set closed under the sign of det W;
-    # L Z^d lies in W Z^d, so [0, L)^d meets every class
-    residues: set[tuple[int, ...]] = set()
-    for n in itertools.product(range(L), repeat=d):
-        residues.add(tuple(sum(a * c for a, c in zip(row, n)) % L for row in adj))
-        if len(residues) == L:
-            break
-    total = Fraction(0)
-    for res in residues:
-        term = Fraction(1)
-        for j in range(d):
-            term *= periodized(e[j], Fraction(res[j], L) - x_coords[j])
-        total += term
+    # the residues frac(W^(-1) n) of Z^d mod W Z^d are the r / L for r in
+    # the subgroup of (Z/L)^d generated by the columns of adj(W) mod L, a set
+    # closed under the sign of det W; each column adds the cosets H + j col
+    # of the group H built so far, until j col falls back into H
+    residues = [(0,) * d]
+    for col in zip(*adj):
+        subgroup, coset = set(residues), residues
+        while True:
+            coset = [tuple((r + c) % L for r, c in zip(res, col)) for res in coset]
+            if coset[0] in subgroup:
+                break
+            residues += coset
+    # coordinate j of a residue alone fixes its weight B~_e_j(r_j/L - x_j):
+    # each distinct r_j is weighed once, as an integer over a denominator
+    # common to the coordinate, and the products are summed in integers
+    weights, den = [], 1
+    for j, (e_j, x_j) in enumerate(zip(e, x_coords)):
+        w = {r: periodized(e_j, Fraction(r, L) - x_j) for r in {res[j] for res in residues}}
+        q = math.lcm(*(v.denominator for v in w.values()))
+        weights.append({r: v.numerator * (q // v.denominator) for r, v in w.items()})
+        den *= q
+    total = sum(math.prod(w[r] for w, r in zip(weights, res)) for res in residues)
     sign = -1 if d % 2 else 1
     fact = math.prod(math.factorial(v) for v in e)
-    return Fraction(sign, fact * L) * total
+    return Fraction(sign * total, fact * L * den)
 
 
 def lattice_sum_series(p: LatticeSumProblem, epsilon: float, radius: int) -> float:

@@ -4,8 +4,8 @@ For a facet F this is the primitive outward normal, the supporting
 offset and the relative volume.  For a codimension-two face G it is the
 transverse-cone description, read from the two facet normals and their
 offsets alone: the cone type (h, k), the barycentric offsets (x1, x2)
-and the exact dihedral angle.  Each polytope's data is built once, on
-first use, and kept on it.
+and the exact dihedral angle, as a cosine and in turns.  Each polytope's
+data is built once, on first use, and kept on it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from eak import linalg
-from eak.exactval import AngleValue, angle_of_cos_ratio
+from eak.exactval import AngleValue, ExactValue, angle_of_cos_ratio
 from eak.polytope import Face, Polytope
 
 
@@ -38,7 +38,8 @@ class CodimTwoData:
     norm1_sq: Fraction
     norm2_sq: Fraction
     dot12: Fraction  # <v_F1, v_F2>
-    c_G: AngleValue  # cosine of the transverse angle; omega = arccos(c_G)/(2pi)
+    c_G: AngleValue  # cosine of the transverse angle
+    omega: ExactValue  # the transverse angle in turns, arccos(c_G)/(2pi)
     k: int
     h: int
     h_inv: int
@@ -97,6 +98,7 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
         norm2_sq=n2,
         dot12=dot12,
         c_G=c_G,
+        omega=ExactValue.angle_turn(c_G),
         k=k,
         h=h,
         h_inv=h_inv,

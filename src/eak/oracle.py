@@ -71,21 +71,23 @@ def _scaled_system(P: Polytope, t: Fraction):
     )
 
 
-def _enumerate(P: Polytope, t: Fraction, budget: int = ENUMERATION_BUDGET):
+def _enumerate(P: Polytope, t: Fraction):
     """(interior count, boundary points, A, C) of the scan of t*P, where
-    A x <= C is the integer system of t*P."""
+    A x <= C is the integer system of t*P; refused (BudgetExceeded) when
+    the box holds more than ENUMERATION_BUDGET points."""
     if t <= 0:
         raise ValueError("positive dilation required")
     A, C, lo, hi = _scaled_system(P, t)
     size = int(np.prod(hi - lo + 1))
-    if size > budget:
-        raise BudgetExceeded(f"bounding box has {size} candidate points (budget {budget})")
+    if size > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"bounding box has {size} candidate points "
+                             f"(budget {ENUMERATION_BUDGET})")
     return (*_kernels.scan_box(A, C, lo, hi), A, C)
 
 
-def count_points(P: Polytope, t, budget: int = ENUMERATION_BUDGET) -> int:
+def count_points(P: Polytope, t) -> int:
     """|tP cap Z^d| by the exact line scan."""
-    interior, boundary, _, _ = _enumerate(P, Fraction(t), budget)
+    interior, boundary, _, _ = _enumerate(P, Fraction(t))
     return interior + len(boundary)
 
 
@@ -95,7 +97,7 @@ def count_points(P: Polytope, t, budget: int = ENUMERATION_BUDGET) -> int:
 def _transverse_angle(P: Polytope, tight: tuple[int, ...]) -> ExactValue | float:
     """Solid angle of P on the relative interior of the face with tight
     inequality set `tight`, by that face's codimension c in the face
-    lattice of P.  At c = 2 it is the face's dihedral angle c_G; at c = 3
+    lattice of P.  At c = 2 it is the face's dihedral angle omega; at c = 3
     the dihedral angles of the transverse cone sit at the codim-2 faces of
     P inside the tight set; at c = 4, a vertex of a 4-polytope, the angle
     is a Monte Carlo float."""
@@ -112,9 +114,9 @@ def _transverse_angle(P: Polytope, tight: tuple[int, ...]) -> ExactValue | float
         return ExactValue.of(Fraction(1, 2))
     codim2 = local_data.all_codim2_data(P)
     if c == 2:
-        return next(ExactValue.angle_turn(g.c_G) for g in codim2 if g.face.tight_set == inside)
+        return next(g.omega for g in codim2 if g.face.tight_set == inside)
     if c == 3:
-        turns = [ExactValue.angle_turn(g.c_G) for g in codim2 if g.face.tight_set <= inside]
+        turns = [g.omega for g in codim2 if g.face.tight_set <= inside]
         return exact_sum(turns) / 2 - Fraction(len(tight) - 2, 4)
     normals = [P.inequalities[i][0] for i in tight]
     u = np.random.default_rng(MC_SEED).standard_normal((MC_SAMPLES, P.dim))
@@ -133,7 +135,7 @@ def solid_angle_at(P: Polytope, x: Sequence, t=1) -> ExactValue:
     return _transverse_angle(P, tight)
 
 
-def solid_angle_sum(P: Polytope, t, budget: int = ENUMERATION_BUDGET) -> ExactValue | float:
+def solid_angle_sum(P: Polytope, t) -> ExactValue | float:
     """A_P(t): the sum of solid angles of t*P over the integer points;
     exact in dimension <= 3, a float in dimension four.
 
@@ -141,7 +143,7 @@ def solid_angle_sum(P: Polytope, t, budget: int = ENUMERATION_BUDGET) -> ExactVa
     _scaled_system bounds every row), and each group adds its count times
     the angle of its face.  The angle does not depend on t > 0, so it is
     kept in P._face_angles for every later t."""
-    return _angle_sum(P, *_enumerate(P, Fraction(t), budget))
+    return _angle_sum(P, *_enumerate(P, Fraction(t)))
 
 
 def _angle_sum(P: Polytope, interior: int, boundary: np.ndarray, A, C) -> ExactValue | float:
@@ -186,14 +188,14 @@ def interpolate_coefficients(samples: Sequence[tuple], degree: int):
     return coeffs
 
 
-def appendixA_cross_check(P: Polytope, t, budget: int = ENUMERATION_BUDGET) -> ExactValue:
+def appendixA_cross_check(P: Polytope, t) -> ExactValue:
     """A_P(t) by the per-point reference: the interior count plus
     solid_angle_at at every boundary point, added one by one, with no
     grouping by face; solid_angle_sum is checked against it."""
     if P.dim != 3:
         raise ValueError("three-dimensional polytope required")
     t = Fraction(t)
-    interior, boundary, _, _ = _enumerate(P, t, budget)
+    interior, boundary, _, _ = _enumerate(P, t)
     total = ExactValue.of(interior)
     for row in boundary:
         total = total + solid_angle_at(P, tuple(int(c) for c in row), t)

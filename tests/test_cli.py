@@ -2,10 +2,11 @@ import importlib.util
 import json
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 
-from eak import _kernels, oracle
+from eak import _kernels, coefficients, oracle
 from eak.cli import run
 
 from conftest import rhombic_dodecahedron
@@ -35,6 +36,23 @@ def test_analyze(delta_path, local_data_builds, capsys):
     assert set(local_data_builds.values()) == {1}
 
 
+def test_analyze_sums_each_dedekind_rademacher_sum_once(delta_path, monkeypatch, capsys):
+    # both flavors share each codim-2 face's Dedekind-Rademacher sum: one
+    # call per (edge, t) for the 6 edges of Delta_3 at two values of t
+    calls = []
+    dr_sum_fast = coefficients.dr_sum_fast
+
+    def counted(h, k, x, y):
+        calls.append((h, k, x, y))
+        return dr_sum_fast(h, k, x, y)
+
+    monkeypatch.setattr(coefficients, "dr_sum_fast", counted)
+    args = ["--flavor", "both", "--eval", "1", "--eval", "1/2"]
+    assert run(["analyze", delta_path, *args]) == 0
+    assert "e_d2 = 11/6" in capsys.readouterr().out
+    assert len(calls) == 6 * 2
+
+
 def test_analyze_segment(tmp_path, capsys):
     # a 1-polytope has no codim-2 faces: the list is printed empty
     segment = tmp_path / "segment.json"
@@ -58,6 +76,19 @@ def test_analyze_json_report(delta_path, tmp_path, capsys):
 def test_eval(delta_path, capsys):
     assert run(["eval", delta_path, "--flavor", "ehrhart", "--t", "2"]) == 0
     assert "ehrhart(2) = 10" in capsys.readouterr().out
+
+
+def test_eval_beyond_the_period(half_order, tmp_path, capsys):
+    # the half-order simplex has period 2: t = 5/2 and 7/2 take the constant
+    # term from t0 = 1/2 and 3/2, and the coefficients at t itself
+    path = tmp_path / "half_order.json"
+    path.write_text(json.dumps(half_order.to_json()))
+    for flavor, oracle_value in (("ehrhart", oracle.count_points),
+                                 ("solid-angle", oracle.solid_angle_sum)):
+        assert run(["eval", str(path), "--flavor", flavor, "--t", "5/2", "--t", "7/2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{flavor}({t}) = {oracle_value(half_order, Fraction(t))}" for t in ("5/2", "7/2")
+        ]
 
 
 def test_verify(delta_path, local_data_builds, capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eak import coefficients as co
 from eak import oracle
@@ -9,7 +11,7 @@ from eak.bernoulli import is_integer, one_sided_B1, periodized
 from eak.exactval import AngleValue, ExactValue
 from eak.polytope import Polytope
 
-from conftest import random_tetrahedron
+from conftest import random_tetrahedron, rational_polytopes
 
 
 def test_delta_facet_coefficients(delta):
@@ -54,6 +56,26 @@ def test_order_codim2_closed_form(order):
 def test_periods(delta, half_order):
     assert co.coeff_e_d1(delta).period == 1
     assert co.coeff_a_d2(half_order).period == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(rational_polytopes((2, 4), 2), st.fractions(0, 4, max_denominator=6))
+def test_every_kind_has_the_period_of_the_denominator(P, t):
+    """c(t + m) = c(t) with m = P.denominator(), for each coefficient."""
+    m = P.denominator()
+    for make in (co.coeff_a_d1, co.coeff_e_d1, co.coeff_a_d2, co.coeff_e_d2):
+        c = make(P)
+        assert c.period == m
+        assert c.eval(t + m) == c.eval(t)
+
+
+def test_evaluate_gives_every_kind(delta, half_order):
+    for P in (delta, half_order):
+        for t in (Fraction(1, 2), Fraction(1), Fraction(5, 3)):
+            values = co.evaluate(P, t)
+            assert set(values) == {"a_d1", "e_d1", "a_d2", "e_d2"}
+            for kind, value in values.items():
+                assert co.QuasiCoefficient(kind, P.denominator(), P).eval(t) == value
 
 
 def test_recovered_facet_coefficient(delta, half_order):

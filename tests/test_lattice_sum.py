@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,25 @@ def test_finite_matches_residue_form():
         x = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d))
         p = LatticeSumProblem(ref.identity(d), tuple(ref.columns(W)), e, x)
         assert lattice_sum_finite(p).as_rational() == gunnels_sczech(W, e, x)
+
+
+@pytest.mark.parametrize("n", [30, 60, 200])
+def test_residue_form_of_a_diagonal_factors(n):
+    # Z^2 / diag(n, n) Z^2 is the product of two copies of Z / n Z; the n^2
+    # residues come from the group the columns of adj(W) generate
+    e, x = (2, 3), (Fraction(1, 3), Fraction(-2, 5))
+    start = time.perf_counter()
+    value = gunnels_sczech([[n, 0], [0, n]], e, x)
+    elapsed = time.perf_counter() - start
+    assert value == gunnels_sczech([[n]], e[:1], x[:1]) * gunnels_sczech([[n]], e[1:], x[1:])
+    assert elapsed < 0.5, f"took {elapsed:.2f}s"
+
+
+def test_residue_form_refuses_beyond_the_budget():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="budget"):
+        gunnels_sczech([[10**4, 0], [0, 10**4]], (2, 2), (0, 0))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_residue_form_requires_convergence():
