@@ -18,9 +18,9 @@ def scan_box(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """(interior_count, boundary_points) for A x <= C over the box [lo, hi].
 
     All inputs are int64, and every slack C - A'x' over the box, A' the
-    rows without their last entry, must fit in int64; boundary_points is
-    an (n, d) int64 array, in lexicographic order, of the points
-    satisfying the system with at least one equality.
+    rows without their last entry, and the box's point count must fit in
+    int64; boundary_points is an (n, d) int64 array, in lexicographic
+    order, of the points satisfying the system with at least one equality.
     """
     A, C, lo, hi = (np.asarray(v, dtype=np.int64) for v in (A, C, lo, hi))
     d = len(lo)
@@ -44,9 +44,11 @@ def scan_box(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     whole = np.flatnonzero(live & np.any(slack[:, flat] == 0, axis=1))
     runs = length[whole]
     offsets = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
-    points = np.column_stack([
-        grid[np.concatenate([on, np.repeat(whole, runs)])],
-        np.concatenate([q[on, row], np.repeat(lower[whole], runs) + offsets]),
-    ])
-    boundary = np.unique(points, axis=0)
+    # dedup and sort by the key line * side + (x_d - lo_d), which is below
+    # the box's point count and, as lines run in C order, lexicographic
+    side = hi[-1] - lo[-1] + 1
+    lines = np.concatenate([on, np.repeat(whole, runs)])
+    last = np.concatenate([q[on, row], np.repeat(lower[whole], runs) + offsets])
+    line, x = np.divmod(np.unique(lines * side + (last - lo[-1])), side)
+    boundary = np.column_stack([grid[line], lo[-1] + x])
     return int(length.sum()) - len(boundary), boundary

@@ -13,8 +13,8 @@ from eak import concrete as concrete_mod
 from eak import coefficients, lattice_sum, oracle
 from eak.dedekind import dr_sum_fast
 from eak.exactval import ExactValue, format_rational, parse_rational
-from eak.local_data import all_codim2_data, all_facet_data
-from eak.polytope import Polytope, _parse_int
+from eak.local_data import all_codim2_data
+from eak.polytope import Polytope, _parse_int, _parse_json
 
 SCHEMA = "1"
 
@@ -90,11 +90,11 @@ def _cmd_analyze(args) -> int:
     report["denominator"] = P.denominator()
     report["volume"] = format_rational(P.volume())
 
-    facets = all_facet_data(P)
+    facets = [(a, b, P.relative_volume(F)) for (a, b), F in zip(P.inequalities, P.facets())]
     codim2 = all_codim2_data(P)
     print("\nfacets (normal | offset | relative volume):")
-    for f in facets:
-        print(f"  {f.v_F}  {format_rational(f.x_F_dot)}  {format_rational(f.vol_star)}")
+    for a, b, vol in facets:
+        print(f"  {a}  {format_rational(b)}  {format_rational(vol)}")
     print("\ncodim-2 faces (facet pair | h | k | x1 | x2 | vol*):")
     for g in codim2:
         print(
@@ -105,12 +105,12 @@ def _cmd_analyze(args) -> int:
     if args.dump_local:
         report["facets"] = [
             {
-                "normal": list(f.v_F),
-                "offset": format_rational(f.x_F_dot),
-                "relative_volume": format_rational(f.vol_star),
-                "norm_sq": format_rational(f.norm_sq),
+                "normal": list(a),
+                "offset": format_rational(b),
+                "relative_volume": format_rational(vol),
+                "norm_sq": format_rational(sum(c * c for c in a)),
             }
-            for f in facets
+            for a, b, vol in facets
         ]
         report["codim2"] = [
             {
@@ -233,14 +233,15 @@ def _cmd_dedekind(args) -> int:
 def _cmd_lattice_sum(args) -> int:
     data = _read_json(args.problem)
     try:
-        basis = [[parse_rational(str(c)) for c in col] for col in data["basis"]]
+        _parse_json(dict, data, "a lattice-sum problem")
+        basis = _rational_columns(data, "basis")
         if len(basis) > 2:
             raise InputError(
                 f"{args.problem}: lattice-sum requires a lattice of rank at most two"
             )
-        w_cols = [[parse_rational(str(c)) for c in col] for col in data["w"]]
-        e = [_parse_int(v, "an entry of 'e'") for v in data["e"]]
-        x = [parse_rational(str(c)) for c in data["x"]]
+        w_cols = _rational_columns(data, "w")
+        e = [_parse_int(v, "an entry of 'e'") for v in _parse_json(list, data["e"], "'e'")]
+        x = [parse_rational(str(c)) for c in _parse_json(list, data["x"], "'x'")]
         problem = lattice_sum.LatticeSumProblem(
             tuple(map(tuple, basis)), tuple(map(tuple, w_cols)), tuple(e), tuple(x)
         )
@@ -253,6 +254,11 @@ def _cmd_lattice_sum(args) -> int:
         args.json,
     )
     return 0
+
+
+def _rational_columns(data: dict, key: str) -> list[list[Fraction]]:
+    return [[parse_rational(str(c)) for c in _parse_json(list, col, f"a column of {key!r}")]
+            for col in _parse_json(list, data[key], repr(key))]
 
 
 def _cmd_concrete(args) -> int:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from eak.bernoulli import is_integer, one_sided_B1, periodized
 from eak.dedekind import dr_sum_fast
 from eak.exactval import ExactValue, exact_sum
-from eak.local_data import all_codim2_data, all_facet_data
+from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
 
 
@@ -34,11 +34,11 @@ def _facet_walk(P: Polytope, t: Fraction) -> dict[str, ExactValue]:
     of B1~ instead, which differs only where <v_F,x_F> t is an integer,
     by 1/2 there."""
     a = boundary = Fraction(0)
-    for f in all_facet_data(P):
-        x = f.x_F_dot * t
-        a -= f.vol_star * periodized(1, x)
+    for (_, b), F in zip(P.inequalities, P.facets()):
+        x, vol = b * t, P.relative_volume(F)
+        a -= vol * periodized(1, x)
         if is_integer(x):
-            boundary += f.vol_star
+            boundary += vol
     return {"a_d1": ExactValue.of(a), "e_d1": ExactValue.of(a + boundary / 2)}
 
 
@@ -113,8 +113,8 @@ def recovered_a_d1(P: Polytope, t) -> ExactValue:
     """a_{d-1}(t) reconstructed from Ehrhart data:
     -e_{d-1}(P; -t) + (1/2) sum over facets of vol*(F) 1_Z(<v_F,x_F> t)."""
     t = Fraction(t)
-    facets = all_facet_data(P)
-    boundary = sum((f.vol_star for f in facets if is_integer(f.x_F_dot * t)), Fraction(0))
+    tight = [F for (_, b), F in zip(P.inequalities, P.facets()) if is_integer(b * t)]
+    boundary = sum(map(P.relative_volume, tight), Fraction(0))
     return boundary / 2 - coeff_e_d1(P).eval(-t)
 
 
@@ -124,10 +124,10 @@ def tetrahedron_identity(P: Polytope) -> Fraction:
         raise ValueError("integer tetrahedron required")
     if P.denominator() != 1:
         raise ValueError("integer tetrahedron required")
-    facets = all_facet_data(P)  # in inequality order, as g.f1 and g.f2 index
+    facets = P.facets()  # in inequality order, as g.f1 and g.f2 index
     total = Fraction(0)
     for g in all_codim2_data(P):
-        vol1, vol2 = facets[g.f1].vol_star, facets[g.f2].vol_star
+        vol1, vol2 = P.relative_volume(facets[g.f1]), P.relative_volume(facets[g.f2])
         # Every summand is rational after regrouping: the cosine terms give
         # c_G |v_1|/|v_2| = -<v_1,v_2>/|v_2|^2, and since the Euclidean
         # facet volume is vol*(F) |v_F| (sublattice determinant identity),

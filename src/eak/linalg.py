@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,7 +26,7 @@ def vec(entries: Sequence) -> Vec:
 def dot(u: Sequence, v: Sequence) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+    return sum(map(operator.mul, u, v), Fraction(0))
 
 
 def norm_sq(v: Sequence) -> Fraction:

@@ -1,11 +1,12 @@
-"""Per-face local parameters of the quasi-coefficient formulas.
+"""Per-face local parameters of the codimension-two quasi-coefficients.
 
-For a facet F this is the primitive outward normal, the supporting
-offset and the relative volume.  For a codimension-two face G it is the
-transverse-cone description, read from the two facet normals and their
-offsets alone: the cone type (h, k), the barycentric offsets (x1, x2)
-and the exact dihedral angle, as a cosine and in turns.  Each polytope's
-data is built once, on first use, and kept on it.
+For a codimension-two face G this is the transverse-cone description,
+read from its two facet normals and their offsets alone: the cone type
+(h, k), the barycentric offsets (x1, x2) and the exact dihedral angle,
+as a cosine and in turns.  A facet needs no record of its own: its
+normal and offset are P.inequalities[i] and its relative volume is
+P.relative_volume(F).  Each polytope's data is built once, on first use,
+and kept on it.
 """
 
 from __future__ import annotations
@@ -17,15 +18,6 @@ from fractions import Fraction
 from eak import linalg
 from eak.exactval import AngleValue, ExactValue, angle_of_cos_ratio
 from eak.polytope import Face, Polytope
-
-
-@dataclass(frozen=True)
-class FacetData:
-    face: Face
-    v_F: tuple[int, ...]  # primitive outward normal
-    x_F_dot: Fraction  # <v_F, x> for any x in F
-    vol_star: Fraction
-    norm_sq: Fraction
 
 
 @dataclass(frozen=True)
@@ -55,18 +47,6 @@ class CodimTwoData:
         return (t * self.k * self.x2).denominator == 1 and (
             t * (self.x1 + self.h * self.x2)
         ).denominator == 1
-
-
-def facet_data(P: Polytope, face: Face) -> FacetData:
-    (idx,) = face.tight_set
-    a, b = P.inequalities[idx]
-    return FacetData(
-        face=face,
-        v_F=a,
-        x_F_dot=b,
-        vol_star=P.relative_volume(face),
-        norm_sq=linalg.norm_sq(a),
-    )
 
 
 def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
@@ -119,13 +99,6 @@ def _unit_preimage(v: tuple[int, ...]) -> list[int]:
         x = [s * c for c in x]
         x[idx] = t
     return x
-
-
-def all_facet_data(P: Polytope) -> tuple[FacetData, ...]:
-    """Data of every facet of P, built on first use and kept on P."""
-    if P._facet_data is None:
-        P._facet_data = tuple(facet_data(P, f) for f in P.facets())
-    return P._facet_data
 
 
 def all_codim2_data(P: Polytope) -> tuple[CodimTwoData, ...]:

@@ -3,11 +3,12 @@
 Polytopes are bounded, full-dimensional, with rational vertex data, in
 ambient dimension at most four.  Both descriptions are built in integers
 by one cone kernel: points give the facets, inequalities the vertices,
-each a cross product of rows.  Facet normals are primitive; vertices,
-sorted, are the points no other point shares all facets with.  That hull
-is the only one taken: every face of every codimension comes from the
-facets' vertex sets, and every volume, of P or of a face in the lattice
-of its span, from pyramids over the faces one codimension down.
+each a cross product of rows, with the rows it is tight on.  Normals are
+primitive; vertices, sorted, are the points no other point shares all
+facets with.  That hull is the only one taken: every face of every
+codimension comes from the facets' vertex sets, and every volume, of P
+or of a face in the lattice of its span, from pyramids over the faces
+one codimension down.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ class Face:
     codim: int
 
 
-def _cone_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]] | None:
+def _cone_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[tuple, list[int]]] | None:
     """The primitive extreme rays of the cone {c : <c, r> <= 0 for every
-    integer row r in Z^n}, or None when the rows do not span Q^n.  Each is
-    the cross product of n - 1 rows, with the sign that meets every row;
-    the rows span iff a nonzero cross product is not orthogonal to all."""
+    integer row r in Z^n}, each with the indices of the rows it is
+    orthogonal to, or None when the rows do not span Q^n.  Each is the
+    cross product of n - 1 rows, with the sign that meets every row; the
+    rows span iff a nonzero cross product is not orthogonal to all."""
     rays, seen = [], set()
     for subset in itertools.combinations(rows, n - 1):
         c = linalg.cross(subset, n)
@@ -49,32 +51,35 @@ def _cone_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]
             continue
         neg = tuple(-x for x in c)
         seen.update((c, neg))
-        side = 0
-        for r in rows:
+        side, tight = 0, []
+        for i, r in enumerate(rows):
             value = sum(map(operator.mul, c, r))
-            if value and side * value < 0:
+            if not value:
+                tight.append(i)
+            elif side * value < 0:
                 break
             side = side or value
         else:
             if not side:
                 return None
-            rays.append(c if side < 0 else neg)
+            rays.append((c if side < 0 else neg, tight))
     return rays if seen else None
 
 
-def hull_facets(points: Sequence[Vec], dim: int) -> list[tuple[tuple[int, ...], Fraction]]:
+def hull_facets(points: Sequence[Vec], dim: int) -> list[tuple[tuple[int, ...], Fraction, list]]:
     """All supporting hyperplanes (primitive a, b) of a full-dimensional
-    point set, <a, x> <= b inside; a set that is not full-dimensional is
-    refused.  Each is a cone ray (a, B) of the rows (L p, -1), L the lcm of
-    the denominators, read as <a, x> <= B / L."""
+    point set, <a, x> <= b inside, each with the indices of the points on
+    it; a set that is not full-dimensional is refused.  Each is a cone ray
+    (a, B) of the rows (L p, -1), L the lcm of the denominators, read as
+    <a, x> <= B / L."""
     scale = math.lcm(*(c.denominator for p in points for c in p))
     rays = _cone_rays([(*(int(c * scale) for c in p), -1) for p in points], dim + 1)
     if rays is None:
         raise ValueError("polytope is not full-dimensional")
     facets = []
-    for *a, b in rays:
+    for (*a, b), on in rays:
         g = math.gcd(*a)
-        facets.append((tuple(c // g for c in a), Fraction(b, g * scale)))
+        facets.append((tuple(c // g for c in a), Fraction(b, g * scale), on))
     return facets
 
 
@@ -90,22 +95,23 @@ class Polytope:
         planes = sorted(hull_facets(pts, dim))
         # keep extreme points only: a point is a vertex iff no other point
         # lies on every facet through it
-        on = [{i for i, (a, b) in enumerate(planes) if linalg.dot(a, p) == b} for p in pts]
+        on = [{i for i, (*_, ids) in enumerate(planes) if j in ids} for j in range(len(pts))]
         verts = [j for j, s in enumerate(on) if not any(s <= t for t in on[:j] + on[j + 1:])]
         self.dim = dim
         self.vertices: tuple[Vec, ...] = tuple(pts[j] for j in verts)
-        self.inequalities: tuple[tuple[tuple[int, ...], Fraction], ...] = tuple(planes)
+        self.inequalities: tuple[tuple[tuple[int, ...], Fraction], ...] = tuple(
+            (a, b) for a, b, _ in planes
+        )
         # the vertex ids on each facet: every face is cut from these sets
         self._facet_vertex_sets: tuple[frozenset[int], ...] = tuple(
             frozenset(v for v, j in enumerate(verts) if i in on[j]) for i in range(len(planes))
         )
         # Data derived from P alone, each built on first use and kept: the
-        # faces by codimension, their local data (filled by eak.local_data),
+        # faces by codimension, their codim-2 data (filled by eak.local_data),
         # the relative volume of each face, by its vertex ids, and the solid
         # angle on each face met by a lattice point of a dilate (filled by
         # eak.oracle), by the tuple of its tight inequality indices.
         self._faces: dict[int, list[Face]] = {}
-        self._facet_data: tuple | None = None
         self._codim2_data: tuple | None = None
         self._volumes: dict[tuple[int, ...], Fraction] = {}
         self._face_angles: dict = {}
@@ -129,14 +135,15 @@ class Polytope:
         rays = _cone_rays(cone, dim + 1)
         if rays is None:
             raise ValueError("unbounded polyhedron (normals do not span)")
-        if any(not s for *_, s in rays):
+        if any(not s for (*_, s), _ in rays):
             raise ValueError("unbounded polyhedron (recession ray)")
         if not rays:
             raise ValueError("empty polytope")
-        return Polytope(dim, [[Fraction(c, s) for c in y] for *y, s in rays])
+        return Polytope(dim, [[Fraction(c, s) for c in y] for (*y, s), _ in rays])
 
     @staticmethod
     def from_json(data: dict) -> "Polytope":
+        _parse_json(dict, data, "a polytope")
         if "dim" not in data:
             raise ValueError("missing 'dim'")
         dim = _parse_int(data["dim"], "'dim'")
@@ -145,11 +152,13 @@ class Polytope:
         if has_v == has_h:
             raise ValueError("exactly one of 'vertices' or 'inequalities' required")
         if has_v:
-            verts = [[_parse_rat(c) for c in v] for v in data["vertices"]]
+            verts = [[_parse_rat(c) for c in _parse_json(list, v, "a vertex")]
+                     for v in _parse_json(list, data["vertices"], "'vertices'")]
             return Polytope(dim, verts)
         try:
-            rows = [([_parse_int(c, "an entry of 'a'") for c in row["a"]], _parse_rat(row["b"]))
-                    for row in data["inequalities"]]
+            rows = [([_parse_int(c, "an entry of 'a'") for c in _parse_json(list, row["a"], "'a'")],
+                     _parse_rat(row["b"]))
+                    for row in _parse_json(list, data["inequalities"], "'inequalities'")]
         except KeyError as exc:
             raise ValueError(f"missing {exc} in an inequality") from None
         return Polytope.from_inequalities(dim, rows)
@@ -289,6 +298,14 @@ def _parse_int(value, field: str) -> int:
     except ValueError:
         pass
     raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def _parse_json(kind: type, value, field: str):
+    """value, if it is a JSON array (kind list) or object (kind dict)."""
+    if type(value) is not kind:
+        raise ValueError(f"{field} must be a JSON {'array' if kind is list else 'object'}, "
+                         f"got {value!r}")
+    return value
 
 
 def _parse_rat(value) -> Fraction:

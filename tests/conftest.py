@@ -79,16 +79,23 @@ def square() -> Polytope:
 @pytest.fixture
 def local_data_builds(monkeypatch) -> Counter:
     """Counts of (builder name, face vertex ids) over the per-face local
-    data builds made while the test runs."""
+    data built while the test runs: the codim-2 data and the facets'
+    relative volumes (their pyramid sums)."""
     builds: Counter = Counter()
-    for name in ("facet_data", "codim2_data"):
-        build = getattr(local_data, name)
+    codim2_data = local_data.codim2_data
+    pyramid_volume = Polytope._pyramid_volume
 
-        def counted(P, face, build=build, name=name):
-            builds[name, face.vertex_ids] += 1
-            return build(P, face)
+    def counted_codim2(P, face):
+        builds["codim2_data", face.vertex_ids] += 1
+        return codim2_data(P, face)
 
-        monkeypatch.setattr(local_data, name, counted)
+    def counted_volume(P, face):
+        if face.codim == 1:
+            builds["facet volume", face.vertex_ids] += 1
+        return pyramid_volume(P, face)
+
+    monkeypatch.setattr(local_data, "codim2_data", counted_codim2)
+    monkeypatch.setattr(Polytope, "_pyramid_volume", counted_volume)
     return builds
 
 
@@ -380,7 +387,6 @@ class ReferencePolytope(Polytope):
             for a, b in self.inequalities
         )
         self._faces = {}
-        self._facet_data = None
         self._codim2_data = None
         self._volumes = {}
         self._face_angles = {}

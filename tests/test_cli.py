@@ -73,6 +73,52 @@ def test_analyze_json_report(delta_path, tmp_path, capsys):
     assert data["denominator"] == 1
 
 
+def test_analyze_dump_local(delta_path, tmp_path, capsys):
+    """--dump-local reports each facet's normal, offset, relative volume and
+    squared norm, in inequality order, and each codim-2 face's transverse
+    data, with x1 the offset of its second facet and x2 of its first."""
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps(
+        {"dim": 3, "vertices": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]}
+    ))
+    coordinate = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    cases = (
+        (delta_path, [*coordinate, [1, 1, 1]], ["0", "0", "0", "1"], ["1/2"] * 4, ["1"] * 3 + ["3"],
+         [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]),
+        (str(cube), [*coordinate, [0, 0, 1], [0, 1, 0], [1, 0, 0]], ["0"] * 3 + ["1"] * 3,
+         ["1"] * 6, ["1"] * 6,
+         [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (2, 4), (3, 4), (1, 5), (2, 5),
+          (3, 5), (4, 5)]),
+    )
+    for path, normals, offsets, volumes, norms, pairs in cases:
+        report = tmp_path / "report.json"
+        assert run(["analyze", path, "--dump-local", "--json", str(report)]) == 0
+        capsys.readouterr()
+        data = json.loads(report.read_text())
+        assert data["facets"] == [
+            {"normal": a, "offset": b, "relative_volume": vol, "norm_sq": n}
+            for a, b, vol, n in zip(normals, offsets, volumes, norms)
+        ]
+        # Delta_3 meets its diagonal facet at cos^2 = 1/3, every other pair
+        # of facets meets at a right angle; every edge is unimodular
+        diagonal = [i for i, a in enumerate(normals) if a == [1, 1, 1]]
+        assert data["codim2"] == [
+            {
+                "facets": [i, j],
+                "h": 0,
+                "k": 1,
+                "h_inv": 1,
+                "x1": offsets[j],
+                "x2": offsets[i],
+                "dot12": "-1" if j in diagonal else "0",
+                "cos_squared": "1/3" if j in diagonal else "0",
+                "cos_sign": 1 if j in diagonal else 0,
+                "relative_volume": "1",
+            }
+            for i, j in pairs
+        ]
+
+
 def test_eval(delta_path, capsys):
     assert run(["eval", delta_path, "--flavor", "ehrhart", "--t", "2"]) == 0
     assert "ehrhart(2) = 10" in capsys.readouterr().out
@@ -286,6 +332,28 @@ def test_input_errors(delta_path, tmp_path, capsys):
         malformed.write_text(json.dumps(data))
         assert run(["analyze", str(malformed)]) == 2
         _one_line_error(capsys, *words)
+    # a string where an array belongs is refused by name, not read character
+    # by character, and so is a file that holds no JSON object
+    unit = [[1, 0], [0, 1]]
+    lattice = {"basis": unit, "w": unit, "e": [1, 1], "x": [0, 0]}
+    for command, field, kind, data in (
+        ("analyze", "a vertex", "array", {"dim": 3, "vertices": ["000", "100", "010", "001"]}),
+        ("analyze", "'vertices'", "array", {"dim": 3, "vertices": "0001"}),
+        ("analyze", "'a'", "array", {"dim": 2, "inequalities": [{"a": "01", "b": "1"}, *square]}),
+        ("analyze", "'inequalities'", "array", {"dim": 2, "inequalities": "01"}),
+        ("analyze", "a polytope", "object", None),
+        ("lattice-sum", "a column of 'basis'", "array", {**lattice, "basis": ["10", "01"]}),
+        ("lattice-sum", "'basis'", "array", {**lattice, "basis": "10"}),
+        ("lattice-sum", "a column of 'w'", "array", {**lattice, "w": ["10", "01"]}),
+        ("lattice-sum", "'w'", "array", {**lattice, "w": "10"}),
+        ("lattice-sum", "'e'", "array", {**lattice, "e": "11"}),
+        ("lattice-sum", "'x'", "array", {**lattice, "x": "00"}),
+        ("lattice-sum", "a lattice-sum problem", "object", None),
+    ):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps(data))
+        assert run([command, str(malformed)]) == 2
+        _one_line_error(capsys, field, f"must be a JSON {kind}")
     # an unwritable report path is an input error, not a traceback
     assert run(["analyze", delta_path, "--json", str(tmp_path / "missing" / "x.json")]) == 2
     _one_line_error(capsys, "cannot write")

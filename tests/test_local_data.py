@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 
 from eak import linalg, polytope
 from eak.exactval import AngleValue
-from eak.local_data import all_codim2_data, all_facet_data
+from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
 
 import reference_linalg as ref
@@ -24,15 +24,16 @@ from conftest import (
 
 
 def test_facet_data_delta(delta):
-    data = {tuple(sorted(f.face.tight_set))[0]: f for f in all_facet_data(delta)}
-    assert len(data) == 4
-    for f in data.values():
-        assert f.vol_star == Fraction(1, 2)
+    facets = delta.facets()
+    assert len(facets) == 4
+    for i, F in enumerate(facets):
+        assert F.tight_set == {i}
+        assert delta.relative_volume(F) == Fraction(1, 2)
     # coordinate facets pass through the origin, the diagonal one does not
-    offsets = sorted(f.x_F_dot for f in data.values())
+    offsets = sorted(b for _, b in delta.inequalities)
     assert offsets == [0, 0, 0, 1]
-    diag = next(f for f in data.values() if f.x_F_dot == 1)
-    assert diag.v_F == (1, 1, 1) and diag.norm_sq == 3
+    diag = next(a for a, b in delta.inequalities if b == 1)
+    assert diag == (1, 1, 1) and linalg.norm_sq(diag) == 3
 
 
 def test_codim2_data_delta(delta):
@@ -160,9 +161,9 @@ def test_local_data_matches_lattice_reference(P):
 
 
 def test_local_data_builds_no_lattice():
-    """The facet and codim-2 data come from the normals alone: the package
-    has no lattice module and no Fraction elimination to call, so no
-    matrix is inverted."""
+    """The facet volumes and codim-2 data come from the normals alone: the
+    package has no lattice module and no Fraction elimination to call, so
+    no matrix is inverted."""
     assert importlib.util.find_spec("eak.lattice") is None
     for name in ref.FRACTION_ROUTINES:
         assert hasattr(ref, name) and not hasattr(linalg, name)
@@ -170,13 +171,13 @@ def test_local_data_builds_no_lattice():
         Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
         Polytope(4, [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (1, 1, 5, 0), (0, 1, 1, 2)]),
     ):
-        assert len(all_facet_data(P)) == len(P.facets())
+        assert all(P.relative_volume(F) > 0 for F in P.facets())
         assert len(all_codim2_data(P)) == len(P.codim2_faces())
 
 
 def test_volumes_take_no_hull_below_p(monkeypatch):
-    """Once P is built, its volume and every facet and codim-2 datum come
-    from its face lattice: no hull is taken and no rank is computed."""
+    """Once P is built, its volume and every facet volume and codim-2 datum
+    come from its face lattice: no hull is taken and no rank is computed."""
     polytopes = [
         Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
         Polytope(4, [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (1, 1, 5, 0), (0, 1, 1, 2)]),
@@ -190,13 +191,13 @@ def test_volumes_take_no_hull_below_p(monkeypatch):
     assert not hasattr(linalg, "rank")
     for P, volume in zip(polytopes, (Fraction(1, 6), Fraction(5, 2), Fraction(5))):
         assert P.volume() == volume
-        assert len(all_facet_data(P)) == len(P.facets())
+        assert all(P.relative_volume(F) > 0 for F in P.facets())
         assert len(all_codim2_data(P)) == len(P.codim2_faces())
 
 
 def test_each_face_volume_is_summed_once(monkeypatch):
-    """volume() and all facet and codim-2 data share one relative volume
-    per face: its pyramid sum runs once."""
+    """volume(), the facet volumes and the codim-2 data share one relative
+    volume per face: its pyramid sum runs once."""
     sums: Counter = Counter()
     pyramid_volume = Polytope._pyramid_volume
 
@@ -207,7 +208,7 @@ def test_each_face_volume_is_summed_once(monkeypatch):
     monkeypatch.setattr(Polytope, "_pyramid_volume", counted)
     P = Polytope(4, SIXTEEN_VERTICES)
     assert P.volume() == 5
-    assert len(all_facet_data(P)) == len(P.facets())
+    assert all(P.relative_volume(F) > 0 for F in P.facets())
     assert len(all_codim2_data(P)) == len(P.codim2_faces())
     assert set(sums.values()) == {1}
     assert {F.vertex_ids for c in range(4) for F in P.faces_of_codim(c)} <= set(sums)

@@ -134,6 +134,30 @@ def test_construction_takes_no_rank():
         Polytope.from_inequalities(2, [((1, 0), 0), ((-1, 0), -1), ((0, 1), 1), ((0, -1), 0)])
 
 
+def test_construction_computes_no_fraction_incidence(monkeypatch):
+    """The vertex test and the facet vertex sets come from the cone
+    kernel's integer pairings: with no Fraction dot product at hand, P is
+    built as the reference builds it."""
+    cases = [
+        (3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        (3, [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]),
+        (4, [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (1, 1, 5, 0), (0, 1, 1, 2)]),
+        (4, SIXTEEN_VERTICES),
+    ]
+    expected = []
+    for dim, points in cases:
+        R = ReferencePolytope(dim, points)
+        expected.append((R.vertices, R.inequalities, R._facet_vertex_sets))
+
+    def refuse(*args):
+        raise AssertionError("Fraction dot product taken")
+
+    monkeypatch.setattr(linalg, "dot", refuse)
+    for (dim, points), want in zip(cases, expected):
+        P = Polytope(dim, points)
+        assert (P.vertices, P.inequalities, P._facet_vertex_sets) == want
+
+
 def test_json_round_trip(delta):
     Q = Polytope.from_json(delta.to_json())
     assert Q.vertices == delta.vertices
