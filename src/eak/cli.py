@@ -14,7 +14,7 @@ from eak import coefficients, lattice_sum, oracle
 from eak.dedekind import dr_sum_fast
 from eak.exactval import ExactValue, format_rational, parse_rational
 from eak.local_data import all_codim2_data
-from eak.polytope import Polytope, _parse_int, _parse_json
+from eak.polytope import Polytope, _parse_int, _parse_json, _parse_rat
 
 SCHEMA = "1"
 
@@ -241,7 +241,7 @@ def _cmd_lattice_sum(args) -> int:
             )
         w_cols = _rational_columns(data, "w")
         e = [_parse_int(v, "an entry of 'e'") for v in _parse_json(list, data["e"], "'e'")]
-        x = [parse_rational(str(c)) for c in _parse_json(list, data["x"], "'x'")]
+        x = [_parse_rat(c) for c in _parse_json(list, data["x"], "'x'")]
         problem = lattice_sum.LatticeSumProblem(
             tuple(map(tuple, basis)), tuple(map(tuple, w_cols)), tuple(e), tuple(x)
         )
@@ -257,7 +257,7 @@ def _cmd_lattice_sum(args) -> int:
 
 
 def _rational_columns(data: dict, key: str) -> list[list[Fraction]]:
-    return [[parse_rational(str(c)) for c in _parse_json(list, col, f"a column of {key!r}")]
+    return [[_parse_rat(c) for c in _parse_json(list, col, f"a column of {key!r}")]
             for col in _parse_json(list, data[key], repr(key))]
 
 

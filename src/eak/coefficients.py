@@ -52,14 +52,15 @@ def _codim2_walk(P: Polytope, t: Fraction) -> dict[str, ExactValue]:
     shared = quarter = correction = Fraction(0)
     angles = []
     for g in all_codim2_data(P):
-        # (c_G/2k) ((|v2|/|v1|) B2~(dot1 t) + (|v1|/|v2|) B2~(dot2 t)),
-        # through the rational regrouping c_G |v2|/|v1| = -<v1,v2>/|v1|^2
+        # (c_G/2k) ((|v2|/|v1|) B2~(b1 t) + (|v1|/|v2|) B2~(b2 t)), b_i the
+        # offset of F_i, by the rational regrouping c_G |v2|/|v1| = -<v1,v2>/|v1|^2
+        s1, s2 = P.inequalities[g.f1][1] * t, P.inequalities[g.f2][1] * t
         b2 = -g.dot12 / (2 * g.k) * (
-            periodized(2, g.dot1 * t) / g.norm1_sq + periodized(2, g.dot2 * t) / g.norm2_sq
+            periodized(2, s1) / g.norm1_sq + periodized(2, s2) / g.norm2_sq
         )
-        x, y = (g.x1 + g.h * g.x2) * t, -g.k * g.x2 * t
+        x, y = (g.x1 + g.h * g.x2) * t, -s1
         shared += (b2 - dr_sum_fast(g.h, g.k, x, y)) * g.vol_star
-        if is_integer(g.k * g.x1 * t):
+        if is_integer(s2):
             correction += periodized(1, (g.h_inv * g.x1 + g.x2) * t) * g.vol_star
         if is_integer(y):
             correction += one_sided_B1(x, "plus") * g.vol_star
@@ -82,31 +83,34 @@ def evaluate(P: Polytope, t) -> dict[str, ExactValue]:
 
 @dataclass(frozen=True)
 class QuasiCoefficient:
-    """One closed-form quasi-coefficient of P; it has period `period`:
-    eval(t + period) == eval(t)."""
+    """One closed-form quasi-coefficient of P; its period is the denominator
+    of P: eval(t + period) == eval(t)."""
 
     kind: str  # one of "a_d1", "a_d2", "e_d1", "e_d2"
-    period: int
     polytope: Polytope
+
+    @property
+    def period(self) -> int:
+        return self.polytope.denominator()
 
     def eval(self, t) -> ExactValue:
         return _WALKS[self.kind](self.polytope, Fraction(t))[self.kind]
 
 
 def coeff_a_d1(P: Polytope) -> QuasiCoefficient:
-    return QuasiCoefficient("a_d1", P.denominator(), P)
+    return QuasiCoefficient("a_d1", P)
 
 
 def coeff_e_d1(P: Polytope) -> QuasiCoefficient:
-    return QuasiCoefficient("e_d1", P.denominator(), P)
+    return QuasiCoefficient("e_d1", P)
 
 
 def coeff_a_d2(P: Polytope) -> QuasiCoefficient:
-    return QuasiCoefficient("a_d2", P.denominator(), P)
+    return QuasiCoefficient("a_d2", P)
 
 
 def coeff_e_d2(P: Polytope) -> QuasiCoefficient:
-    return QuasiCoefficient("e_d2", P.denominator(), P)
+    return QuasiCoefficient("e_d2", P)
 
 
 def recovered_a_d1(P: Polytope, t) -> ExactValue:
@@ -162,7 +166,7 @@ class QuasiPolynomialD3:
         m = P.denominator()
         t0 = t - m * math.ceil(t / m - 1)
         base = oracle.solid_angle_sum if self.flavor == "solid-angle" else oracle.count_points
-        c2, c1 = (QuasiCoefficient(kind, m, P).eval(t) for kind in FLAVORS[self.flavor])
+        c2, c1 = (QuasiCoefficient(kind, P).eval(t) for kind in FLAVORS[self.flavor])
         return (
             ExactValue.of(P.volume() * (t**3 - t0**3))
             + base(P, t0)

@@ -3,9 +3,9 @@
 For a codimension-two face G this is the transverse-cone description,
 read from its two facet normals and their offsets alone: the cone type
 (h, k), the barycentric offsets (x1, x2) and the exact dihedral angle,
-as a cosine and in turns.  A facet needs no record of its own: its
-normal and offset are P.inequalities[i] and its relative volume is
-P.relative_volume(F).  Each polytope's data is built once, on first use,
+as a cosine and in turns.  It names its two facets by index, and a
+facet needs no record of its own: its normal and offset are
+P.inequalities[i] and its relative volume is P.relative_volume(F).  Each polytope's data is built once, on first use,
 and kept on it.
 """
 
@@ -23,10 +23,8 @@ from eak.polytope import Face, Polytope
 @dataclass(frozen=True)
 class CodimTwoData:
     face: Face
-    f1: int  # facet indices, F1 = lexicographically smaller normal
-    f2: int
-    v_F1: tuple[int, ...]
-    v_F2: tuple[int, ...]
+    f1: int  # facet indices: (v_Fi, b_i) = P.inequalities[fi], and
+    f2: int  # F1 has the lexicographically smaller normal
     norm1_sq: Fraction
     norm2_sq: Fraction
     dot12: Fraction  # <v_F1, v_F2>
@@ -35,10 +33,8 @@ class CodimTwoData:
     k: int
     h: int
     h_inv: int
-    x1: Fraction
-    x2: Fraction
-    dot1: Fraction  # <v_F1, xbar_G> = b1 = k*x2
-    dot2: Fraction  # <v_F2, xbar_G> = b2 = k*x1
+    x1: Fraction  # b2 / k, with b2 = <v_F2, xbar_G>
+    x2: Fraction  # b1 / k
     vol_star: Fraction
 
     def membership_scale(self, t) -> bool:
@@ -50,12 +46,9 @@ class CodimTwoData:
 
 
 def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
-    i, j = P.incident_facets(face)
-    a_i, b_i = P.inequalities[i]
-    a_j, b_j = P.inequalities[j]
-    if a_j < a_i:
-        (i, a_i, b_i), (j, a_j, b_j) = (j, a_j, b_j), (i, a_i, b_i)
-    v1, v2 = a_i, a_j
+    # a ridge lies in exactly two facets; F1 has the lex-smaller normal
+    i, j = sorted(face.tight_set, key=P.inequalities.__getitem__)
+    (v1, b1), (v2, b2) = P.inequalities[i], P.inequalities[j]
     n1, n2 = linalg.norm_sq(v1), linalg.norm_sq(v2)
     dot12 = linalg.dot(v1, v2)
     c_G = angle_of_cos_ratio(-dot12, n1 * n2)
@@ -72,8 +65,6 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
         face=face,
         f1=i,
         f2=j,
-        v_F1=v1,
-        v_F2=v2,
         norm1_sq=n1,
         norm2_sq=n2,
         dot12=dot12,
@@ -82,10 +73,8 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
         k=k,
         h=h,
         h_inv=h_inv,
-        x1=b_j / k,
-        x2=b_i / k,
-        dot1=b_i,
-        dot2=b_j,
+        x1=b2 / k,
+        x2=b1 / k,
         vol_star=P.relative_volume(face),
     )
 

@@ -137,7 +137,7 @@ def solid_angle_at(P: Polytope, x: Sequence, t=1) -> ExactValue:
 
 def solid_angle_sum(P: Polytope, t) -> ExactValue | float:
     """A_P(t): the sum of solid angles of t*P over the integer points;
-    exact in dimension <= 3, a float in dimension four.
+    exact unless a point is a vertex of a 4-polytope, then a float.
 
     Boundary points are grouped by their tight rows (exact in int64, as
     _scaled_system bounds every row), and each group adds its count times
@@ -156,7 +156,7 @@ def _angle_sum(P: Polytope, interior: int, boundary: np.ndarray, A, C) -> ExactV
         if key not in angles:
             angles[key] = _transverse_angle(P, key)
         terms.append(angles[key] * int(n))
-    if P.dim > 3:
+    if any(isinstance(term, float) for term in terms):  # a vertex of a 4-polytope
         return math.fsum(map(float, terms))
     return exact_sum(terms)
 

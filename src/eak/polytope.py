@@ -5,14 +5,15 @@ ambient dimension at most four.  Both descriptions are built in integers
 by one cone kernel: points give the facets, inequalities the vertices,
 each a cross product of rows, with the rows it is tight on.  Normals are
 primitive; vertices, sorted, are the points no other point shares all
-facets with.  That hull is the only one taken: every face of every
-codimension comes from the facets' vertex sets, and every volume, of P
-or of a face in the lattice of its span, from pyramids over the faces
-one codimension down.
+facets with.  That hull is the only one taken: the face lattice is cut
+from the facets' vertex sets in one pass that keeps each face's facets,
+and every volume, of P or of a face in the lattice of its span, is a sum
+of pyramids over those facets.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -106,12 +107,11 @@ class Polytope:
         self._facet_vertex_sets: tuple[frozenset[int], ...] = tuple(
             frozenset(v for v, j in enumerate(verts) if i in on[j]) for i in range(len(planes))
         )
-        # Data derived from P alone, each built on first use and kept: the
-        # faces by codimension, their codim-2 data (filled by eak.local_data),
-        # the relative volume of each face, by its vertex ids, and the solid
+        # Data derived from P alone, each built on first use and kept, as is
+        # the face lattice: the codim-2 data (filled by eak.local_data), the
+        # relative volume of each face, by its vertex ids, and the solid
         # angle on each face met by a lattice point of a dilate (filled by
         # eak.oracle), by the tuple of its tight inequality indices.
-        self._faces: dict[int, list[Face]] = {}
         self._codim2_data: tuple | None = None
         self._volumes: dict[tuple[int, ...], Fraction] = {}
         self._face_angles: dict = {}
@@ -158,7 +158,8 @@ class Polytope:
         try:
             rows = [([_parse_int(c, "an entry of 'a'") for c in _parse_json(list, row["a"], "'a'")],
                      _parse_rat(row["b"]))
-                    for row in _parse_json(list, data["inequalities"], "'inequalities'")]
+                    for r in _parse_json(list, data["inequalities"], "'inequalities'")
+                    for row in [_parse_json(dict, r, "an inequality")]]
         except KeyError as exc:
             raise ValueError(f"missing {exc} in an inequality") from None
         return Polytope.from_inequalities(dim, rows)
@@ -171,29 +172,40 @@ class Polytope:
 
     # -- faces ------------------------------------------------------------
 
+    @functools.cached_property
+    def _lattice(self) -> list[dict[Face, list[Face]]]:
+        """The face lattice, cut once: level c maps each face of codimension
+        c, in the order of faces_of_codim, to its facets, the inclusion-
+        maximal nonempty cuts of its vertex set by the vertex sets of the
+        facets of P not containing it, each tight on the facets of P whose
+        vertex sets contain it."""
+        sets = self._facet_vertex_sets
+        faces = [Face(frozenset([i]), tuple(sorted(s)), self.dim - 1, 1)
+                 for i, s in enumerate(sets)]
+        levels = [{Face(frozenset(), tuple(range(len(self.vertices))), self.dim, 0): faces}]
+        while faces:
+            level, made = {}, {}
+            for F in faces:
+                own = frozenset(F.vertex_ids)
+                cuts = {own & s for i, s in enumerate(sets) if i not in F.tight_set}
+                cuts.discard(frozenset())
+                level[F] = [
+                    made.setdefault(cut, Face(frozenset(i for i, s in enumerate(sets) if cut <= s),
+                                              tuple(sorted(cut)), F.dim - 1, F.codim + 1))
+                    for cut in cuts
+                    if not any(cut < other for other in cuts)
+                ]
+            levels.append(level)
+            faces = sorted(made.values(), key=lambda G: G.vertex_ids)
+        return levels
+
     def faces_of_codim(self, c: int) -> list[Face]:
         """The faces of codimension c: P itself for c = 0, the facets in
         inequality order for c = 1, and for c >= 2 the facets of the faces
         of codimension c - 1, sorted by their vertex ids; none for c > dim."""
         if c < 0:
             raise ValueError(f"negative codimension {c}")
-        if c > self.dim:
-            return []
-        if c not in self._faces:
-            if c == 0:
-                faces = [Face(frozenset(), tuple(range(len(self.vertices))), self.dim, 0)]
-            elif c == 1:
-                faces = [
-                    Face(frozenset([i]), tuple(sorted(s)), self.dim - 1, 1)
-                    for i, s in enumerate(self._facet_vertex_sets)
-                ]
-            else:
-                found = {
-                    G.vertex_ids: G for F in self.faces_of_codim(c - 1) for G in self._facets_of(F)
-                }
-                faces = sorted(found.values(), key=lambda f: f.vertex_ids)
-            self._faces[c] = faces
-        return self._faces[c]
+        return list(self._lattice[c]) if c <= self.dim else []
 
     def facets(self) -> list[Face]:
         return self.faces_of_codim(1)
@@ -201,38 +213,8 @@ class Polytope:
     def codim2_faces(self) -> list[Face]:
         return self.faces_of_codim(2)
 
-    def _facets_of(self, face: Face) -> list[Face]:
-        """The facets of a face, sorted by vertex ids: the inclusion-maximal
-        nonempty intersections of its vertex set with those of the facets of
-        P that do not contain it.  Each is a face of P, tight on the facets
-        of P whose vertex sets contain it."""
-        facet_sets = self._facet_vertex_sets
-        own = frozenset(face.vertex_ids)
-        cuts = {own & s for i, s in enumerate(facet_sets) if i not in face.tight_set}
-        cuts.discard(frozenset())
-        facets = [
-            Face(
-                frozenset(i for i, s in enumerate(facet_sets) if cut <= s),
-                tuple(sorted(cut)),
-                face.dim - 1,
-                face.codim + 1,
-            )
-            for cut in cuts
-            if not any(cut < other for other in cuts)
-        ]
-        return sorted(facets, key=lambda f: f.vertex_ids)
-
     def face_vertices(self, face: Face) -> list[Vec]:
         return [self.vertices[i] for i in face.vertex_ids]
-
-    def incident_facets(self, face: Face) -> tuple[int, int]:
-        """The exactly-two facets containing a codim-2 face."""
-        if face.codim != 2:
-            raise ValueError("codim-2 face required")
-        pair = tuple(sorted(face.tight_set))
-        if len(pair) != 2:
-            raise ValueError(f"codim-2 face lies in {len(pair)} facets, expected 2")
-        return pair  # type: ignore[return-value]
 
     # -- metric data ------------------------------------------------------
 
@@ -277,7 +259,7 @@ class Polytope:
         normals = [self.inequalities[i][0] for i in sorted(face.tight_set)]
         g = math.gcd(*linalg.maximal_minors(normals).values())
         total = Fraction(0)
-        for G in self._facets_of(face):
+        for G in self._lattice[face.codim][face]:
             a, b = self.inequalities[min(G.tight_set - face.tight_set)]
             m = math.gcd(*linalg.maximal_minors(normals + [a]).values())
             total += self.relative_volume(G) * (b - linalg.dot(a, verts[0])) * g / m

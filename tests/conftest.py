@@ -276,7 +276,7 @@ class TransverseLattice:
 def transverse_lattice(P: Polytope, g: local_data.CodimTwoData) -> TransverseLattice:
     """Reference for the cone type and offsets of a codim-2 face: Lambda_G,
     its dual, the primitive cone generators and a unimodular completion."""
-    v1, v2 = linalg.vec(g.v_F1), linalg.vec(g.v_F2)
+    v1, v2 = (linalg.vec(P.inequalities[f][0]) for f in (g.f1, g.f2))
     n1, n2, dot12 = linalg.norm_sq(v1), linalg.norm_sq(v2), linalg.dot(v1, v2)
     lam = intersection_with_integer_lattice([v1, v2])
     proj = ref.orthogonal_projection([v1, v2])
@@ -386,7 +386,6 @@ class ReferencePolytope(Polytope):
             frozenset(j for j, v in enumerate(self.vertices) if linalg.dot(a, v) == b)
             for a, b in self.inequalities
         )
-        self._faces = {}
         self._codim2_data = None
         self._volumes = {}
         self._face_angles = {}

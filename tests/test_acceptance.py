@@ -142,14 +142,15 @@ def test_criterion_06_transverse_cone_invariants():
         P = random_rational_polytope(rng)
         for g in all_codim2_data(P):
             r = transverse_lattice(P, g)
+            (v1, b1), (v2, b2) = P.inequalities[g.f1], P.inequalities[g.f2]
             assert (g.h, g.k, g.x1, g.x2) == (r.h, r.k, r.x1, r.x2)
-            assert linalg.dot(r.v_F1_G, g.v_F1) == 0
-            assert linalg.dot(r.v_F2_G, g.v_F2) == 0
-            assert linalg.dot(r.v_F1_G, g.v_F2) == g.k
-            assert linalg.dot(r.v_F2_G, g.v_F1) == g.k
-            gram2 = ref.det(ref.gram([linalg.vec(g.v_F1), linalg.vec(g.v_F2)]))
+            assert linalg.dot(r.v_F1_G, v1) == 0
+            assert linalg.dot(r.v_F2_G, v2) == 0
+            assert linalg.dot(r.v_F1_G, v2) == g.k
+            assert linalg.dot(r.v_F2_G, v1) == g.k
+            gram2 = ref.det(ref.gram([linalg.vec(v1), linalg.vec(v2)]))
             assert Fraction(g.k) ** 2 == abs(gram2) / r.lam.gram_det
-            assert g.dot1 == g.k * g.x2 and g.dot2 == g.k * g.x1
+            assert b1 == g.k * g.x2 and b2 == g.k * g.x1
             assert g.norm2_sq == r.lam.gram_det * linalg.norm_sq(r.v_F2_G)
             assert tuple(r.v_F2_G) == tuple(
                 g.h * a + g.k * b for a, b in zip(r.basis_v1, r.basis_v2)

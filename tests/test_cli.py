@@ -341,6 +341,8 @@ def test_input_errors(delta_path, tmp_path, capsys):
         ("analyze", "'vertices'", "array", {"dim": 3, "vertices": "0001"}),
         ("analyze", "'a'", "array", {"dim": 2, "inequalities": [{"a": "01", "b": "1"}, *square]}),
         ("analyze", "'inequalities'", "array", {"dim": 2, "inequalities": "01"}),
+        ("analyze", "an inequality", "object", {"dim": 2, "inequalities": ["01", "10"]}),
+        ("analyze", "an inequality", "object", {"dim": 2, "inequalities": [[[1, 0], 1], *square]}),
         ("analyze", "a polytope", "object", None),
         ("lattice-sum", "a column of 'basis'", "array", {**lattice, "basis": ["10", "01"]}),
         ("lattice-sum", "'basis'", "array", {**lattice, "basis": "10"}),
@@ -354,6 +356,13 @@ def test_input_errors(delta_path, tmp_path, capsys):
         malformed.write_text(json.dumps(data))
         assert run([command, str(malformed)]) == 2
         _one_line_error(capsys, field, f"must be a JSON {kind}")
+    # a float or a boolean is no rational in a lattice sum either
+    for bad in (0.5, True):
+        for data in ({**lattice, "x": [bad, "1/3"]}, {**lattice, "basis": [[bad, 0], [0, 1]]}):
+            malformed = tmp_path / "malformed.json"
+            malformed.write_text(json.dumps(data))
+            assert run(["lattice-sum", str(malformed)]) == 2
+            _one_line_error(capsys, "rationals must be", repr(bad))
     # an unwritable report path is an input error, not a traceback
     assert run(["analyze", delta_path, "--json", str(tmp_path / "missing" / "x.json")]) == 2
     _one_line_error(capsys, "cannot write")

@@ -75,7 +75,7 @@ def test_evaluate_gives_every_kind(delta, half_order):
             values = co.evaluate(P, t)
             assert set(values) == {"a_d1", "e_d1", "a_d2", "e_d2"}
             for kind, value in values.items():
-                assert co.QuasiCoefficient(kind, P.denominator(), P).eval(t) == value
+                assert co.QuasiCoefficient(kind, P).eval(t) == value
 
 
 def test_recovered_facet_coefficient(delta, half_order):

@@ -57,7 +57,9 @@ def test_codim2_data_delta(delta):
 
 def test_f1_is_lex_smaller_normal(delta):
     for g in all_codim2_data(delta):
-        assert tuple(g.v_F1) < tuple(g.v_F2)
+        v1, v2 = delta.inequalities[g.f1][0], delta.inequalities[g.f2][0]
+        assert v1 < v2
+        assert (g.norm1_sq, g.norm2_sq) == (linalg.norm_sq(v1), linalg.norm_sq(v2))
 
 
 def test_membership_scale(delta):
@@ -74,15 +76,16 @@ def test_transverse_cone_invariants_random():
         P = random_rational_polytope(rng)
         for g in all_codim2_data(P):
             r = transverse_lattice(P, g)
+            (v1, b1), (v2, b2) = P.inequalities[g.f1], P.inequalities[g.f2]
             # pairings of the cone generators with the facet normals
-            assert linalg.dot(r.v_F1_G, g.v_F1) == 0
-            assert linalg.dot(r.v_F2_G, g.v_F2) == 0
-            assert linalg.dot(r.v_F1_G, g.v_F2) == g.k
-            assert linalg.dot(r.v_F2_G, g.v_F1) == g.k
+            assert linalg.dot(r.v_F1_G, v1) == 0
+            assert linalg.dot(r.v_F2_G, v2) == 0
+            assert linalg.dot(r.v_F1_G, v2) == g.k
+            assert linalg.dot(r.v_F2_G, v1) == g.k
             # k^2 equals the normal Gram determinant over det(Lambda_G)^2
-            gram2 = ref.det(ref.gram([linalg.vec(g.v_F1), linalg.vec(g.v_F2)]))
+            gram2 = ref.det(ref.gram([linalg.vec(v1), linalg.vec(v2)]))
             assert Fraction(g.k) ** 2 == abs(gram2) / r.lam.gram_det
-            assert g.dot1 == g.k * g.x2 and g.dot2 == g.k * g.x1
+            assert b1 == g.k * g.x2 and b2 == g.k * g.x1
             assert g.norm2_sq == r.lam.gram_det * linalg.norm_sq(r.v_F2_G)
             # second generator in the unimodular cone basis
             assert tuple(r.v_F2_G) == tuple(
@@ -150,7 +153,10 @@ def test_local_data_matches_lattice_reference(P):
     for g in all_codim2_data(P):
         r = transverse_lattice(P, g)
         assert (g.k, g.h, g.x1, g.x2) == (r.k, r.h, r.x1, r.x2)
-        assert (g.dot1, g.dot2) == (linalg.dot(g.v_F1, r.xbar), linalg.dot(g.v_F2, r.xbar))
+        # G projects to xbar_G on both facets' hyperplanes
+        for f in (g.f1, g.f2):
+            a, b = P.inequalities[f]
+            assert linalg.dot(a, r.xbar) == b
     for c in range(1, P.dim + 1):
         for face in P.faces_of_codim(c):
             assert P.relative_volume(face) == reference_relative_volume(P, face)

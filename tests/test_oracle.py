@@ -321,7 +321,8 @@ def test_four_dimensional_sum_exact_off_the_vertices():
     # each with the angle 1/8 of a 3-dimensional octant
     P = Polytope(4, [(*v, w) for v in itertools.product((0, 1), repeat=3)
                      for w in (Fraction(1, 3), Fraction(4, 3))])
-    assert oracle.solid_angle_sum(P, 1) == 1.0
+    total = oracle.solid_angle_sum(P, 1)
+    assert isinstance(total, ExactValue) and total == ExactValue.of(1)
 
 
 FOUR_POLYTOPE = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0),

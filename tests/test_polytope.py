@@ -192,8 +192,7 @@ def test_face_lattice_counts(delta, cube):
     assert len(cube.codim2_faces()) == 12
     for f in delta.codim2_faces():
         assert f.dim == 1 and len(f.vertex_ids) == 2
-        i, j = delta.incident_facets(f)
-        assert i < j
+        assert len(f.tight_set) == 2
     assert [len(cube.faces_of_codim(c)) for c in range(4)] == [1, 6, 12, 8]
     (whole,) = cube.faces_of_codim(0)
     assert whole.tight_set == frozenset() and len(whole.vertex_ids) == 8
@@ -238,7 +237,14 @@ def test_faces_match_brute_force_reference(P):
         else:
             assert [f.vertex_ids for f in faces] == sorted(f.vertex_ids for f in faces)
         found |= {(f.tight_set, f.vertex_ids, f.dim, f.codim) for f in faces}
-    assert found == reference_faces(P)
+    reference = reference_faces(P)
+    assert found == reference
+    # each face keeps as its facets the faces one dimension lower inside it
+    for level in P._lattice:
+        for F, kept in level.items():
+            below = {r for r in reference if r[2] == F.dim - 1 and set(r[1]) <= set(F.vertex_ids)}
+            assert len(kept) == len(below)
+            assert {(G.tight_set, G.vertex_ids, G.dim, G.codim) for G in kept} == below
 
 
 def test_relative_volume(delta, cube):
