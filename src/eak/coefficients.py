@@ -147,37 +147,36 @@ def tetrahedron_identity(P: Polytope) -> Fraction:
 
 
 @dataclass(frozen=True)
-class QuasiPolynomialD3:
-    """Full degree-3 quasi-polynomial of one flavor: the closed-form top
-    coefficients plus one exact oracle evaluation per value."""
+class QuasiPolynomial:
+    """Full quasi-polynomial of one flavor, for d <= 3: the closed-form
+    top coefficients plus one exact oracle evaluation per value."""
 
     polytope: Polytope
     flavor: str  # a key of FLAVORS
 
     def value(self, t) -> ExactValue:
-        """base(t0) + vol (t^3 - t0^3) + c2(t) (t^2 - t0^2) + c1(t) (t - t0),
-        base the oracle (A_P or L_P) and t0 in (0, m] with t - t0 a multiple
-        of the period m, so that c2(t0) = c2(t) and c1(t0) = c1(t)."""
+        """base(t0) + vol (t^d - t0^d) + the sum over k = 1, 2 of c_{d-k}(t)
+        (t^{d-k} - t0^{d-k}), base the oracle (A_P or L_P) and t0 in (0, m]
+        with t - t0 a multiple of the period m, so that c_{d-k}(t0) =
+        c_{d-k}(t); the term with d = k vanishes, and d < k has none."""
         from eak import oracle
 
         t, P = Fraction(t), self.polytope
         if t <= 0:
             raise ValueError("positive t required")
-        m = P.denominator()
+        m, d = P.denominator(), P.dim
         t0 = t - m * math.ceil(t / m - 1)
         base = oracle.solid_angle_sum if self.flavor == "solid-angle" else oracle.count_points
-        c2, c1 = (QuasiCoefficient(kind, P).eval(t) for kind in FLAVORS[self.flavor])
-        return (
-            ExactValue.of(P.volume() * (t**3 - t0**3))
-            + base(P, t0)
-            + c2 * (t**2 - t0**2)
-            + c1 * (t - t0)
-        )
+        total = ExactValue.of(P.volume() * (t**d - t0**d)) + base(P, t0)
+        for k, kind in enumerate(FLAVORS[self.flavor][: d - 1], 1):
+            total = total + QuasiCoefficient(kind, P).eval(t) * (t ** (d - k) - t0 ** (d - k))
+        return total
 
 
-def complete_quasipolynomial_d3(P: Polytope, flavor: str) -> QuasiPolynomialD3:
-    if P.dim != 3:
-        raise ValueError("three-dimensional polytope required")
+def complete_quasipolynomial(P: Polytope, flavor: str) -> QuasiPolynomial:
+    if P.dim > 3:
+        raise ValueError("the t^1 coefficient of a 4-polytope has no closed form; "
+                         "dimension at most three required")
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    return QuasiPolynomialD3(P, flavor)
+    return QuasiPolynomial(P, flavor)

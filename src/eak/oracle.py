@@ -9,10 +9,10 @@ angle: 1 inside, 1/2 on a facet, the dihedral angle c_G of the local
 data on a codim-2 face, and on a codim-3 face (a vertex of a 3-polytope,
 an edge of a 4-polytope) Girard's theorem on the transverse cone: half
 the sum of its dihedral angles less (n - 2)/4 for n facets.
-Only the vertices of a 4-polytope fall back to Monte Carlo.  So A_P(t)
-is the interior count plus, for each tight set met on the boundary, its
-point count times one angle, and that angle, kept on the polytope,
-serves every t > 0."""
+The vertices of a 4-polytope have no exact rule: a sum that meets one
+refuses.  So A_P(t) is the interior count plus, for each tight set met
+on the boundary, its point count times one angle, and that angle, kept
+on the polytope, serves every t > 0."""
 
 from __future__ import annotations
 
@@ -27,9 +27,8 @@ from eak.exactval import ExactValue, exact_sum
 from eak.polytope import Polytope
 
 ENUMERATION_BUDGET = 10**7
-MC_SAMPLES = 10**6
-MC_SEED = 20240817
 INT64_LIMIT = 2**63
+VERTEX_REFUSAL = "no exact solid angle at a vertex of a 4-polytope"
 
 
 class BudgetExceeded(RuntimeError):
@@ -94,13 +93,13 @@ def count_points(P: Polytope, t) -> int:
 # ---------------------------------------------------------------------------
 # solid angles
 
-def _transverse_angle(P: Polytope, tight: tuple[int, ...]) -> ExactValue | float:
+def _transverse_angle(P: Polytope, tight: tuple[int, ...]) -> ExactValue | None:
     """Solid angle of P on the relative interior of the face with tight
     inequality set `tight`, by that face's codimension c in the face
     lattice of P.  At c = 2 it is the face's dihedral angle omega; at c = 3
     the dihedral angles of the transverse cone sit at the codim-2 faces of
-    P inside the tight set; at c = 4, a vertex of a 4-polytope, the angle
-    is a Monte Carlo float."""
+    P inside the tight set; at c = 4, a vertex of a 4-polytope, there is
+    no exact rule and the angle is None."""
     inside = frozenset(tight)
     c = next(
         (F.codim for k in range(P.dim + 1) for F in P.faces_of_codim(k) if F.tight_set == inside),
@@ -118,47 +117,53 @@ def _transverse_angle(P: Polytope, tight: tuple[int, ...]) -> ExactValue | float
     if c == 3:
         turns = [g.omega for g in codim2 if g.face.tight_set <= inside]
         return exact_sum(turns) / 2 - Fraction(len(tight) - 2, 4)
-    normals = [P.inequalities[i][0] for i in tight]
-    u = np.random.default_rng(MC_SEED).standard_normal((MC_SAMPLES, P.dim))
-    return float(np.mean(np.all(u @ np.array(normals, dtype=float).T <= 0.0, axis=1)))
+    return None
 
 
 def solid_angle_at(P: Polytope, x: Sequence, t=1) -> ExactValue:
-    """Exact solid angle of t*P at the point x (0 when x is outside)."""
+    """Exact solid angle of t*P at the point x (0 when x is outside);
+    refused at a vertex of a 4-polytope."""
     t = Fraction(t)
     x = linalg.vec(x)
-    if P.dim > 3:
-        raise ValueError("exact solid angles are limited to dimension <= 3")
     if not P.contains(x, t):
         return ExactValue.of(0)
     tight = tuple(i for i, (a, b) in enumerate(P.inequalities) if linalg.dot(a, x) == b * t)
-    return _transverse_angle(P, tight)
+    angle = _transverse_angle(P, tight)
+    if angle is None:
+        raise ValueError(VERTEX_REFUSAL)
+    return angle
 
 
-def solid_angle_sum(P: Polytope, t) -> ExactValue | float:
+def solid_angle_sum(P: Polytope, t) -> ExactValue:
     """A_P(t): the sum of solid angles of t*P over the integer points;
-    exact unless a point is a vertex of a 4-polytope, then a float.
+    refused when a point is a vertex of a 4-polytope.
 
     Boundary points are grouped by their tight rows (exact in int64, as
     _scaled_system bounds every row), and each group adds its count times
     the angle of its face.  The angle does not depend on t > 0, so it is
     kept in P._face_angles for every later t."""
-    return _angle_sum(P, *_enumerate(P, Fraction(t)))
+    total, left_out = _angle_sum(P, *_enumerate(P, Fraction(t)))
+    if left_out:
+        raise ValueError(VERTEX_REFUSAL)
+    return total
 
 
-def _angle_sum(P: Polytope, interior: int, boundary: np.ndarray, A, C) -> ExactValue | float:
-    """A_P(t) from the scan (interior, boundary, A, C) of t*P."""
+def _angle_sum(P: Polytope, interior: int, boundary: np.ndarray, A, C) -> tuple[ExactValue, int]:
+    """A_P(t) from the scan (interior, boundary, A, C) of t*P, less the
+    points at a vertex of a 4-polytope, and the number of those points."""
     patterns, counts = np.unique(boundary @ A.T == C, axis=0, return_counts=True)
     angles = P._face_angles
     terms = [ExactValue.of(interior)]
+    left_out = 0
     for pattern, n in zip(patterns, counts):
         key = tuple(np.flatnonzero(pattern).tolist())
         if key not in angles:
             angles[key] = _transverse_angle(P, key)
-        terms.append(angles[key] * int(n))
-    if any(isinstance(term, float) for term in terms):  # a vertex of a 4-polytope
-        return math.fsum(map(float, terms))
-    return exact_sum(terms)
+        if angles[key] is None:
+            left_out += int(n)
+        else:
+            terms.append(angles[key] * int(n))
+    return exact_sum(terms), left_out
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +197,6 @@ def appendixA_cross_check(P: Polytope, t) -> ExactValue:
     """A_P(t) by the per-point reference: the interior count plus
     solid_angle_at at every boundary point, added one by one, with no
     grouping by face; solid_angle_sum is checked against it."""
-    if P.dim != 3:
-        raise ValueError("three-dimensional polytope required")
     t = Fraction(t)
     interior, boundary, _, _ = _enumerate(P, t)
     total = ExactValue.of(interior)

@@ -152,12 +152,12 @@ class Polytope:
         if has_v == has_h:
             raise ValueError("exactly one of 'vertices' or 'inequalities' required")
         if has_v:
-            verts = [[_parse_rat(c) for c in _parse_json(list, v, "a vertex")]
+            verts = [[_parse_rat(c, "a vertex") for c in _parse_json(list, v, "a vertex")]
                      for v in _parse_json(list, data["vertices"], "'vertices'")]
             return Polytope(dim, verts)
         try:
             rows = [([_parse_int(c, "an entry of 'a'") for c in _parse_json(list, row["a"], "'a'")],
-                     _parse_rat(row["b"]))
+                     _parse_rat(row["b"], "'b'"))
                     for r in _parse_json(list, data["inequalities"], "'inequalities'")
                     for row in [_parse_json(dict, r, "an inequality")]]
         except KeyError as exc:
@@ -290,9 +290,9 @@ def _parse_json(kind: type, value, field: str):
     return value
 
 
-def _parse_rat(value) -> Fraction:
+def _parse_rat(value, field: str) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     if type(value) is int:
         return Fraction(value)
-    raise ValueError(f"rationals must be strings 'p/q' or integers, got {value!r}")
+    raise ValueError(f"{field}: rationals must be strings 'p/q' or integers, got {value!r}")

@@ -33,6 +33,10 @@ SIXTEEN_VERTICES = [
     (1, -1, 0, 0), (1, -1, 0, 1), (1, -1, 1, 0), (1, -1, 1, 2),
 ]
 
+# a 4-polytope with six integer vertices
+FOUR_POLYTOPE = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0),
+                 (0, 0, 0, 1), (1, 1, 1, 1)]
+
 
 @pytest.fixture
 def delta() -> Polytope:

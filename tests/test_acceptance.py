@@ -102,7 +102,7 @@ def test_criterion_03_order_simplex_golden_and_concrete_values():
             + Fraction(1, 24)
         )
         assert a2.eval(t).as_rational() == expected
-    q = co.complete_quasipolynomial_d3(ORDER, "solid-angle")
+    q = co.complete_quasipolynomial(ORDER, "solid-angle")
     for t in range(1, 7):
         assert q.value(t) == ExactValue.of(Fraction(t**3, 6))
     _report("criterion 03 (order simplex coefficients and A(t) = t^3/6)")

@@ -9,7 +9,7 @@ import pytest
 from eak import _kernels, coefficients, oracle
 from eak.cli import run
 
-from conftest import rhombic_dodecahedron
+from conftest import FOUR_POLYTOPE, rhombic_dodecahedron
 
 DELTA = {
     "dim": 3,
@@ -177,6 +177,46 @@ def test_verify_scans_each_dilation_once(delta_path, monkeypatch, capsys):
     assert len(scans) == 8
 
 
+# vertices by name: at t = 1, delta4 and four_polytope have lattice
+# vertices, whose angles the exact oracle leaves out
+EVERY_DIMENSION = {
+    "segment": [["1/2"], ["7/3"]],
+    "triangle": [[0, 0], ["3/2", 0], ["1/3", 2]],
+    "quadrilateral": [["-1/2", 0], [2, "-1/3"], ["3/2", "5/3"], [0, 1]],
+    "delta2": [[0, 0], [1, 0], [0, 1]],
+    "square": [[0, 0], [1, 0], [0, 1], [1, 1]],
+    "delta4": [[0] * 4, *([int(i == j) for j in range(4)] for i in range(4))],
+    "half_delta4": [[0] * 4, *([Fraction(i == j, 2) for j in range(4)] for i in range(4))],
+    "prism4": [[x, y, z, w] for x in (0, 1) for y in (0, 1) for z in (0, "1/2")
+               for w in ("1/3", "4/3")],
+    "four_polytope": FOUR_POLYTOPE,
+}
+
+
+def _write_polytope(tmp_path, name) -> str:
+    vertices = [[str(c) for c in v] for v in EVERY_DIMENSION[name]]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", EVERY_DIMENSION)
+def test_verify_in_every_dimension(name, tmp_path, capsys):
+    path = _write_polytope(tmp_path, name)
+    assert run(["verify", path, "--t", "1", "--t", "1/2", "--t", "2/3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    # a segment has only the vol, e_d1 and a_d1 rows
+    assert len(rows) == 3 * (3 if len(EVERY_DIMENSION[name][0]) == 1 else 5)
+    assert all(row.endswith("[pass]") for row in rows)
+
+
+def test_eval_below_and_above_dimension_three(tmp_path, capsys):
+    assert run(["eval", _write_polytope(tmp_path, "delta2"), "--t", "2"]) == 0
+    assert capsys.readouterr().out == "ehrhart(2) = 6\n"
+    assert run(["eval", _write_polytope(tmp_path, "delta4"), "--t", "2"]) == 2
+    _one_line_error(capsys, "4-polytope", "no closed form")
+
+
 def test_concrete_refuses_a_numerically_zero_defect(tmp_path, capsys):
     P = rhombic_dodecahedron(lambda x, y, z: (x + y + z, y + 2 * z, z))
     path = tmp_path / "rd.json"
@@ -323,8 +363,9 @@ def test_input_errors(delta_path, tmp_path, capsys):
         _one_line_error(capsys, "'e'", "must be an integer")
     # a boolean is not a rational, and an inequality names a missing key
     for words, data in (
-        (("rationals", "True"), {"dim": 1, "vertices": [[True], [0]]}),
-        (("rationals", "True"), {"dim": 2, "inequalities": [{"a": [1, 0], "b": True}, *square]}),
+        (("a vertex", "rationals", "True"), {"dim": 1, "vertices": [[True], [0]]}),
+        (("'b'", "rationals", "True"),
+         {"dim": 2, "inequalities": [{"a": [1, 0], "b": True}, *square]}),
         (("missing 'b'", "inequality"), {"dim": 2, "inequalities": [{"a": [1, 0]}, *square]}),
         (("missing 'a'", "inequality"), {"dim": 2, "inequalities": [{"b": "1"}, *square]}),
     ):
@@ -358,11 +399,12 @@ def test_input_errors(delta_path, tmp_path, capsys):
         _one_line_error(capsys, field, f"must be a JSON {kind}")
     # a float or a boolean is no rational in a lattice sum either
     for bad in (0.5, True):
-        for data in ({**lattice, "x": [bad, "1/3"]}, {**lattice, "basis": [[bad, 0], [0, 1]]}):
+        for field, data in (("'x'", {**lattice, "x": [bad, "1/3"]}),
+                            ("a column of 'basis'", {**lattice, "basis": [[bad, 0], [0, 1]]})):
             malformed = tmp_path / "malformed.json"
             malformed.write_text(json.dumps(data))
             assert run(["lattice-sum", str(malformed)]) == 2
-            _one_line_error(capsys, "rationals must be", repr(bad))
+            _one_line_error(capsys, field, "rationals must be", repr(bad))
     # an unwritable report path is an input error, not a traceback
     assert run(["analyze", delta_path, "--json", str(tmp_path / "missing" / "x.json")]) == 2
     _one_line_error(capsys, "cannot write")

@@ -85,6 +85,53 @@ def test_recovered_facet_coefficient(delta, half_order):
             assert co.recovered_a_d1(P, t) == direct.eval(t)
 
 
+@settings(max_examples=25, deadline=None)
+@given(rational_polytopes((1, 4), 2), st.fractions(0, 4, max_denominator=6))
+def test_recovered_facet_coefficient_in_every_dimension(P, t):
+    assert co.recovered_a_d1(P, t) == co.coeff_a_d1(P).eval(t)
+
+
+def _image(P, U, v):
+    """The polytope U P + v."""
+    return Polytope(P.dim, [[sum(u * c for u, c in zip(row, x)) + w for row, w in zip(U, v)]
+                            for x in P.vertices])
+
+
+@st.composite
+def shears(draw, d):
+    """A unimodular d x d matrix, a product of shears x_i += c x_j."""
+    U = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-2, 2))
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    return U
+
+
+@st.composite
+def signed_permutations(draw, d):
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=d, max_size=d))
+    return [[s * int(j == p) for j in range(d)] for p, s in zip(perm, signs)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), P=rational_polytopes((2, 4), 2),
+       t=st.fractions(Fraction(1, 6), 4, max_denominator=6))
+def test_coefficients_are_invariant_under_lattice_maps(data, P, t):
+    """e_d1, e_d2 and a_d1 are lattice invariants: a unimodular map plus an
+    integer translation v with t v integral keeps them.  a_d2 holds
+    Euclidean dihedral angles, so only a signed permutation, which is also
+    orthogonal, keeps all four."""
+    d = P.dim
+    w = data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    v = [t.denominator * c for c in w]
+    values = co.evaluate(P, t)
+    sheared = co.evaluate(_image(P, data.draw(shears(d)), v), t)
+    assert all(sheared[kind] == values[kind] for kind in ("e_d1", "e_d2", "a_d1"))
+    assert co.evaluate(_image(P, data.draw(signed_permutations(d)), v), t) == values
+
+
 def test_tetrahedron_identity(delta, order):
     assert co.tetrahedron_identity(delta) == 0
     assert co.tetrahedron_identity(order) == 0
@@ -101,13 +148,31 @@ def test_tetrahedron_identity_rejects(cube, half_order):
 
 
 def test_complete_quasipolynomial(delta, order):
-    q = co.complete_quasipolynomial_d3(delta, "ehrhart")
+    q = co.complete_quasipolynomial(delta, "ehrhart")
     for t in range(1, 5):
         expected = Fraction((t + 1) * (t + 2) * (t + 3), 6)
         assert q.value(t).as_rational() == expected
         assert q.value(t).as_rational() == oracle.count_points(delta, t)
-    s = co.complete_quasipolynomial_d3(order, "solid-angle")
+    s = co.complete_quasipolynomial(order, "solid-angle")
     for t in range(1, 5):
         assert s.value(t) == ExactValue.of(Fraction(t**3, 6))
     with pytest.raises(ValueError):
-        co.complete_quasipolynomial_d3(delta, "euler")
+        co.complete_quasipolynomial(delta, "euler")
+
+
+def test_complete_quasipolynomial_below_dimension_three():
+    # beyond the period, so that the closed-form coefficients enter
+    segment = Polytope(1, [(Fraction(1, 2),), (Fraction(7, 3),)])
+    triangle = Polytope(2, [(0, 0), (Fraction(3, 2), 0), (Fraction(1, 3), 2)])
+    for P in (segment, triangle):
+        ehrhart = co.complete_quasipolynomial(P, "ehrhart")
+        angles = co.complete_quasipolynomial(P, "solid-angle")
+        for t in (Fraction(13, 3), 9, Fraction(31, 6)):
+            assert ehrhart.value(t) == ExactValue.of(oracle.count_points(P, t))
+            assert angles.value(t) == oracle.solid_angle_sum(P, t)
+
+
+def test_complete_quasipolynomial_refuses_dimension_four():
+    delta4 = Polytope(4, [(0,) * 4, *(tuple(int(i == j) for j in range(4)) for i in range(4))])
+    with pytest.raises(ValueError, match="no closed form"):
+        co.complete_quasipolynomial(delta4, "ehrhart")

@@ -17,6 +17,7 @@ from eak.polytope import Polytope
 
 import reference_linalg as ref
 from conftest import (
+    FOUR_POLYTOPE,
     random_integer_polytope,
     random_rational_polytope,
     vandermonde_interpolation,
@@ -282,9 +283,9 @@ dilations = st.one_of(
 
 
 def _per_point_sum(P, t):
-    """A_P(t) with no grouping by face: for d = 3 the per-point reference,
-    below it solid_angle_at summed over the bounding box of t*P."""
-    if P.dim == 3:
+    """A_P(t) with no grouping by face: from d = 3 on the per-point
+    reference, below it solid_angle_at summed over the bounding box of t*P."""
+    if P.dim >= 3:
         return oracle.appendixA_cross_check(P, t)
     box = [
         range(
@@ -299,21 +300,49 @@ def _per_point_sum(P, t):
     return total
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+def _value_or_refusal(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_bucketed_sum_matches_per_point_sum(d, data):
+    """Both sums agree, or, when t*P has a lattice point at a vertex of a
+    4-polytope, both refuse with the same message."""
     P = data.draw(rational_polytopes(d))
     # the second dilation reads the face angles the first one kept on P
     for t in data.draw(st.lists(dilations, min_size=1, max_size=2, unique=True)):
-        assert oracle.solid_angle_sum(P, t) == _per_point_sum(P, t)
+        assert (_value_or_refusal(oracle.solid_angle_sum, P, t)
+                == _value_or_refusal(_per_point_sum, P, t))
 
 
-def test_four_dimensional_monte_carlo():
-    cube4 = Polytope(4, list(itertools.product((0, 1), repeat=4)))
-    total = oracle.solid_angle_sum(cube4, 1)
-    assert isinstance(total, float)
-    assert total == pytest.approx(1.0, abs=5e-3)
+CUBE4 = Polytope(4, list(itertools.product((0, 1), repeat=4)))
+
+
+def test_four_dimensional_sum_refuses_at_the_vertices():
+    # 2*[0,1]^4 has 81 lattice points; its 16 vertices have no exact angle
+    with pytest.raises(ValueError) as refusal:
+        oracle.solid_angle_sum(CUBE4, 2)
+    assert "vertex" in str(refusal.value) and "\n" not in str(refusal.value)
+    total, left_out = oracle._angle_sum(CUBE4, *oracle._enumerate(CUBE4, Fraction(2)))
+    assert left_out == 16
+    # A(2) = vol(2*[0,1]^4) = 16, less the 16 vertex angles of 1/16
+    assert total == ExactValue.of(15)
+
+
+def test_four_dimensional_vertex_angle_matches_monte_carlo():
+    # the angle the exact sum leaves out at each vertex, sampled here
+    tight = tuple(i for i, (a, b) in enumerate(CUBE4.inequalities)
+                  if linalg.dot(a, (0, 0, 0, 0)) == b)
+    normals = np.array([CUBE4.inequalities[i][0] for i in tight], dtype=float)
+    u = np.random.default_rng(20240817).standard_normal((10**6, 4))
+    sampled = np.mean(np.all(u @ normals.T <= 0.0, axis=1))
+    assert 16 * sampled == pytest.approx(1.0, abs=5e-3)
 
 
 def test_four_dimensional_sum_exact_off_the_vertices():
@@ -323,10 +352,16 @@ def test_four_dimensional_sum_exact_off_the_vertices():
                      for w in (Fraction(1, 3), Fraction(4, 3))])
     total = oracle.solid_angle_sum(P, 1)
     assert isinstance(total, ExactValue) and total == ExactValue.of(1)
+    # solid_angle_at gives the same angle at one point on an edge
+    assert oracle.solid_angle_at(P, (0, 0, 0, 1)) == ExactValue.of(Fraction(1, 8))
 
 
-FOUR_POLYTOPE = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0),
-                 (0, 0, 0, 1), (1, 1, 1, 1)]
+def test_solid_angle_at_refuses_a_vertex_of_a_4_polytope():
+    delta4 = Polytope(4, [(0,) * 4, *(tuple(int(i == j) for j in range(4)) for i in range(4))])
+    with pytest.raises(ValueError, match="vertex of a 4-polytope"):
+        oracle.solid_angle_at(delta4, (0, 1, 0, 0))
+    # off the vertices the angle is exact: 1/2 inside a facet
+    assert oracle.solid_angle_at(delta4, (0, 1, 1, 1), 4) == ExactValue.of(Fraction(1, 2))
 
 
 def test_four_dimensional_edge_angles_match_monte_carlo():
