@@ -57,15 +57,25 @@ def periodized(r: int, x) -> Fraction:
         raise ValueError("periodization needs degree >= 1")
     x = Fraction(x)
     q = x.denominator
-    p = x.numerator % q  # frac(x) = p/q
-    # Every coefficient term and Dedekind-Rademacher step uses degree 1 or
-    # 2, so these skip the Horner loop over Fractions:
-    # B1(p/q) = (2p - q)/(2q) and B2(p/q) = (6p^2 - 6pq + q^2)/(6q^2).
+    # Every coefficient term uses degree 1 or 2, so these skip the Horner
+    # loop over Fractions
     if r == 1:
-        return Fraction(0) if p == 0 else Fraction(2 * p - q, 2 * q)
+        return Fraction(b1_scaled(x.numerator, q), 2 * q)
     if r == 2:
-        return Fraction(6 * p * p - 6 * p * q + q * q, 6 * q * q)
-    return bernoulli_poly(r, Fraction(p, q))
+        return Fraction(b2_scaled(x.numerator, q), 6 * q * q)
+    return bernoulli_poly(r, Fraction(x.numerator % q, q))
+
+
+def b1_scaled(S: int, q: int) -> int:
+    """2q B1~(S/q), an integer: 2p - q with p = S mod q, and 0 at p = 0."""
+    p = S % q
+    return 2 * p - q if p else 0
+
+
+def b2_scaled(S: int, q: int) -> int:
+    """6q^2 B2~(S/q) = 6p^2 - 6pq + q^2 with p = S mod q, an integer."""
+    p = S % q
+    return 6 * p * (p - q) + q * q
 
 
 def one_sided_B1(x, side: str) -> Fraction:

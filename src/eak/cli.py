@@ -4,6 +4,7 @@ sums, lattice sums and concreteness checks for rational polytopes."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -311,7 +312,10 @@ def _cmd_concrete(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state
+    on it, each call starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="eak",
         description="Exact solid-angle sums, Ehrhart quasi-coefficients and "

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from eak.bernoulli import is_integer, one_sided_B1, periodized
-from eak.dedekind import dr_sum_fast
+from eak.bernoulli import b1_scaled, b2_scaled, is_integer, periodized
+from eak.dedekind import dr_sum_scaled
 from eak.exactval import ExactValue, exact_sum
 from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
@@ -42,36 +42,51 @@ def _facet_walk(P: Polytope, t: Fraction) -> dict[str, ExactValue]:
     return {"a_d1": ExactValue.of(a), "e_d1": ExactValue.of(a + boundary / 2)}
 
 
-def _codim2_walk(P: Polytope, t: Fraction) -> dict[str, ExactValue]:
-    """a_{d-2}(t) and e_{d-2}(t) from one pass over the codim-2 faces.
+def _codim2_walk(P: Polytope, t: Fraction, angles: bool = True) -> dict[str, ExactValue]:
+    """a_{d-2}(t) and e_{d-2}(t) from one pass over the codim-2 faces;
+    e_{d-2}(t) alone when angles is False, which reads no omega_G.
 
     Both flavors share each face's second-Bernoulli part less its
     Dedekind-Rademacher sum s(h,k;x,y).  The solid-angle flavor adds
     omega_G - 1/4 where t xbar_G lies in Lambda_G^*; the Ehrhart flavor
-    subtracts one B1 boundary correction for each integral offset."""
+    subtracts one B1 boundary correction for each integral offset.
+
+    Each face's values are integers over one denominator: s_i = b_i t is
+    S_i/q, and x, y and the offsets of the B1 corrections are integers
+    over n = kq, so a face and a t build one Fraction for the shared part
+    and, where a correction applies, one more."""
     shared = quarter = correction = Fraction(0)
-    angles = []
+    members = []
     for g in all_codim2_data(P):
-        # (c_G/2k) ((|v2|/|v1|) B2~(b1 t) + (|v1|/|v2|) B2~(b2 t)), b_i the
-        # offset of F_i, by the rational regrouping c_G |v2|/|v1| = -<v1,v2>/|v1|^2
-        s1, s2 = P.inequalities[g.f1][1] * t, P.inequalities[g.f2][1] * t
-        b2 = -g.dot12 / (2 * g.k) * (
-            periodized(2, s1) / g.norm1_sq + periodized(2, s2) / g.norm2_sq
+        k, h = g.k, g.h
+        q = g.den * t.denominator
+        S1, S2 = g.b1_num * t.numerator, g.b2_num * t.numerator
+        n, X = k * q, S2 + h * S1  # x = X/n, y = -s1 = -kS1/n
+        # (c_G/2k) ((|v2|/|v1|) B2~(s1) + (|v1|/|v2|) B2~(s2)), by the rational
+        # regrouping c_G |v2|/|v1| = -<v1,v2>/|v1|^2, over 12kq^2 |v1|^2 |v2|^2
+        b2_den = 12 * n * q * g.norm1_sq * g.norm2_sq
+        b2_num = -g.dot12 * (g.norm2_sq * b2_scaled(S1, q) + g.norm1_sq * b2_scaled(S2, q))
+        s = dr_sum_scaled(h, k, X, -k * S1, n)
+        vol = g.vol_star
+        shared += Fraction(
+            (b2_num * s.denominator - s.numerator * b2_den) * vol.numerator,
+            b2_den * s.denominator * vol.denominator,
         )
-        x, y = (g.x1 + g.h * g.x2) * t, -s1
-        shared += (b2 - dr_sum_fast(g.h, g.k, x, y)) * g.vol_star
-        if is_integer(s2):
-            correction += periodized(1, (g.h_inv * g.x1 + g.x2) * t) * g.vol_star
-        if is_integer(y):
-            correction += one_sided_B1(x, "plus") * g.vol_star
-        if g.membership_scale(t):
-            quarter += g.vol_star
-            angles.append(g.omega * g.vol_star)
-    a_d2 = exact_sum([shared - quarter / 4, *angles])
-    return {"a_d2": a_d2, "e_d2": ExactValue.of(shared - correction / 2)}
-
-
-_WALKS = {"a_d1": _facet_walk, "e_d1": _facet_walk, "a_d2": _codim2_walk, "e_d2": _codim2_walk}
+        # 2n B1~ of each correction: ((h_inv s2 + s1)/k) where s2 is integral,
+        # and the right limit at x where y is, which is -1/2 at an integer x
+        c = b1_scaled(g.h_inv * S2 + S1, n) if S2 % q == 0 else 0
+        if S1 % q == 0:
+            r = X % n
+            c += 2 * r - n
+            if r == 0:  # t xbar_G in Lambda_G^*: s1 and x integral
+                quarter += vol
+                members.append((g, vol))
+        if c:
+            correction += Fraction(c * vol.numerator, 2 * n * vol.denominator)
+    values = {"e_d2": ExactValue.of(shared - correction / 2)}
+    if angles:
+        values["a_d2"] = exact_sum([shared - quarter / 4, *(g.omega * vol for g, vol in members)])
+    return values
 
 
 def evaluate(P: Polytope, t) -> dict[str, ExactValue]:
@@ -94,7 +109,10 @@ class QuasiCoefficient:
         return self.polytope.denominator()
 
     def eval(self, t) -> ExactValue:
-        return _WALKS[self.kind](self.polytope, Fraction(t))[self.kind]
+        t = Fraction(t)
+        if self.kind in ("a_d1", "e_d1"):
+            return _facet_walk(self.polytope, t)[self.kind]
+        return _codim2_walk(self.polytope, t, angles=self.kind == "a_d2")[self.kind]
 
 
 def coeff_a_d1(P: Polytope) -> QuasiCoefficient:
@@ -137,8 +155,8 @@ def tetrahedron_identity(P: Polytope) -> Fraction:
         # facet volume is vol*(F) |v_F| (sublattice determinant identity),
         # the norm factors cancel out of the volume ratios entirely.
         term = (
-            -g.dot12 / g.norm2_sq
-            - g.dot12 / g.norm1_sq
+            -Fraction(g.dot12, g.norm2_sq)
+            - Fraction(g.dot12, g.norm1_sq)
             - vol2 / (3 * vol1)
             - vol1 / (3 * vol2)
         )

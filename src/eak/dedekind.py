@@ -5,9 +5,11 @@ The two-parameter sum is
     s(h, k; x, y) = sum_{r mod k} B1~(h(r+y)/k + x) * B1~((r+y)/k)
 
 with B1~ the periodized first Bernoulli polynomial.  ``dr_sum_direct``
-evaluates the definition; ``dr_sum_fast`` descends through the
-reciprocity law (Euclidean-style, like computing a gcd) and falls back
-to the direct sum for small modulus.
+evaluates the definition and ``_reciprocity_rhs`` the right-hand side of
+the reciprocity law, both on Fractions.  ``dr_sum_scaled`` descends
+through that law (Euclidean-style, like computing a gcd) on integers,
+with x and y over one denominator, and sums the definition directly for
+small modulus; ``dr_sum_fast`` takes x and y as rationals and calls it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from eak.bernoulli import is_integer, periodized
+from eak.bernoulli import b1_scaled, b2_scaled, is_integer, periodized
 
 # A descent step costs about as much as a few terms of the direct sum, so
 # descending down to a tiny modulus keeps the cost near log(k); a larger
@@ -60,19 +62,61 @@ def dr_sum_fast(h: int, k: int, x=0, y=0) -> Fraction:
     """s(h,k;x,y) via reciprocity descent; equal to dr_sum_direct."""
     h, k = _validate(h, k)
     x, y = Fraction(x), Fraction(y)
-    return _fast(h, k, x, y)
+    q = math.lcm(x.denominator, y.denominator)
+    return dr_sum_scaled(h, k, x.numerator * (q // x.denominator),
+                         y.numerator * (q // y.denominator), q)
 
 
-def _fast(h: int, k: int, x: Fraction, y: Fraction) -> Fraction:
-    h, k, x, y = normalize_args(h, k, x, y)
-    if k <= _DIRECT_CUTOFF:
-        return dr_sum_direct(h, k, x, y)
-    if h == 1 and is_integer(x) and is_integer(y):
-        # integral x and y leave the classical sum s(1,k) = (k-1)(k-2)/(12k)
-        return Fraction((k - 1) * (k - 2), 12 * k)
-    # reciprocity: s(h,k;x,y) = RHS - s(k,h;y,x), with 1 <= h < k
-    rhs = _reciprocity_rhs(h, k, x, y)
-    return rhs - _fast(k, h, y, x)
+def dr_sum_scaled(h: int, k: int, X: int, Y: int, q: int) -> Fraction:
+    """s(h,k;X/q,Y/q) for integers h >= 0, k >= 1 coprime and q >= 1.
+
+    The descent carries x = X/q and y = Y/q over the one denominator q:
+    the reduction (h mod k, x + m y) and the reciprocity swap (k, h, y, x)
+    both keep it, so each step is integer arithmetic ending in one
+    Fraction, its reciprocity term."""
+    rhs = []  # s = rhs[0] - rhs[1] + rhs[2] - ... +- the sum at the base
+    while True:
+        m, h = divmod(h, k)
+        X += m * Y
+        if k <= _DIRECT_CUTOFF:
+            value = _direct_scaled(h, k, X, Y, q)
+            break
+        if h == 1 and X % q == 0 and Y % q == 0:
+            # integral x and y leave the classical sum s(1,k) = (k-1)(k-2)/(12k)
+            value = Fraction((k - 1) * (k - 2), 12 * k)
+            break
+        # reciprocity: s(h,k;x,y) = RHS - s(k,h;y,x), with 1 <= h < k
+        rhs.append(_reciprocity_rhs_scaled(h, k, X, Y, q))
+        h, k, X, Y = k, h, Y, X
+    for r in reversed(rhs):
+        value = r - value
+    return value
+
+
+def _direct_scaled(h: int, k: int, X: int, Y: int, q: int) -> Fraction:
+    # the term r is B1~(a/n) B1~(b/n) = (2a - n)(2b - n)/(4n^2), n = kq, with
+    # b = (rq + Y) mod n and a = (h(rq + Y) + kX) mod n; it is 0 where a or b is
+    n, total = k * q, 0
+    for r in range(k):
+        b = (r * q + Y) % n
+        a = (h * (r * q + Y) + k * X) % n
+        if a and b:
+            total += (2 * a - n) * (2 * b - n)
+    return Fraction(total, 4 * n * n)
+
+
+def _reciprocity_rhs_scaled(h: int, k: int, X: int, Y: int, q: int) -> Fraction:
+    # _reciprocity_rhs over 12hkq^2, by B1~(S/q) = b1_scaled(S, q)/(2q) and
+    # B2~(S/q) = b2_scaled(S, q)/(6q^2)
+    qq = q * q
+    ind = qq if X % q == 0 and Y % q == 0 else 0
+    num = (
+        3 * h * k * (b1_scaled(X, q) * b1_scaled(Y, q) - ind)
+        + h * h * b2_scaled(Y, q)
+        + b2_scaled(k * X + h * Y, q)
+        + k * k * b2_scaled(X, q)
+    )
+    return Fraction(num, 12 * h * k * qq)
 
 
 def _reciprocity_rhs(h: int, k: int, x: Fraction, y: Fraction) -> Fraction:

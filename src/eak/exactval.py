@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 RationalLike = Union[Fraction, int]
 
@@ -93,6 +94,8 @@ class AngleValue:
 
     def eval_numeric(self, precision: int = 53) -> mpmath.mpf:
         """arccos value at the given binary precision."""
+        import mpmath  # only numeric checks load it
+
         with mpmath.workprec(precision + 8):
             c = self.sign * mpmath.sqrt(mpmath.mpf(self.cos_squared.numerator)
                                         / self.cos_squared.denominator)
@@ -217,6 +220,8 @@ class ExactValue:
         """Numeric value, accurate to 2^(-precision+8); deterministic."""
         if precision < 53:
             raise ValueError("precision must be at least 53 bits")
+        import mpmath  # only numeric checks load it
+
         with mpmath.workprec(precision + 8):
             total = mpmath.mpf(self.rational_part.numerator) / self.rational_part.denominator
             two_pi = 2 * mpmath.pi

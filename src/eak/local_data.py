@@ -2,17 +2,19 @@
 
 For a codimension-two face G this is the transverse-cone description,
 read from its two facet normals and their offsets alone: the cone type
-(h, k), the barycentric offsets (x1, x2) and the exact dihedral angle,
-as a cosine and in turns.  It names its two facets by index, and a
-facet needs no record of its own: its normal and offset are
-P.inequalities[i] and its relative volume is P.relative_volume(F).  Each polytope's data is built once, on first use,
-and kept on it.
+(h, k), the two offsets as integers over one denominator, from which the
+barycentric offsets (x1, x2) follow, and the exact dihedral angle, as a
+cosine and, on first use, in turns.  It names its two facets by index,
+and a facet needs no record of its own: its normal and offset are
+P.inequalities[i] and its relative volume is P.relative_volume(F).  Each
+polytope's data is built once, on first use, and kept on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from eak import linalg
@@ -25,17 +27,31 @@ class CodimTwoData:
     face: Face
     f1: int  # facet indices: (v_Fi, b_i) = P.inequalities[fi], and
     f2: int  # F1 has the lexicographically smaller normal
-    norm1_sq: Fraction
-    norm2_sq: Fraction
-    dot12: Fraction  # <v_F1, v_F2>
+    norm1_sq: int
+    norm2_sq: int
+    dot12: int  # <v_F1, v_F2>
     c_G: AngleValue  # cosine of the transverse angle
-    omega: ExactValue  # the transverse angle in turns, arccos(c_G)/(2pi)
     k: int
     h: int
     h_inv: int
-    x1: Fraction  # b2 / k, with b2 = <v_F2, xbar_G>
-    x2: Fraction  # b1 / k
+    den: int  # the lcm of the denominators of b1 and b2
+    b1_num: int  # b1 * den
+    b2_num: int  # b2 * den
     vol_star: Fraction
+
+    @property
+    def x1(self) -> Fraction:
+        return Fraction(self.b2_num, self.k * self.den)  # b2 / k
+
+    @property
+    def x2(self) -> Fraction:
+        return Fraction(self.b1_num, self.k * self.den)  # b1 / k
+
+    @cached_property
+    def omega(self) -> ExactValue:
+        """The transverse angle in turns, arccos(c_G)/(2pi); only the
+        solid-angle flavor reads it."""
+        return ExactValue.angle_turn(self.c_G)
 
     def membership_scale(self, t) -> bool:
         """Whether t * xbar_G lies in Lambda_G^*."""
@@ -49,8 +65,8 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
     # a ridge lies in exactly two facets; F1 has the lex-smaller normal
     i, j = sorted(face.tight_set, key=P.inequalities.__getitem__)
     (v1, b1), (v2, b2) = P.inequalities[i], P.inequalities[j]
-    n1, n2 = linalg.norm_sq(v1), linalg.norm_sq(v2)
-    dot12 = linalg.dot(v1, v2)
+    n1, n2 = int(linalg.norm_sq(v1)), int(linalg.norm_sq(v2))
+    dot12 = int(linalg.dot(v1, v2))
     c_G = angle_of_cos_ratio(-dot12, n1 * n2)
 
     # x -> (<v1, x>, <v2, x>) maps the dual of Lambda_G onto the sublattice
@@ -61,6 +77,7 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
     k = math.gcd(*linalg.maximal_minors([v1, v2]).values())
     h = -sum(a * x for a, x in zip(v2, _unit_preimage(v1))) % k
     h_inv = 1 if k == 1 else pow(h, -1, k)
+    den = math.lcm(b1.denominator, b2.denominator)
     return CodimTwoData(
         face=face,
         f1=i,
@@ -69,12 +86,12 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
         norm2_sq=n2,
         dot12=dot12,
         c_G=c_G,
-        omega=ExactValue.angle_turn(c_G),
         k=k,
         h=h,
         h_inv=h_inv,
-        x1=b2 / k,
-        x2=b1 / k,
+        den=den,
+        b1_num=int(b1 * den),
+        b2_num=int(b2 * den),
         vol_star=P.relative_volume(face),
     )
 

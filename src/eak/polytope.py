@@ -292,7 +292,10 @@ def _parse_json(kind: type, value, field: str):
 
 def _parse_rat(value, field: str) -> Fraction:
     if isinstance(value, str):
-        return parse_rational(value)
+        try:
+            return parse_rational(value)
+        except ValueError as exc:
+            raise ValueError(f"{field}: {exc}") from None
     if type(value) is int:
         return Fraction(value)
     raise ValueError(f"{field}: rationals must be strings 'p/q' or integers, got {value!r}")

@@ -1,0 +1,43 @@
+"""Reference codimension-two walk on Fractions.
+
+This is the walk the package used before it evaluated each face over one
+integer denominator: every value is a Fraction, the Dedekind-Rademacher
+sum comes from ``dr_sum_direct`` on the normalized arguments, and the B1
+corrections and the membership test read the rational offsets x1 and x2.
+The tests compare ``coefficients._codim2_walk`` with it exactly.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from eak.bernoulli import is_integer, one_sided_B1, periodized
+from eak.dedekind import dr_sum_direct, normalize_args
+from eak.exactval import ExactValue, exact_sum
+from eak.local_data import all_codim2_data
+from eak.polytope import Polytope
+
+
+def codim2_walk(P: Polytope, t) -> dict[str, ExactValue]:
+    """a_{d-2}(t) and e_{d-2}(t), term by term in Fractions."""
+    t = Fraction(t)
+    shared = quarter = correction = Fraction(0)
+    angles = []
+    for g in all_codim2_data(P):
+        # (c_G/2k) ((|v2|/|v1|) B2~(b1 t) + (|v1|/|v2|) B2~(b2 t)), b_i the
+        # offset of F_i, by the rational regrouping c_G |v2|/|v1| = -<v1,v2>/|v1|^2
+        s1, s2 = P.inequalities[g.f1][1] * t, P.inequalities[g.f2][1] * t
+        b2 = -Fraction(g.dot12) / (2 * g.k) * (
+            periodized(2, s1) / g.norm1_sq + periodized(2, s2) / g.norm2_sq
+        )
+        x, y = (g.x1 + g.h * g.x2) * t, -s1
+        shared += (b2 - dr_sum_direct(*normalize_args(g.h, g.k, x, y))) * g.vol_star
+        if is_integer(s2):
+            correction += periodized(1, (g.h_inv * g.x1 + g.x2) * t) * g.vol_star
+        if is_integer(y):
+            correction += one_sided_B1(x, "plus") * g.vol_star
+        if g.membership_scale(t):
+            quarter += g.vol_star
+            angles.append(g.omega * g.vol_star)
+    a_d2 = exact_sum([shared - quarter / 4, *angles])
+    return {"a_d2": a_d2, "e_d2": ExactValue.of(shared - correction / 2)}

@@ -1,13 +1,15 @@
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
 from eak import _kernels, coefficients, oracle
-from eak.cli import run
+from eak.cli import build_parser, run
 
 from conftest import FOUR_POLYTOPE, rhombic_dodecahedron
 
@@ -40,17 +42,43 @@ def test_analyze_sums_each_dedekind_rademacher_sum_once(delta_path, monkeypatch,
     # both flavors share each codim-2 face's Dedekind-Rademacher sum: one
     # call per (edge, t) for the 6 edges of Delta_3 at two values of t
     calls = []
-    dr_sum_fast = coefficients.dr_sum_fast
+    dr_sum_scaled = coefficients.dr_sum_scaled
 
-    def counted(h, k, x, y):
-        calls.append((h, k, x, y))
-        return dr_sum_fast(h, k, x, y)
+    def counted(h, k, X, Y, q):
+        calls.append((h, k, X, Y, q))
+        return dr_sum_scaled(h, k, X, Y, q)
 
-    monkeypatch.setattr(coefficients, "dr_sum_fast", counted)
+    monkeypatch.setattr(coefficients, "dr_sum_scaled", counted)
     args = ["--flavor", "both", "--eval", "1", "--eval", "1/2"]
     assert run(["analyze", delta_path, *args]) == 0
     assert "e_d2 = 11/6" in capsys.readouterr().out
     assert len(calls) == 6 * 2
+
+
+def test_one_parser_serves_every_call(delta_path, tmp_path, capsys):
+    # the parser is built once per process, and no --eval list of one call
+    # leaks into the next
+    assert build_parser() is build_parser()
+    report = tmp_path / "report.json"
+    assert run(["analyze", delta_path, "--eval", "1", "--json", str(report)]) == 0
+    assert len(json.loads(report.read_text())["evaluations"]) == 2
+    assert run(["analyze", delta_path, "--json", str(report)]) == 0
+    assert json.loads(report.read_text())["evaluations"] == []
+    capsys.readouterr()
+    assert run(["analyze", delta_path, "--flavor", "neither"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(["dedekind", "1", "5"]) == 0
+    assert capsys.readouterr().out.strip() == "1/5"
+
+
+def test_import_loads_no_mpmath():
+    # only the numeric checks of exactval need mpmath, and they import it
+    code = "import sys, eak.cli, eak.oracle; print('mpmath' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coefficients.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_analyze_segment(tmp_path, capsys):
@@ -229,6 +257,10 @@ def test_dedekind(capsys):
     assert run(["dedekind", "1", "5"]) == 0
     assert capsys.readouterr().out.strip() == "1/5"
     assert run(["dedekind", "3", "7", "1/2", "1/3"]) == 0
+    capsys.readouterr()
+    # beyond the direct cutoff, with x and y over different denominators
+    assert run(["dedekind", "35", "97", "1/3", "1/2"]) == 0
+    assert capsys.readouterr().out.strip() == "-6/97"
 
 
 def test_lattice_sum(tmp_path, capsys):
@@ -368,6 +400,10 @@ def test_input_errors(delta_path, tmp_path, capsys):
          {"dim": 2, "inequalities": [{"a": [1, 0], "b": True}, *square]}),
         (("missing 'b'", "inequality"), {"dim": 2, "inequalities": [{"a": [1, 0]}, *square]}),
         (("missing 'a'", "inequality"), {"dim": 2, "inequalities": [{"b": "1"}, *square]}),
+        # a string that is no rational names its field first
+        ((": a vertex: ", "'x'"), {"dim": 1, "vertices": [["0"], ["x"]]}),
+        ((": 'b': ", "zero denominator", "'1/0'"),
+         {"dim": 2, "inequalities": [{"a": [1, 0], "b": "1/0"}, *square]}),
     ):
         malformed = tmp_path / "malformed.json"
         malformed.write_text(json.dumps(data))

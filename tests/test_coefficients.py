@@ -2,15 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eak import coefficients as co
 from eak import oracle
 from eak.bernoulli import is_integer, one_sided_B1, periodized
 from eak.exactval import AngleValue, ExactValue
+from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
 
+import reference_coefficients as ref
 from conftest import random_tetrahedron, rational_polytopes
 
 
@@ -130,6 +132,50 @@ def test_coefficients_are_invariant_under_lattice_maps(data, P, t):
     sheared = co.evaluate(_image(P, data.draw(shears(d)), v), t)
     assert all(sheared[kind] == values[kind] for kind in ("e_d1", "e_d2", "a_d1"))
     assert co.evaluate(_image(P, data.draw(signed_permutations(d)), v), t) == values
+
+
+def _walk_matches_the_reference(P, t):
+    values = co._codim2_walk(P, t)
+    assert values == ref.codim2_walk(P, t)
+    assert co._codim2_walk(P, t, angles=False) == {"e_d2": values["e_d2"]}
+
+
+@settings(max_examples=25, deadline=None)
+@given(rational_polytopes((2, 4), 2), st.fractions(-4, 4, max_denominator=12))
+@example(Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]), Fraction(0))
+@example(Polytope(2, [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 3))]), Fraction(-7, 12))
+def test_codim2_walk_matches_the_fraction_reference(P, t):
+    """Both flavors of the integer walk equal the Fraction walk exactly."""
+    _walk_matches_the_reference(P, t)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 1021), st.fractions(-4, 4, max_denominator=12))
+@example(1021, Fraction(1, 3))
+@example(1021, Fraction(-5, 12))
+def test_codim2_walk_matches_the_reference_on_reeve_tetrahedra(r, t):
+    # every edge of conv(0, e1, e2, (1, 1, r)) has cone type k = r
+    _walk_matches_the_reference(Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, r)]), t)
+
+
+def test_ehrhart_half_reads_no_dihedral_angle(delta, monkeypatch):
+    # omega_G is built on first use, and only the solid-angle flavor uses it
+    calls = []
+    angle_turn = ExactValue.angle_turn
+
+    def counted(*args):
+        calls.append(args)
+        return angle_turn(*args)
+
+    monkeypatch.setattr(ExactValue, "angle_turn", staticmethod(counted))
+    all_codim2_data(delta)
+    samples = [(s, Fraction(oracle.count_points(delta, s))) for s in range(1, 5)]
+    interpolated = oracle.interpolate_coefficients(samples, 3)
+    formula = [co.coeff_e_d1(delta).eval(1), co.coeff_e_d2(delta).eval(1)]
+    assert formula == [ExactValue.of(c) for c in interpolated[1:3]]
+    assert calls == []
+    co.coeff_a_d2(delta).eval(1)
+    assert len(calls) == 6  # every edge at t = 1, each once
 
 
 def test_tetrahedron_identity(delta, order):

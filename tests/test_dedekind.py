@@ -2,15 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eak.dedekind import (
     dedekind_classic,
     dr_sum_direct,
     dr_sum_fast,
+    dr_sum_scaled,
     normalize_args,
     _reciprocity_rhs,
+    _reciprocity_rhs_scaled,
 )
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
@@ -61,6 +63,8 @@ def test_reciprocity(h, k, x, y):
         return
     lhs = dr_sum_direct(h, k, x, y) + dr_sum_direct(k, h, y, x)
     assert lhs == _reciprocity_rhs(h, k, x, y)
+    q = math.lcm(x.denominator, y.denominator)
+    assert _reciprocity_rhs_scaled(h, k, int(x * q), int(y * q), q) == lhs
 
 
 @settings(max_examples=60)
@@ -74,3 +78,21 @@ def test_fast_matches_direct(h, k, x, y):
     if math.gcd(h, k) != 1:
         return
     assert dr_sum_fast(h, k, x, y) == dr_sum_direct(*normalize_args(h, k, x, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2000),
+    st.integers(min_value=1, max_value=2000),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.integers(min_value=1, max_value=5),
+)
+def test_fast_matches_direct_on_large_moduli(h, k, x, y, c):
+    """The integer descent equals the definition, over the lcm of the
+    denominators and over any multiple c of it."""
+    assume(math.gcd(h, k) == 1 and x.denominator != y.denominator)
+    expected = dr_sum_direct(*normalize_args(h, k, x, y))
+    assert dr_sum_fast(h, k, x, y) == expected
+    q = c * math.lcm(x.denominator, y.denominator)
+    assert dr_sum_scaled(h, k, int(x * q), int(y * q), q) == expected
