@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from eak.bernoulli import b1_scaled, b2_scaled, is_integer, periodized
+from eak.bernoulli import b1_scaled, b2_scaled, is_integer
 from eak.dedekind import dr_sum_scaled
 from eak.exactval import ExactValue, exact_sum
 from eak.local_data import all_codim2_data
@@ -32,14 +32,23 @@ def _facet_walk(P: Polytope, t: Fraction) -> dict[str, ExactValue]:
 
     a_{d-1} sums -vol*(F) B1~(<v_F,x_F> t); e_{d-1} takes the right limit
     of B1~ instead, which differs only where <v_F,x_F> t is an integer,
-    by 1/2 there."""
-    a = boundary = Fraction(0)
+    by 1/2 there.
+
+    Both are integers over one denominator: with L = P.denominator(), each
+    offset is B_F/L with B_F an integer, so <v_F,x_F> t is S_F/q over
+    q = L t.denominator, and vol*(F) is N(F) / ((d-1)! L^(d-1)) with N(F)
+    an integer, so a t builds one Fraction per flavor."""
+    L = P.denominator()
+    q = L * t.denominator
+    a = boundary = 0
     for (_, b), F in zip(P.inequalities, P.facets()):
-        x, vol = b * t, P.relative_volume(F)
-        a -= vol * periodized(1, x)
-        if is_integer(x):
-            boundary += vol
-    return {"a_d1": ExactValue.of(a), "e_d1": ExactValue.of(a + boundary / 2)}
+        N, S = P.lattice_volume(F), b.numerator * (L // b.denominator) * t.numerator
+        a -= N * b1_scaled(S, q)
+        if S % q == 0:
+            boundary += N
+    den = 2 * q * math.factorial(P.dim - 1) * L ** (P.dim - 1)
+    return {"a_d1": ExactValue.of(Fraction(a, den)),
+            "e_d1": ExactValue.of(Fraction(a + q * boundary, den))}
 
 
 def _codim2_walk(P: Polytope, t: Fraction, angles: bool = True) -> dict[str, ExactValue]:

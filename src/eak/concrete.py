@@ -14,8 +14,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from eak import oracle
 from eak.exactval import ExactValue
 from eak.polytope import Polytope
@@ -91,6 +89,8 @@ def symmetrized_multitiling_level(
     A k-fold tiling by Z^d translates has k equal to the images' total
     volume 2^d d! vol(P); callers that know vol(P) can reject any other
     sampled level."""
+    import numpy as np
+
     if P.dim > 3:
         raise ValueError("dimension above three not supported")
     d = P.dim

@@ -40,9 +40,9 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def format_rational(x: Fraction) -> str:
-    """Serialize a Fraction as 'p/q', or 'p' when the denominator is 1."""
-    x = Fraction(x)
+def format_rational(x: Fraction | int) -> str:
+    """Serialize an int or a Fraction as 'p/q', or 'p' when the denominator
+    is 1, read from its own numerator and denominator."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from eak import linalg
 from eak.bernoulli import bernoulli_poly, periodized
 from eak.exactval import ExactValue, angle_of_cos_ratio, exact_sum
@@ -180,6 +178,8 @@ def lattice_sum_series(p: LatticeSumProblem, epsilon: float, radius: int) -> flo
     points xi with |xi| <= radius of exp(-2 pi i <x, xi>) divided by
     prod <w_j, xi>^{e_j}, damped by exp(-pi epsilon |xi|^2); zeros of the
     linear forms are skipped.  The real part is returned."""
+    import numpy as np
+
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     basis = np.array([[float(c) for c in col] for col in p.basis]).T  # d x k

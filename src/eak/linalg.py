@@ -33,10 +33,6 @@ def norm_sq(v: Sequence) -> Fraction:
     return dot(v, v)
 
 
-def vec_sub(u: Sequence, v: Sequence) -> Vec:
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
-
-
 @functools.cache
 def _laplace_plan(n: int, k: int) -> tuple[tuple, tuple]:
     """The k-subsets of n columns, in lexicographic order, and the terms

@@ -71,10 +71,11 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
 
     # x -> (<v1, x>, <v2, x>) maps the dual of Lambda_G onto the sublattice
     # of Z^2 of index k that contains (1, -h): k is the gcd of the 2x2
-    # minors of [v1; v2], and any integer x with <v1, x> = 1 gives h.  The
-    # cone generators map to (0, k) and (k, 0), so the projection of G,
-    # which maps to (b1, b2), has coordinates x1 = b2/k and x2 = b1/k.
-    k = math.gcd(*linalg.maximal_minors([v1, v2]).values())
+    # minors of [v1; v2], kept on P for the volumes too, and any integer x
+    # with <v1, x> = 1 gives h.  The cone generators map to (0, k) and
+    # (k, 0), so the projection of G, which maps to (b1, b2), has
+    # coordinates x1 = b2/k and x2 = b1/k.
+    k = P.minor_gcd(face.tight_set)
     h = -sum(a * x for a, x in zip(v2, _unit_preimage(v1))) % k
     h_inv = 1 if k == 1 else pow(h, -1, k)
     den = math.lcm(b1.denominator, b2.denominator)

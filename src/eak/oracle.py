@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from eak import _kernels, linalg, local_data
+from eak import linalg, local_data
 from eak.exactval import ExactValue, exact_sum
 from eak.polytope import Polytope
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENUMERATION_BUDGET = 10**7
 INT64_LIMIT = 2**63
@@ -39,9 +40,12 @@ class BudgetExceeded(RuntimeError):
 # point enumeration
 
 def _scaled_system(P: Polytope, t: Fraction):
-    """Integer system A x <= C equivalent to x in t*P, plus the integer
-    bounding box of t*P.  Refuses when a row's slack c - <a, x> over the
-    box could leave int64, where the scan would wrap silently."""
+    """Integer system A x <= C equivalent to x in t*P, as int64 arrays,
+    plus the integer bounding box lo, hi of t*P, as lists of ints.  Refuses
+    when a row's slack c - <a, x> over the box could leave int64, where
+    the scan would wrap silently."""
+    import numpy as np
+
     lo = []
     hi = []
     for j in range(P.dim):
@@ -62,22 +66,19 @@ def _scaled_system(P: Polytope, t: Fraction):
             )
         rows_a.append(row)
         rows_c.append(c.numerator)
-    return (
-        np.array(rows_a, dtype=np.int64),
-        np.array(rows_c, dtype=np.int64),
-        np.array(lo, dtype=np.int64),
-        np.array(hi, dtype=np.int64),
-    )
+    return np.array(rows_a, dtype=np.int64), np.array(rows_c, dtype=np.int64), lo, hi
 
 
 def _enumerate(P: Polytope, t: Fraction):
     """(interior count, boundary points, A, C) of the scan of t*P, where
     A x <= C is the integer system of t*P; refused (BudgetExceeded) when
     the box holds more than ENUMERATION_BUDGET points."""
+    from eak import _kernels
+
     if t <= 0:
         raise ValueError("positive dilation required")
     A, C, lo, hi = _scaled_system(P, t)
-    size = int(np.prod(hi - lo + 1))
+    size = math.prod(h - l + 1 for l, h in zip(lo, hi))
     if size > ENUMERATION_BUDGET:
         raise BudgetExceeded(f"bounding box has {size} candidate points "
                              f"(budget {ENUMERATION_BUDGET})")
@@ -151,6 +152,8 @@ def solid_angle_sum(P: Polytope, t) -> ExactValue:
 def _angle_sum(P: Polytope, interior: int, boundary: np.ndarray, A, C) -> tuple[ExactValue, int]:
     """A_P(t) from the scan (interior, boundary, A, C) of t*P, less the
     points at a vertex of a 4-polytope, and the number of those points."""
+    import numpy as np
+
     patterns, counts = np.unique(boundary @ A.T == C, axis=0, return_counts=True)
     angles = P._face_angles
     terms = [ExactValue.of(interior)]

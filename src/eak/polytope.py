@@ -8,7 +8,8 @@ primitive; vertices, sorted, are the points no other point shares all
 facets with.  That hull is the only one taken: the face lattice is cut
 from the facets' vertex sets in one pass that keeps each face's facets,
 and every volume, of P or of a face in the lattice of its span, is a sum
-of pyramids over those facets.
+of pyramids over those facets, taken in integers over the integer dilate
+L P, L the lcm of the vertex denominators.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from eak import linalg
-from eak.exactval import format_rational, parse_rational, primitive_integer_vector
+from eak.exactval import format_rational, parse_rational
 from eak.linalg import Vec
 
 MAX_DIM = 4
@@ -109,11 +110,15 @@ class Polytope:
         )
         # Data derived from P alone, each built on first use and kept, as is
         # the face lattice: the codim-2 data (filled by eak.local_data), the
-        # relative volume of each face, by its vertex ids, and the solid
-        # angle on each face met by a lattice point of a dilate (filled by
-        # eak.oracle), by the tuple of its tight inequality indices.
+        # integer volume over L P and the relative volume of each face, by
+        # its vertex ids, the minor gcd of each set of normals, by the set,
+        # and the solid angle on each face met by a lattice point of a
+        # dilate (filled by eak.oracle), by the tuple of its tight
+        # inequality indices.
         self._codim2_data: tuple | None = None
+        self._lattice_volumes: dict[tuple[int, ...], int] = {}
         self._volumes: dict[tuple[int, ...], Fraction] = {}
+        self._minor_gcds: dict[frozenset[int], int] = {}
         self._face_angles: dict = {}
 
     # -- constructors -----------------------------------------------------
@@ -227,43 +232,72 @@ class Polytope:
         """Euclidean volume: the relative volume of P as its own face."""
         return self.relative_volume(self.faces_of_codim(0)[0])
 
+    @functools.cached_property
+    def _dilate(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """L, the lcm of the vertex denominators, and the integer vertices
+        of L P, in vertex order."""
+        L = math.lcm(*(c.denominator for v in self.vertices for c in v))
+        return L, tuple(tuple(c.numerator * (L // c.denominator) for c in v) for v in self.vertices)
+
     def denominator(self) -> int:
-        return math.lcm(*(c.denominator for v in self.vertices for c in v))
+        return self._dilate[0]
+
+    def minor_gcd(self, tight: frozenset[int]) -> int:
+        """g(R), the gcd of the maximal minors of the normals R indexed by
+        tight, kept by the set; at a ridge it is the k of its codim-2
+        data."""
+        g = self._minor_gcds.get(tight)
+        if g is None:
+            normals = [self.inequalities[i][0] for i in sorted(tight)]
+            g = self._minor_gcds[tight] = math.gcd(*linalg.maximal_minors(normals).values())
+        return g
 
     def relative_volume(self, face: Face) -> Fraction:
         """Face volume normalized to the integer lattice of its span; 1 for
-        a vertex, by convention, and the lattice length for an edge.
+        a vertex, by convention, and the lattice length for an edge: the
+        integer lattice_volume(face) over dim! L^dim, built once per face."""
+        vol = self._volumes.get(face.vertex_ids)
+        if vol is None:
+            vol = self._volumes[face.vertex_ids] = Fraction(
+                self.lattice_volume(face), math.factorial(face.dim) * self.denominator() ** face.dim
+            )
+        return vol
 
-        A face F of dimension k >= 2 is the union of the pyramids from its
-        first vertex p over its facets G, so
-        vol*(F) = (1/k) sum_G vol*(G) (b_v - <v, p>) / m_G, for v a normal
-        tight on G but not on F.  The lattice height of p over G is
-        (b_v - <v, p>) / m_G, where m_G, the index of the values of <v, .>
-        on the lattice of F, is g(R + v) / g(R): R the tight normals of F
-        and g the gcd of the maximal minors (at a facet, m_G is the k of its
-        codim-2 faces).  This needs R independent.  In dimension <= 4 it
-        is: a face of dimension >= 2 is P (R empty), a facet, or a ridge,
-        and a ridge lies in exactly two facets.  Each face's sum runs once."""
-        if face.vertex_ids not in self._volumes:
-            self._volumes[face.vertex_ids] = self._pyramid_volume(face)
-        return self._volumes[face.vertex_ids]
+    def lattice_volume(self, face: Face) -> int:
+        """N(F) = dim(F)! vol*(L F), an integer since L F has integer
+        vertices; each face's pyramid sum runs once."""
+        N = self._lattice_volumes.get(face.vertex_ids)
+        if N is None:
+            N = self._lattice_volumes[face.vertex_ids] = self._pyramid_volume(face)
+        return N
 
-    def _pyramid_volume(self, face: Face) -> Fraction:
+    def _pyramid_volume(self, face: Face) -> int:
+        """N(F): 1 at a vertex, the gcd of the edge vector at an edge, and
+        for dim F >= 2 the sum over the facets G of F of N(G) h_G.
+
+        F is the union of the pyramids from its first vertex p over its
+        facets G, and h_G is the lattice height of p over G in the lattice
+        of F: (<v, w> - <v, p>) g(R) / g(R + v), for w a vertex of G, R the
+        tight normals of F and v a normal tight on G but not on F.  The
+        values of <v, .> on the lattice of F are the multiples of
+        g(R + v) / g(R), so the division is exact.  This needs R
+        independent.  In dimension <= 4 it is: a face of dimension >= 2 is
+        P (R empty), a facet, or a ridge, and a ridge lies in exactly two
+        facets."""
         if face.dim == 0:
-            return Fraction(1)
-        verts = self.face_vertices(face)
+            return 1
+        points = self._dilate[1]
+        p = points[face.vertex_ids[0]]
         if face.dim == 1:
-            diff = linalg.vec_sub(verts[1], verts[0])
-            j = next(j for j, c in enumerate(diff) if c)
-            return diff[j] / primitive_integer_vector(diff)[j]
-        normals = [self.inequalities[i][0] for i in sorted(face.tight_set)]
-        g = math.gcd(*linalg.maximal_minors(normals).values())
-        total = Fraction(0)
+            return math.gcd(*map(operator.sub, points[face.vertex_ids[1]], p))
+        g = self.minor_gcd(face.tight_set)
+        total = 0
         for G in self._lattice[face.codim][face]:
-            a, b = self.inequalities[min(G.tight_set - face.tight_set)]
-            m = math.gcd(*linalg.maximal_minors(normals + [a]).values())
-            total += self.relative_volume(G) * (b - linalg.dot(a, verts[0])) * g / m
-        return total / face.dim
+            i = min(G.tight_set - face.tight_set)
+            rise = sum(map(operator.mul, self.inequalities[i][0],
+                           map(operator.sub, points[G.vertex_ids[0]], p)))
+            total += self.lattice_volume(G) * (rise * g // self.minor_gcd(face.tight_set | {i}))
+        return total
 
     def __repr__(self) -> str:
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)})"

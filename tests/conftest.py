@@ -141,6 +141,11 @@ def rational_polytopes(draw, dims: tuple[int, int], extra: int) -> Polytope:
         assume(False)
 
 
+def reeve_tetrahedron(r: int) -> Polytope:
+    """conv(0, e1, e2, (1, 1, r)): every edge has cone type k = r."""
+    return Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, r)])
+
+
 def random_tetrahedron(rng: random.Random, rad=3) -> Polytope:
     """Non-degenerate integer tetrahedron with coordinates in [-rad, rad]."""
     while True:
@@ -287,8 +292,8 @@ def transverse_lattice(P: Polytope, g: local_data.CodimTwoData) -> TransverseLat
     dual = basis_from_generators(ref.columns(proj), rank=2)
 
     # f_{m,other}: the component of the other normal orthogonal to v_{F_m}
-    f1_dir = linalg.vec_sub(ref.vec_scale(n1, v2), ref.vec_scale(dot12, v1))
-    f2_dir = linalg.vec_sub(ref.vec_scale(n2, v1), ref.vec_scale(dot12, v2))
+    f1_dir = ref.vec_sub(ref.vec_scale(n1, v2), ref.vec_scale(dot12, v1))
+    f2_dir = ref.vec_sub(ref.vec_scale(n2, v1), ref.vec_scale(dot12, v2))
     v_F1_G = lattice_primitive(dual, f1_dir)
     v_F2_G = lattice_primitive(dual, f2_dir)
 
@@ -335,7 +340,7 @@ def reference_hull_facets(points, dim):
     seen = set()
     for subset in itertools.combinations(range(len(points)), dim):
         pts = [points[i] for i in subset]
-        diffs = [linalg.vec_sub(p, pts[0]) for p in pts[1:]]
+        diffs = [ref.vec_sub(p, pts[0]) for p in pts[1:]]
         if ref.rank(diffs) != dim - 1:
             continue
         normals = ref.nullspace(diffs) if diffs else [
@@ -360,7 +365,7 @@ def reference_hull_facets(points, dim):
 def _reference_affine_rank(points) -> int:
     if len(points) < 2:
         return 0
-    return ref.rank([linalg.vec_sub(p, points[0]) for p in points[1:]])
+    return ref.rank([ref.vec_sub(p, points[0]) for p in points[1:]])
 
 
 class ReferencePolytope(Polytope):
@@ -391,7 +396,9 @@ class ReferencePolytope(Polytope):
             for a, b in self.inequalities
         )
         self._codim2_data = None
+        self._lattice_volumes = {}
         self._volumes = {}
+        self._minor_gcds = {}
         self._face_angles = {}
 
 

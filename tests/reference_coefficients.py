@@ -1,10 +1,13 @@
-"""Reference codimension-two walk on Fractions.
+"""Reference facet and codimension-two walks on Fractions.
 
-This is the walk the package used before it evaluated each face over one
-integer denominator: every value is a Fraction, the Dedekind-Rademacher
-sum comes from ``dr_sum_direct`` on the normalized arguments, and the B1
-corrections and the membership test read the rational offsets x1 and x2.
-The tests compare ``coefficients._codim2_walk`` with it exactly.
+These are the walks the package used before it evaluated each face over
+one integer denominator: every value is a Fraction.  The facet walk sums
+relative volumes times periodized B1 values.  In the codimension-two walk
+the Dedekind-Rademacher sum comes from ``dr_sum_direct`` on the
+normalized arguments, and the B1 corrections and the membership test read
+the rational offsets x1 and x2.  The tests compare
+``coefficients._facet_walk`` and ``coefficients._codim2_walk`` with them
+exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +19,18 @@ from eak.dedekind import dr_sum_direct, normalize_args
 from eak.exactval import ExactValue, exact_sum
 from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
+
+
+def facet_walk(P: Polytope, t) -> dict[str, ExactValue]:
+    """a_{d-1}(t) and e_{d-1}(t), facet by facet in Fractions."""
+    t = Fraction(t)
+    a = boundary = Fraction(0)
+    for (_, b), F in zip(P.inequalities, P.facets()):
+        x, vol = b * t, P.relative_volume(F)
+        a -= vol * periodized(1, x)
+        if is_integer(x):
+            boundary += vol
+    return {"a_d1": ExactValue.of(a), "e_d1": ExactValue.of(a + boundary / 2)}
 
 
 def codim2_walk(P: Polytope, t) -> dict[str, ExactValue]:

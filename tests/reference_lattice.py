@@ -18,7 +18,7 @@ from typing import Sequence
 
 from eak.bernoulli import bernoulli_poly, frac_part, periodized
 from eak.exactval import ExactValue, angle_of_cos_ratio, primitive_integer_vector
-from eak.linalg import Vec, dot, norm_sq, vec, vec_sub
+from eak.linalg import Vec, dot, norm_sq, vec
 from reference_linalg import (
     columns,
     det,
@@ -34,6 +34,7 @@ from reference_linalg import (
     transpose,
     vec_add,
     vec_scale,
+    vec_sub,
 )
 
 

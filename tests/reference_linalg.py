@@ -19,7 +19,7 @@ Mat = tuple[Vec, ...]
 
 # every routine here; the package defines none of them
 FRACTION_ROUTINES = (
-    "Mat", "vec_add", "vec_scale", "transpose", "columns", "from_columns",
+    "Mat", "vec_add", "vec_sub", "vec_scale", "transpose", "columns", "from_columns",
     "identity", "mat_mul", "mat_vec", "gram", "det", "rref", "rank", "inverse",
     "nullspace", "orthogonal_projection", "hnf_column_basis", "integer_kernel",
 )
@@ -27,6 +27,10 @@ FRACTION_ROUTINES = (
 
 def vec_add(u: Sequence, v: Sequence) -> Vec:
     return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v))
+
+
+def vec_sub(u: Sequence, v: Sequence) -> Vec:
+    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
 
 
 def vec_scale(s, v: Sequence) -> Vec:

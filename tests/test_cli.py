@@ -81,6 +81,20 @@ def test_import_loads_no_mpmath():
     assert out.strip() == "False"
 
 
+def test_import_and_analyze_load_no_numpy(delta_path):
+    # numpy serves only the oracles' scan, the tiling sampler and the
+    # damped series, each of which imports it: neither the import nor an
+    # analysis loads it
+    code = (f"import sys, eak.cli, eak.oracle; loaded = {{'numpy', 'mpmath'}} & set(sys.modules); "
+            f"eak.cli.run(['analyze', {delta_path!r}, '--eval', '1']); "
+            f"print(sorted(loaded), sorted({{'numpy', 'mpmath'}} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coefficients.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.splitlines()[-1] == "[] []"
+
+
 def test_analyze_segment(tmp_path, capsys):
     # a 1-polytope has no codim-2 faces: the list is printed empty
     segment = tmp_path / "segment.json"

@@ -13,7 +13,7 @@ from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
 
 import reference_coefficients as ref
-from conftest import random_tetrahedron, rational_polytopes
+from conftest import random_tetrahedron, rational_polytopes, reeve_tetrahedron
 
 
 def test_delta_facet_coefficients(delta):
@@ -134,6 +134,17 @@ def test_coefficients_are_invariant_under_lattice_maps(data, P, t):
     assert co.evaluate(_image(P, data.draw(signed_permutations(d)), v), t) == values
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(rational_polytopes((1, 4), 2), st.integers(1, 1021).map(reeve_tetrahedron)),
+       st.fractions(-4, 4, max_denominator=12))
+@example(Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]), Fraction(0))
+@example(Polytope(1, [(Fraction(1, 2),), (Fraction(7, 3),)]), Fraction(-5, 12))
+@example(Polytope(2, [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 3))]), Fraction(6))
+def test_facet_walk_matches_the_fraction_reference(P, t):
+    """Both flavors of the integer facet walk equal the Fraction walk."""
+    assert co._facet_walk(P, t) == ref.facet_walk(P, t)
+
+
 def _walk_matches_the_reference(P, t):
     values = co._codim2_walk(P, t)
     assert values == ref.codim2_walk(P, t)
@@ -154,8 +165,7 @@ def test_codim2_walk_matches_the_fraction_reference(P, t):
 @example(1021, Fraction(1, 3))
 @example(1021, Fraction(-5, 12))
 def test_codim2_walk_matches_the_reference_on_reeve_tetrahedra(r, t):
-    # every edge of conv(0, e1, e2, (1, 1, r)) has cone type k = r
-    _walk_matches_the_reference(Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, r)]), t)
+    _walk_matches_the_reference(reeve_tetrahedron(r), t)
 
 
 def test_ehrhart_half_reads_no_dihedral_angle(delta, monkeypatch):

@@ -26,6 +26,13 @@ def test_parse_format_round_trip():
     assert parse_rational(" 4/6 ") == Fraction(2, 3)
 
 
+def test_format_rational_reads_ints_and_fractions():
+    assert [format_rational(x) for x in (0, 7, -12)] == ["0", "7", "-12"]
+    assert format_rational(Fraction(-22, 7)) == "-22/7"
+    assert format_rational(Fraction(6, -4)) == "-3/2"
+    assert format_rational(Fraction(10, 5)) == "2"
+
+
 def test_primitive_integer_vector():
     assert primitive_integer_vector((2, 4, 6)) == (1, 2, 3)
     assert primitive_integer_vector((Fraction(1, 2), Fraction(1, 3))) == (3, 2)

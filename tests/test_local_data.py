@@ -115,12 +115,12 @@ def reference_triangulation(points, dim):
         base = points[face_ids[0]]
         basis = []
         for i in face_ids[1:]:
-            v = linalg.vec_sub(points[i], base)
+            v = ref.vec_sub(points[i], base)
             if ref.rank(basis + [v]) > len(basis):
                 basis.append(v)
         g_inv = ref.inverse(ref.gram(basis))
         local = [
-            ref.mat_vec(g_inv, [linalg.dot(c, linalg.vec_sub(points[i], base)) for c in basis])
+            ref.mat_vec(g_inv, [linalg.dot(c, ref.vec_sub(points[i], base)) for c in basis])
             for i in face_ids
         ]
         for sub in reference_triangulation(local, dim - 1):
@@ -130,7 +130,7 @@ def reference_triangulation(points, dim):
 
 def simplex_volume(points, simplex):
     base = linalg.vec(points[simplex[0]])
-    edges = [linalg.vec_sub(points[i], base) for i in simplex[1:]]
+    edges = [ref.vec_sub(points[i], base) for i in simplex[1:]]
     return abs(ref.det(edges)) / math.factorial(len(edges))
 
 
@@ -138,7 +138,7 @@ def reference_relative_volume(P, face):
     if face.dim == 0:
         return Fraction(1)
     pts = P.face_vertices(face)
-    dirs = [linalg.vec_sub(p, pts[0]) for p in pts[1:]]
+    dirs = [ref.vec_sub(p, pts[0]) for p in pts[1:]]
     lat = intersection_with_integer_lattice(dirs)
     coords = [(Fraction(0),) * lat.rank] + [lat.coordinates(d) for d in dirs]
     return sum(simplex_volume(coords, s) for s in reference_triangulation(coords, face.dim))

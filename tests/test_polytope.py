@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,13 +6,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eak import linalg
+from eak.exactval import primitive_integer_vector
+from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
 
 import reference_linalg as ref
 from conftest import (
+    FOUR_POLYTOPE,
     SIXTEEN_VERTICES,
     ReferencePolytope,
     rational_polytopes,
+    reeve_tetrahedron,
     reference_from_inequalities,
 )
 
@@ -218,7 +223,7 @@ def reference_faces(P):
     faces = set()
     for cut in cuts:
         pts = [P.vertices[j] for j in sorted(cut)]
-        dim = ref.rank([linalg.vec_sub(p, pts[0]) for p in pts[1:]]) if len(pts) > 1 else 0
+        dim = ref.rank([ref.vec_sub(p, pts[0]) for p in pts[1:]]) if len(pts) > 1 else 0
         tight = frozenset(i for i, f in enumerate(facet_sets) if cut <= f)
         faces.add((tight, tuple(sorted(cut)), dim, P.dim - dim))
     return faces
@@ -252,6 +257,75 @@ def test_relative_volume(delta, cube):
     assert [delta.relative_volume(f) for f in delta.facets()] == [Fraction(1, 2)] * 4
     assert all(cube.relative_volume(f) == 1 for f in cube.facets())
     assert all(delta.relative_volume(e) == 1 for e in delta.codim2_faces())
+
+
+def fraction_pyramid_volume(P, face, kept: dict) -> Fraction:
+    """vol*(F) by the pyramid sum in Fractions over P itself, as the
+    package took it before it summed in integers over L P: the lattice
+    length of an edge from its primitive direction, and for dim F >= 2
+    (1/dim) sum_G vol*(G) (b_v - <v, p>) g(R) / g(R + v).  kept holds the
+    volumes summed so far, by vertex ids."""
+    if face.vertex_ids in kept:
+        return kept[face.vertex_ids]
+    verts = P.face_vertices(face)
+    if face.dim == 0:
+        vol = Fraction(1)
+    elif face.dim == 1:
+        diff = ref.vec_sub(verts[1], verts[0])
+        j = next(j for j, c in enumerate(diff) if c)
+        vol = diff[j] / primitive_integer_vector(diff)[j]
+    else:
+        normals = [P.inequalities[i][0] for i in sorted(face.tight_set)]
+        g = math.gcd(*linalg.maximal_minors(normals).values())
+        total = Fraction(0)
+        for G in P._lattice[face.codim][face]:
+            a, b = P.inequalities[min(G.tight_set - face.tight_set)]
+            m = math.gcd(*linalg.maximal_minors(normals + [a]).values())
+            total += fraction_pyramid_volume(P, G, kept) * (b - linalg.dot(a, verts[0])) * g / m
+        vol = total / face.dim
+    kept[face.vertex_ids] = vol
+    return vol
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=st.one_of(rational_polytopes(dims=(1, 4), extra=2),
+                   st.integers(1, 1021).map(reeve_tetrahedron)))
+@example(P=Polytope(4, SIXTEEN_VERTICES))
+@example(P=Polytope(4, FOUR_POLYTOPE))
+@example(P=reeve_tetrahedron(1021))
+def test_integer_volumes_match_the_fraction_recursion(P):
+    """Every face's volume over L P is an integer N, and N / (dim! L^dim)
+    is the Fraction pyramid sum's relative volume."""
+    kept: dict = {}
+    L = P.denominator()
+    assert all(c.denominator == 1 for v in P.vertices for c in (x * L for x in v))
+    for c in range(P.dim + 1):
+        for face in P.faces_of_codim(c):
+            N = P.lattice_volume(face)
+            assert type(N) is int and N > 0
+            expected = fraction_pyramid_volume(P, face, kept)
+            assert P.relative_volume(face) == expected
+            assert N == expected * math.factorial(face.dim) * L**face.dim
+    assert P.volume() == fraction_pyramid_volume(P, P.faces_of_codim(0)[0], kept)
+
+
+def test_each_ridge_takes_one_minor_gcd(monkeypatch):
+    """The volumes and the codim-2 data share one minor gcd per set of
+    normals: every set's maximal minors are taken once."""
+    calls = []
+    maximal_minors = linalg.maximal_minors
+
+    def counted(rows):
+        calls.append(tuple(map(tuple, rows)))
+        return maximal_minors(rows)
+
+    P = Polytope(4, SIXTEEN_VERTICES)
+    monkeypatch.setattr(linalg, "maximal_minors", counted)
+    P.volume()
+    all_codim2_data(P)
+    assert len(calls) == len(set(calls))
+    ridges = {frozenset(map(tuple, rows)) for rows in calls if len(rows) == 2}
+    assert len(ridges) == len(P.codim2_faces())
 
 
 def test_contains_and_dilation(delta):
