@@ -1,5 +1,9 @@
 """Command-line interface: analysis, evaluation, verification, Dedekind
-sums, lattice sums and concreteness checks for rational polytopes."""
+sums, lattice sums and concreteness checks for rational polytopes.
+
+Every refusal is a ValueError raised where the invalid input is found,
+argparse's own included; run alone prints it, as the one line
+`error: <message>`, and returns 2."""
 
 from __future__ import annotations
 
@@ -15,13 +19,16 @@ from eak import coefficients, lattice_sum, oracle
 from eak.dedekind import dr_sum_fast
 from eak.exactval import ExactValue, format_rational, parse_rational
 from eak.local_data import all_codim2_data
-from eak.polytope import Polytope, _parse_int, _parse_json, _parse_rat
+from eak.polytope import Polytope
 
 SCHEMA = "1"
 
 
-class InputError(Exception):
-    pass
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are refusals for run to print, not exits."""
+
+    def error(self, message):
+        raise ValueError(f"{message} (see {self.prog} --help)")
 
 
 def _rational(text: str) -> Fraction:
@@ -38,22 +45,27 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
-def _read_json(path: str):
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not an integer of at least 1: {text!r}")
+
+
+def _load(path: str, from_json):
+    """from_json of the JSON file at path; each refusal names the file,
+    those of bytes that are no text or nest past the recursion limit too."""
     try:
         with open(path) as f:
-            return json.load(f)
+            return from_json(json.load(f))
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}")
-
-
-def _load_polytope(path: str) -> Polytope:
-    data = _read_json(path)
-    try:
-        return Polytope.from_json(data)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: {exc}")
+        raise ValueError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _exact_json(v: ExactValue):
@@ -77,14 +89,14 @@ def _emit(report: dict, json_path: str | None) -> None:
                 json.dump(report, f, indent=2, sort_keys=True)
                 f.write("\n")
         except OSError as exc:
-            raise InputError(f"cannot write {json_path}: {exc}")
+            raise ValueError(f"cannot write {json_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_analyze(args) -> int:
-    P = _load_polytope(args.polytope)
+    P = _load(args.polytope, Polytope.from_json)
     report: dict = {"schema": SCHEMA, "command": "analyze", "polytope": P.to_json()}
     print(f"polytope: dim={P.dim} vertices={len(P.vertices)} facets={len(P.inequalities)}")
     print(f"denominator={P.denominator()} volume={format_rational(P.volume())}")
@@ -150,12 +162,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    P = _load_polytope(args.polytope)
+    P = _load(args.polytope, Polytope.from_json)
     report: dict = {"schema": SCHEMA, "command": "eval", "values": []}
-    try:
-        qp = coefficients.complete_quasipolynomial(P, args.flavor)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    qp = coefficients.complete_quasipolynomial(P, args.flavor)
     for t in args.t:
         v = qp.value(t)
         print(f"{args.flavor}({format_rational(t)}) = {v}")
@@ -165,7 +174,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    P = _load_polytope(args.polytope)
+    P = _load(args.polytope, Polytope.from_json)
     d, m = P.dim, P.denominator()
     checks = []
     vol = ExactValue.of(P.volume())
@@ -208,10 +217,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dedekind(args) -> int:
-    try:
-        value = dr_sum_fast(args.h, args.k, args.x, args.y)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    value = dr_sum_fast(args.h, args.k, args.x, args.y)
     print(format_rational(value))
     _emit(
         {
@@ -229,23 +235,8 @@ def _cmd_dedekind(args) -> int:
 
 
 def _cmd_lattice_sum(args) -> int:
-    data = _read_json(args.problem)
-    try:
-        _parse_json(dict, data, "a lattice-sum problem")
-        basis = _rational_columns(data, "basis")
-        if len(basis) > 2:
-            raise InputError(
-                f"{args.problem}: lattice-sum requires a lattice of rank at most two"
-            )
-        w_cols = _rational_columns(data, "w")
-        e = [_parse_int(v, "an entry of 'e'") for v in _parse_json(list, data["e"], "'e'")]
-        x = [_parse_rat(c, "'x'") for c in _parse_json(list, data["x"], "'x'")]
-        problem = lattice_sum.LatticeSumProblem(
-            tuple(map(tuple, basis)), tuple(map(tuple, w_cols)), tuple(e), tuple(x)
-        )
-        value = lattice_sum.lattice_sum_finite(problem)
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
-        raise InputError(f"{args.problem}: {exc}")
+    problem = _load(args.problem, lattice_sum.LatticeSumProblem.from_json)
+    value = lattice_sum.lattice_sum_finite(problem)
     print(value)
     _emit(
         {"schema": SCHEMA, "command": "lattice-sum", "value": _exact_json(value)},
@@ -254,23 +245,9 @@ def _cmd_lattice_sum(args) -> int:
     return 0
 
 
-def _rational_columns(data: dict, key: str) -> list[list[Fraction]]:
-    field = f"a column of {key!r}"
-    return [[_parse_rat(c, field) for c in _parse_json(list, col, field)]
-            for col in _parse_json(list, data[key], repr(key))]
-
-
 def _cmd_concrete(args) -> int:
-    for flag, value in (("--tmax", args.tmax), ("--samples", args.samples)):
-        if value < 1:
-            raise InputError(f"concrete needs {flag} of at least 1, got {value}")
-    P = _load_polytope(args.polytope)
-    if P.dim > 3:
-        raise InputError("concrete requires a polytope of dimension at most three")
-    try:
-        rep = concrete_mod.is_concrete(P, args.tmax)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    P = _load(args.polytope, Polytope.from_json)
+    rep = concrete_mod.is_concrete(P, args.tmax)
     if rep.concrete:
         print(f"concrete for t = 1..{args.tmax}")
     else:
@@ -316,7 +293,7 @@ def _cmd_concrete(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parse_args keeps no state
     on it, each call starts from a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eak",
         description="Exact solid-angle sums, Ehrhart quasi-coefficients and "
         "Dedekind-Rademacher sums for rational polytopes.",
@@ -359,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("concrete", help="concreteness and multi-tiling checks")
     p.add_argument("polytope")
-    p.add_argument("--tmax", type=int, default=4)
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--tmax", type=_positive_int, default=4)
+    p.add_argument("--samples", type=_positive_int, default=256)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json")
     p.set_defaults(func=_cmd_concrete)
@@ -369,14 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    """The exit code of the eak command on argv: 0, 1 when a verification
+    fails, and 2 for every refusal, which is printed as one stderr line
+    `error: <message>`.  --help prints and exits 0 through SystemExit."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InputError, oracle.BudgetExceeded) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -84,7 +84,7 @@ def symmetrized_multitiling_level(
     no image polytope is built.  A sample is x = k/10^6; with P's rows
     scaled to integers the test is exact, on Python ints so that no input
     can overflow.  A point on the boundary of some translate is redrawn,
-    up to 64 times.
+    up to 64 times, and the check then refuses (ValueError).
 
     A k-fold tiling by Z^d translates has k equal to the images' total
     volume 2^d d! vol(P); callers that know vol(P) can reject any other
@@ -115,7 +115,7 @@ def symmetrized_multitiling_level(
             if not (values[g_in] == bounds[mu_in]).any():
                 break
         else:
-            raise RuntimeError("could not sample a point off all boundaries")
+            raise ValueError("could not sample a point off all boundaries in 64 draws")
         if level is None:
             level = len(g_in)
         elif len(g_in) != level:
@@ -138,7 +138,7 @@ def is_concrete(P: Polytope, t_max: int) -> ConcretenessReport:
     vanishes to 150 bits: equal canonical forms prove equality, unequal
     ones do not prove a difference."""
     if P.dim > 3:
-        raise ValueError("dimension above three not supported")
+        raise ValueError(f"concreteness is checked in dimension at most three, got {P.dim}")
     vol = P.volume()
     for t in range(1, t_max + 1):
         value = oracle.solid_angle_sum(P, t)

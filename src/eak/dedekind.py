@@ -30,8 +30,6 @@ def _validate(h: int, k: int) -> tuple[int, int]:
     h, k = int(h), int(k)
     if k < 1:
         raise ValueError("modulus k must be positive")
-    if h < 0:
-        raise ValueError("h must be non-negative; use normalize_args for general h")
     if math.gcd(h, k) != 1:
         raise ValueError(f"gcd({h},{k}) != 1")
     return h, k
@@ -39,11 +37,9 @@ def _validate(h: int, k: int) -> tuple[int, int]:
 
 def normalize_args(h: int, k: int, x, y) -> tuple[int, int, Fraction, Fraction]:
     """Reduce h into [0, k) via s(h,k;x,y) = s(h-mk,k; x+my, y)."""
-    k = int(k)
-    if k < 1:
-        raise ValueError("modulus k must be positive")
+    h, k = _validate(h, k)
     x, y = Fraction(x), Fraction(y)
-    m, h = divmod(int(h), k)
+    m, h = divmod(h, k)
     return h, k, x + m * y, y
 
 
@@ -68,7 +64,7 @@ def dr_sum_fast(h: int, k: int, x=0, y=0) -> Fraction:
 
 
 def dr_sum_scaled(h: int, k: int, X: int, Y: int, q: int) -> Fraction:
-    """s(h,k;X/q,Y/q) for integers h >= 0, k >= 1 coprime and q >= 1.
+    """s(h,k;X/q,Y/q) for integers h and k >= 1 coprime and q >= 1.
 
     The descent carries x = X/q and y = Y/q over the one denominator q:
     the reduction (h mod k, x + m y) and the reciprocity swap (k, h, y, x)

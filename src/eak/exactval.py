@@ -256,7 +256,8 @@ def _merged(rat: Fraction, term_lists: Iterable[tuple]) -> ExactValue:
     acc: dict[AngleValue, Fraction] = {}
     for terms in term_lists:
         for coeff, angle in terms:
-            acc[angle] = acc[angle] + coeff if angle in acc else coeff
+            prev = acc.get(angle)
+            acc[angle] = coeff if prev is None else prev + coeff
     merged = sorted(((c, a) for a, c in acc.items() if c), key=lambda term: term[1].cos_squared)
     return _canonical(rat, tuple(merged))
 

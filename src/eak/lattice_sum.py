@@ -1,12 +1,12 @@
 """Regularized lattice sums over linear-form products.
 
-Three evaluators for the same family of sums: an exact finite form that
+Two exact evaluators for the same family of sums: a finite form that
 enumerates dual-lattice points in a fundamental parallelepiped with
-solid-angle weights (rank <= 2), an exact residue form without angle
-weights (valid when every exponent is at least two), and a truncated
-Gaussian-damped series used as a numeric convergence oracle.  The exact
-forms work in integers: a dual-lattice point is named by its integer
-pairings with the lattice basis, and coordinates come from an adjugate.
+solid-angle weights (rank <= 2), and a residue form without angle
+weights (valid when every exponent is at least two).  Both work in
+integers: a dual-lattice point is named by its integer pairings with the
+lattice basis, and coordinates come from an adjugate.  The damped-series
+convergence oracle is the tests' (tests/reference_lattice.py).
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from eak import linalg
 from eak.bernoulli import bernoulli_poly, periodized
 from eak.exactval import ExactValue, angle_of_cos_ratio, exact_sum
 from eak.linalg import Vec
-from eak.oracle import ENUMERATION_BUDGET
+from eak.oracle import ENUMERATION_BUDGET, BudgetExceeded
+from eak.polytope import parse_int, parse_json, parse_rat
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,25 @@ class LatticeSumProblem:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "pairing", pairing)
 
+    @staticmethod
+    def from_json(data: dict) -> "LatticeSumProblem":
+        """The problem {"basis": columns, "w": columns, "e": integers,
+        "x": rationals}."""
+        parse_json(dict, data, "a lattice-sum problem")
+        for key in ("basis", "w", "e", "x"):
+            if key not in data:
+                raise ValueError(f"missing {key!r}")
+
+        def columns(key: str) -> list[list[Fraction]]:
+            field = f"a column of {key!r}"
+            return [[parse_rat(c, field) for c in parse_json(list, col, field)]
+                    for col in parse_json(list, data[key], repr(key))]
+
+        basis, w = columns("basis"), columns("w")
+        e = [parse_int(v, "an entry of 'e'") for v in parse_json(list, data["e"], "'e'")]
+        x = [parse_rat(c, "'x'") for c in parse_json(list, data["x"], "'x'")]
+        return LatticeSumProblem(basis, w, e, x)
+
 
 def lattice_sum_finite(p: LatticeSumProblem) -> ExactValue:
     """Exact finite form: Bernoulli-weighted, solid-angle-weighted sum over
@@ -77,11 +97,11 @@ def lattice_sum_finite(p: LatticeSumProblem) -> ExactValue:
     A dual-lattice point n is named by z = (<n, b_i>)_i in Z^k, and with
     c = (<x, b_i>)_i its W-coordinates are y = M^(-1)(z - c); so the points
     of x + W[0,1]^k are the z in the integer box of c + M[0,1]^k with
-    y = adj(M)(z - c) / det M in [0,1]^k.  Refused (ValueError) when that
-    box has more than ENUMERATION_BUDGET points."""
+    y = adj(M)(z - c) / det M in [0,1]^k.  Refused (BudgetExceeded) when
+    that box has more than ENUMERATION_BUDGET points."""
     k = len(p.basis)
     if k > 2:
-        raise ValueError("numeric mode required for rank above two")
+        raise ValueError(f"the finite form needs a lattice of rank at most two, got {k}")
     m = p.pairing
     adj, det_m = linalg.adjugate(m)
     if det_m < 0:
@@ -91,7 +111,7 @@ def lattice_sum_finite(p: LatticeSumProblem) -> ExactValue:
                   math.floor(ci + sum(a for a in row if a > 0)) + 1) for ci, row in zip(c, m)]
     size = math.prod(len(r) for r in axes)
     if size > ENUMERATION_BUDGET:
-        raise ValueError(
+        raise BudgetExceeded(
             f"the parallelepiped's box has {size} candidate points (budget {ENUMERATION_BUDGET})"
         )
     # y = num / den with integer numerators: c = cq / q over a common q
@@ -132,7 +152,7 @@ def gunnels_sczech(W: Sequence[Sequence[int]], e: Sequence[int], x: Sequence) ->
     """Residue form over Z^d / W Z^d with periodized Bernoulli weights;
     requires every exponent at least two (absolute convergence).  With
     W^(-1) = adj(W) / det W, the residue of n is frac(adj(W) n / det W).
-    Refused (ValueError) when |det W| exceeds ENUMERATION_BUDGET."""
+    Refused (BudgetExceeded) when |det W| exceeds ENUMERATION_BUDGET."""
     W = [tuple(int(c) for c in row) for row in W]
     e = [int(v) for v in e]
     x = linalg.vec(x)
@@ -144,7 +164,7 @@ def gunnels_sczech(W: Sequence[Sequence[int]], e: Sequence[int], x: Sequence) ->
         raise ValueError("singular matrix")
     L = abs(det_w)
     if L > ENUMERATION_BUDGET:
-        raise ValueError(f"|det W| = {L} residues exceed the budget {ENUMERATION_BUDGET}")
+        raise BudgetExceeded(f"|det W| = {L} residues exceed the budget {ENUMERATION_BUDGET}")
     x_coords = [linalg.dot(row, x) / det_w for row in adj]
     # the residues frac(W^(-1) n) of Z^d mod W Z^d are the r / L for r in
     # the subgroup of (Z/L)^d generated by the columns of adj(W) mod L, a set
@@ -171,51 +191,3 @@ def gunnels_sczech(W: Sequence[Sequence[int]], e: Sequence[int], x: Sequence) ->
     sign = -1 if d % 2 else 1
     fact = math.prod(math.factorial(v) for v in e)
     return Fraction(sign * total, fact * L * den)
-
-
-def lattice_sum_series(p: LatticeSumProblem, epsilon: float, radius: int) -> float:
-    """Truncated damped series: (2 pi i)^(-|e|) times the sum over lattice
-    points xi with |xi| <= radius of exp(-2 pi i <x, xi>) divided by
-    prod <w_j, xi>^{e_j}, damped by exp(-pi epsilon |xi|^2); zeros of the
-    linear forms are skipped.  The real part is returned."""
-    import numpy as np
-
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    basis = np.array([[float(c) for c in col] for col in p.basis]).T  # d x k
-    w = np.array([[float(c) for c in col] for col in p.w_columns]).T  # d x k
-    x = np.array([float(c) for c in p.x])
-    # integer coefficient box big enough to cover |xi| <= radius
-    gram = basis.T @ basis
-    lengths = np.sqrt(np.diag(np.linalg.inv(gram)))  # dual basis lengths
-    caps = np.ceil(radius * lengths).astype(int) + 1
-    axes = [np.arange(-c, c + 1) for c in caps]
-    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    xi = mesh @ basis.T  # (N, d)
-    norm_sq = np.sum(xi * xi, axis=1)
-    keep = norm_sq <= radius * radius
-    xi = xi[keep]
-    norm_sq = norm_sq[keep]
-    pairings = xi @ w  # (N, k)
-    nonzero = np.all(np.abs(pairings) > 1e-12, axis=1)
-    xi = xi[nonzero]
-    norm_sq = norm_sq[nonzero]
-    pairings = pairings[nonzero]
-    denom = np.prod(pairings ** np.array(p.exponents), axis=1)
-    phase = np.exp(-2j * np.pi * (xi @ x))
-    terms = phase / denom * np.exp(-np.pi * epsilon * norm_sq)
-    # deterministic reduction order: sort by |xi| then lexicographically
-    order = np.lexsort(tuple(xi[:, j] for j in range(xi.shape[1] - 1, -1, -1)) + (norm_sq,))
-    total = np.sum(terms[order]) / (2j * np.pi) ** sum(p.exponents)
-    return float(total.real)
-
-
-def series_extrapolated(p: LatticeSumProblem, epsilons: Sequence[float], radius: int) -> float:
-    """Richardson-style extrapolation of the damped series as the damping
-    vanishes: fit value(eps) ~ v0 + c*eps on the last two epsilons."""
-    values = [lattice_sum_series(p, eps, radius) for eps in epsilons]
-    if len(values) == 1:
-        return values[0]
-    e1, e2 = epsilons[-2], epsilons[-1]
-    v1, v2 = values[-2], values[-1]
-    return v2 + (v2 - v1) * e2 / (e1 - e2)

@@ -32,8 +32,9 @@ INT64_LIMIT = 2**63
 VERTEX_REFUSAL = "no exact solid angle at a vertex of a 4-polytope"
 
 
-class BudgetExceeded(RuntimeError):
-    pass
+class BudgetExceeded(ValueError):
+    """A refusal: an enumeration past ENUMERATION_BUDGET, or a scan whose
+    integers would leave int64."""
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +108,7 @@ def _transverse_angle(P: Polytope, tight: tuple[int, ...]) -> ExactValue | None:
         None,
     )
     if c is None:
-        raise ValueError(f"no face of P has the tight set {sorted(inside)}")
+        raise RuntimeError(f"no face of P has the tight set {sorted(inside)}")
     if c == 0:
         return ExactValue.of(1)
     if c == 1:

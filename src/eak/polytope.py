@@ -148,23 +148,23 @@ class Polytope:
 
     @staticmethod
     def from_json(data: dict) -> "Polytope":
-        _parse_json(dict, data, "a polytope")
+        parse_json(dict, data, "a polytope")
         if "dim" not in data:
             raise ValueError("missing 'dim'")
-        dim = _parse_int(data["dim"], "'dim'")
+        dim = parse_int(data["dim"], "'dim'")
         has_v = "vertices" in data
         has_h = "inequalities" in data
         if has_v == has_h:
             raise ValueError("exactly one of 'vertices' or 'inequalities' required")
         if has_v:
-            verts = [[_parse_rat(c, "a vertex") for c in _parse_json(list, v, "a vertex")]
-                     for v in _parse_json(list, data["vertices"], "'vertices'")]
+            verts = [[parse_rat(c, "a vertex") for c in parse_json(list, v, "a vertex")]
+                     for v in parse_json(list, data["vertices"], "'vertices'")]
             return Polytope(dim, verts)
         try:
-            rows = [([_parse_int(c, "an entry of 'a'") for c in _parse_json(list, row["a"], "'a'")],
-                     _parse_rat(row["b"], "'b'"))
-                    for r in _parse_json(list, data["inequalities"], "'inequalities'")
-                    for row in [_parse_json(dict, r, "an inequality")]]
+            rows = [([parse_int(c, "an entry of 'a'") for c in parse_json(list, row["a"], "'a'")],
+                     parse_rat(row["b"], "'b'"))
+                    for r in parse_json(list, data["inequalities"], "'inequalities'")
+                    for row in [parse_json(dict, r, "an inequality")]]
         except KeyError as exc:
             raise ValueError(f"missing {exc} in an inequality") from None
         return Polytope.from_inequalities(dim, rows)
@@ -304,9 +304,10 @@ class Polytope:
 
 
 # ---------------------------------------------------------------------------
-# JSON parsing
+# JSON fields, read by Polytope.from_json and LatticeSumProblem.from_json;
+# each refusal names its field
 
-def _parse_int(value, field: str) -> int:
+def parse_int(value, field: str) -> int:
     """An integer or integer string; a float or a boolean is refused."""
     try:
         if type(value) is int or isinstance(value, str):
@@ -316,7 +317,7 @@ def _parse_int(value, field: str) -> int:
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
-def _parse_json(kind: type, value, field: str):
+def parse_json(kind: type, value, field: str):
     """value, if it is a JSON array (kind list) or object (kind dict)."""
     if type(value) is not kind:
         raise ValueError(f"{field} must be a JSON {'array' if kind is list else 'object'}, "
@@ -324,7 +325,7 @@ def _parse_json(kind: type, value, field: str):
     return value
 
 
-def _parse_rat(value, field: str) -> Fraction:
+def parse_rat(value, field: str) -> Fraction:
     if isinstance(value, str):
         try:
             return parse_rational(value)

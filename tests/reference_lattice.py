@@ -1,11 +1,13 @@
-"""Reference lattices and lattice sums, by Fraction elimination.
+"""Reference lattices and lattice sums, by Fraction elimination, and the
+damped-series convergence oracle in floats.
 
 An :class:`EmbeddedLattice` is the integer span of independent rational
 basis columns.  Determinants are carried only through the rational Gram
 determinant det(B^T B), never as floating square roots.  The lattice-sum
 references enumerate the dual lattice in its own coordinates and project
 x onto the span of the lattice, as eak.lattice_sum did before it named
-dual-lattice points by their integer pairings.
+dual-lattice points by their integer pairings.  The damped series
+approaches the same sums numerically, with no exact arithmetic at all.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from eak.bernoulli import bernoulli_poly, frac_part, periodized
 from eak.exactval import ExactValue, angle_of_cos_ratio, primitive_integer_vector
+from eak.lattice_sum import LatticeSumProblem
 from eak.linalg import Vec, dot, norm_sq, vec
 from reference_linalg import (
     columns,
@@ -233,3 +238,49 @@ def reference_gunnels_sczech(W: Sequence[Sequence[int]], e: Sequence[int], x: Se
     sign = -1 if d % 2 else 1
     fact = math.prod(math.factorial(v) for v in e)
     return Fraction(sign, fact * L) * total
+
+
+def lattice_sum_series(p: LatticeSumProblem, epsilon: float, radius: int) -> float:
+    """Truncated damped series: (2 pi i)^(-|e|) times the sum over lattice
+    points xi with |xi| <= radius of exp(-2 pi i <x, xi>) divided by
+    prod <w_j, xi>^{e_j}, damped by exp(-pi epsilon |xi|^2); zeros of the
+    linear forms are skipped.  The real part is returned."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    basis = np.array([[float(c) for c in col] for col in p.basis]).T  # d x k
+    w = np.array([[float(c) for c in col] for col in p.w_columns]).T  # d x k
+    x = np.array([float(c) for c in p.x])
+    # integer coefficient box big enough to cover |xi| <= radius
+    gram = basis.T @ basis
+    lengths = np.sqrt(np.diag(np.linalg.inv(gram)))  # dual basis lengths
+    caps = np.ceil(radius * lengths).astype(int) + 1
+    axes = [np.arange(-c, c + 1) for c in caps]
+    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    xi = mesh @ basis.T  # (N, d)
+    norm_sq = np.sum(xi * xi, axis=1)
+    keep = norm_sq <= radius * radius
+    xi = xi[keep]
+    norm_sq = norm_sq[keep]
+    pairings = xi @ w  # (N, k)
+    nonzero = np.all(np.abs(pairings) > 1e-12, axis=1)
+    xi = xi[nonzero]
+    norm_sq = norm_sq[nonzero]
+    pairings = pairings[nonzero]
+    denom = np.prod(pairings ** np.array(p.exponents), axis=1)
+    phase = np.exp(-2j * np.pi * (xi @ x))
+    terms = phase / denom * np.exp(-np.pi * epsilon * norm_sq)
+    # deterministic reduction order: sort by |xi| then lexicographically
+    order = np.lexsort(tuple(xi[:, j] for j in range(xi.shape[1] - 1, -1, -1)) + (norm_sq,))
+    total = np.sum(terms[order]) / (2j * np.pi) ** sum(p.exponents)
+    return float(total.real)
+
+
+def series_extrapolated(p: LatticeSumProblem, epsilons: Sequence[float], radius: int) -> float:
+    """Richardson-style extrapolation of the damped series as the damping
+    vanishes: fit value(eps) ~ v0 + c*eps on the last two epsilons."""
+    values = [lattice_sum_series(p, eps, radius) for eps in epsilons]
+    if len(values) == 1:
+        return values[0]
+    e1, e2 = epsilons[-2], epsilons[-1]
+    v1, v2 = values[-2], values[-1]
+    return v2 + (v2 - v1) * e2 / (e1 - e2)

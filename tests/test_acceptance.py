@@ -21,12 +21,7 @@ from eak.concrete import (
 from eak.bernoulli import one_sided_B1
 from eak.dedekind import _reciprocity_rhs, dr_sum_direct, dr_sum_fast
 from eak.exactval import AngleValue, ExactValue
-from eak.lattice_sum import (
-    LatticeSumProblem,
-    gunnels_sczech,
-    lattice_sum_finite,
-    series_extrapolated,
-)
+from eak.lattice_sum import LatticeSumProblem, gunnels_sczech, lattice_sum_finite
 from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
 
@@ -37,6 +32,7 @@ from conftest import (
     random_tetrahedron,
     transverse_lattice,
 )
+from reference_lattice import series_extrapolated
 
 DELTA = Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
 ORDER = Polytope(3, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)])

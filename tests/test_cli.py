@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from eak import _kernels, coefficients, oracle
+from eak import _kernels, coefficients, concrete, oracle
 from eak.cli import build_parser, run
 
 from conftest import FOUR_POLYTOPE, rhombic_dodecahedron
@@ -82,9 +82,8 @@ def test_import_loads_no_mpmath():
 
 
 def test_import_and_analyze_load_no_numpy(delta_path):
-    # numpy serves only the oracles' scan, the tiling sampler and the
-    # damped series, each of which imports it: neither the import nor an
-    # analysis loads it
+    # numpy serves only the oracles' scan and the tiling sampler, each of
+    # which imports it: neither the import nor an analysis loads it
     code = (f"import sys, eak.cli, eak.oracle; loaded = {{'numpy', 'mpmath'}} & set(sys.modules); "
             f"eak.cli.run(['analyze', {delta_path!r}, '--eval', '1']); "
             f"print(sorted(loaded), sorted({{'numpy', 'mpmath'}} & set(sys.modules)))")
@@ -275,6 +274,11 @@ def test_dedekind(capsys):
     # beyond the direct cutoff, with x and y over different denominators
     assert run(["dedekind", "35", "97", "1/3", "1/2"]) == 0
     assert capsys.readouterr().out.strip() == "-6/97"
+    # any integer h: s(-3, 7) = -s(3, 7)
+    assert run(["dedekind", "-3", "7"]) == 0
+    assert capsys.readouterr().out.strip() == "1/14"
+    assert run(["dedekind", "-3", "7", "1/3", "1/2"]) == 0
+    assert capsys.readouterr().out.strip() == "2/7"
 
 
 def test_lattice_sum(tmp_path, capsys):
@@ -458,6 +462,54 @@ def test_input_errors(delta_path, tmp_path, capsys):
     # an unwritable report path is an input error, not a traceback
     assert run(["analyze", delta_path, "--json", str(tmp_path / "missing" / "x.json")]) == 2
     _one_line_error(capsys, "cannot write")
+
+
+def test_every_refusal_is_one_line_with_exit_2(delta_path, tmp_path, monkeypatch, capsys):
+    """One refusal path for every command: argparse's errors, a ValueError
+    from any layer and a missing key of a lattice-sum problem each exit 2
+    with the one stderr line `error: <message>`, and --help exits 0."""
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps(
+        {"dim": 3, "vertices": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]}
+    ))
+    cases = [
+        (["verify", delta_path, "--t", "0"], ("--t", "not a positive rational")),
+        (["analyze", delta_path, "--flavor", "x"], ("--flavor", "invalid choice")),
+        ([], ("required", "command")),
+        (["eval", _write_polytope(tmp_path, "delta4"), "--t", "1"], ("no closed form",)),
+        (["dedekind", "2", "4"], ("gcd",)),
+        (["concrete", str(cube), "--tmax", "x"], ("--tmax", "at least 1")),
+    ]
+    # bytes that are no text, and arrays nested past the recursion limit
+    binary, deep = tmp_path / "binary.json", tmp_path / "deep.json"
+    binary.write_bytes(b"\xff\xfe")
+    deep.write_text("[" * 10**5 + "]" * 10**5)
+    cases += [(["analyze", str(binary)], (str(binary), "utf-8")),
+              (["analyze", str(deep)], (str(deep), "recursion"))]
+    problem = {"basis": [["1"]], "w": [["1"]], "e": [2], "x": ["1/3"]}
+    for key in problem:
+        path = tmp_path / f"no_{key}.json"
+        path.write_text(json.dumps({k: v for k, v in problem.items() if k != key}))
+        cases.append((["lattice-sum", str(path)], (str(path), f"missing '{key}'")))
+    for argv, words in cases:
+        assert run(argv) == 2
+        _one_line_error(capsys, *words)
+
+    def refuse(P, t):
+        raise ValueError("refused by a layer below the CLI")
+
+    monkeypatch.setattr(coefficients, "evaluate", refuse)
+    assert run(["analyze", delta_path, "--eval", "1"]) == 2
+    _one_line_error(capsys, "refused by a layer below the CLI")
+    # every sample k / 1 of the cube lies on the boundary of a translate
+    monkeypatch.setattr(concrete, "SAMPLE_DEN", 1)
+    assert run(["concrete", str(cube), "--tmax", "1", "--samples", "1"]) == 2
+    _one_line_error(capsys, "could not sample", "64 draws")
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exit_:
+            run(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: eak")
 
 
 def test_verify_refuses_int64_overflow(tmp_path, capsys):

@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 from eak.bernoulli import periodized
 from eak.dedekind import dr_sum_fast
 from eak.exactval import ExactValue
-from eak.lattice_sum import (
-    LatticeSumProblem,
-    gunnels_sczech,
-    lattice_sum_finite,
-    lattice_sum_series,
-    series_extrapolated,
-)
+from eak.lattice_sum import LatticeSumProblem, gunnels_sczech, lattice_sum_finite
 from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
 
@@ -24,8 +18,10 @@ import reference_linalg as ref
 from conftest import transverse_lattice
 from reference_lattice import (
     EmbeddedLattice,
+    lattice_sum_series,
     reference_gunnels_sczech,
     reference_lattice_sum_finite,
+    series_extrapolated,
 )
 
 Z1 = ((1,),)

@@ -169,9 +169,11 @@ def test_dihedral_angle_is_c_G(cube, delta):
 
 
 def test_transverse_angle_refuses_a_tight_set_of_no_face(cube):
-    # facets 0 and 5 of the cube are x = 0 and x = 1: they meet nowhere
+    # facets 0 and 5 of the cube are x = 0 and x = 1: they meet nowhere.
+    # No scan reaches such a set, so it is an internal error, not a refusal
+    # of an input (a ValueError would print as one)
     x_facets = [i for i, (a, _) in enumerate(cube.inequalities) if a[1:] == (0, 0)]
-    with pytest.raises(ValueError, match="no face"):
+    with pytest.raises(RuntimeError, match="no face"):
         oracle._transverse_angle(cube, tuple(x_facets))
 
 
