@@ -176,24 +176,25 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     P = _load(args.polytope, Polytope.from_json)
     d, m = P.dim, P.denominator()
+    table = oracle.angle_table(P)
     checks = []
     vol = ExactValue.of(P.volume())
     for t in args.t:
         t = Fraction(t)
-        count_samples, angle_samples = [], []
+        samples = []
         for s in (t + j * m for j in range(d + 1)):
-            interior, boundary, A, C = oracle._enumerate(P, s)
-            count_samples.append((s, Fraction(interior + len(boundary))))
+            interior, faces = oracle.face_counts(P, s)
             # points left out at 4-D vertices add one constant over all s: only t^0 sees it
-            angle_samples.append((s, oracle._angle_sum(P, interior, boundary, A, C)[0]))
-        ec = [ExactValue.of(c) for c in oracle.interpolate_coefficients(count_samples, d)]
-        ac = oracle.interpolate_coefficients(angle_samples, d)
+            angles, _ = table.vector(interior, faces)
+            samples.append((s, (interior + sum(faces.values()), *angles)))
+        # each coefficient: the count's, then D times the angle sum's over the basis
+        coeffs = oracle.interpolate_coefficients(samples, d)
         values = {"vol": vol, **coefficients.evaluate(P, t)}
-        # (name, interpolated coefficients, codimension k): a segment has no k = 2 row
+        # (name, codimension k): a segment has no k = 2 row
         rows = [
-            (name, values[name], coeffs[k])
-            for name, coeffs, k in (("vol", ec, 0), ("e_d1", ec, 1), ("e_d2", ec, 2),
-                                    ("a_d1", ac, 1), ("a_d2", ac, 2))
+            (name, values[name],
+             table.value(coeffs[k][1:]) if name.startswith("a_") else ExactValue.of(coeffs[k][0]))
+            for name, k in (("vol", 0), ("e_d1", 1), ("e_d2", 2), ("a_d1", 1), ("a_d2", 2))
             if k <= d
         ]
         for name, formula, interpolated in rows:

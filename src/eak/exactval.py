@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
@@ -79,6 +80,15 @@ class AngleValue:
             raise ValueError("sign is 0 exactly when cos_squared is 0")
         object.__setattr__(self, "cos_squared", cs)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.sign, self.cos_squared))
+
+    def __hash__(self) -> int:
+        # hashed once, on first use: Fraction.__hash__ takes a modular
+        # inverse on every call
+        return self._hash
+
     def rational_turn(self) -> Fraction | None:
         """arccos/(2*pi) as an exact rational, when the angle admits one."""
         if self.sign == 0:
@@ -87,10 +97,6 @@ class AngleValue:
         if turn is None:
             return None
         return turn if self.sign > 0 else Fraction(1, 2) - turn
-
-    def supplement(self) -> "AngleValue":
-        """The angle pi - theta (cosine negated)."""
-        return AngleValue(-self.sign, self.cos_squared)
 
     def eval_numeric(self, precision: int = 53) -> mpmath.mpf:
         """arccos value at the given binary precision."""
@@ -118,6 +124,22 @@ def angle_of_cos_ratio(num: RationalLike, den_sq: RationalLike) -> AngleValue:
     return AngleValue(0 if num == 0 else (1 if num > 0 else -1), cs)
 
 
+def canonical_term(angle: AngleValue) -> tuple[Fraction, int, Fraction]:
+    """arccos(angle)/(2*pi) in canonical form, rat + s * arccos(sqrt(cs))/(2*pi),
+    as (rat, s, cs): s = 0 when the angle is a rational number of turns,
+    else s = +-1 and cs in (0, 1/2) with no rational number of turns."""
+    turn = angle.rational_turn()
+    if turn is not None:
+        return turn, 0, Fraction(0)
+    # arccos(-c) = pi - arccos(c)
+    rat, s = (Fraction(0), 1) if angle.sign > 0 else (Fraction(1, 2), -1)
+    cs = angle.cos_squared
+    if cs > Fraction(1, 2):
+        # arccos(sqrt(c)) + arccos(sqrt(1 - c)) = pi/2
+        return rat + Fraction(s, 4), -s, 1 - cs
+    return rat, s, cs
+
+
 @dataclass(frozen=True)
 class ExactValue:
     """rational_part + sum of coeff * arccos(angle)/(2*pi), canonicalized.
@@ -134,7 +156,8 @@ class ExactValue:
     Only the leaves canonicalize: the constructor and :meth:`angle_turn`.
     Arithmetic (``+``, ``-``, ``*``, ``/``, :func:`exact_sum`) assumes its
     ExactValue operands are canonical, as every ExactValue is, and only
-    merges their terms by angle and drops zero coefficients.
+    merges their terms by angle and drops zero coefficients; :meth:`on_basis`
+    takes coefficients over angles already canonical.
     """
 
     rational_part: Fraction
@@ -147,22 +170,10 @@ class ExactValue:
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            if angle.sign < 0:
-                # arccos(-c) = pi - arccos(c)
-                rat += coeff / 2
-                coeff = -coeff
-                angle = angle.supplement()
-            turn = angle.rational_turn()
-            if turn is not None:
-                rat += coeff * turn
-                continue
-            cs = angle.cos_squared
-            if cs > Fraction(1, 2):
-                # arccos(sqrt(c)) + arccos(sqrt(1 - c)) = pi/2
-                rat += coeff / 4
-                coeff = -coeff
-                cs = 1 - cs
-            acc[cs] = acc.get(cs, Fraction(0)) + coeff
+            turn, s, cs = canonical_term(angle)
+            rat += coeff * turn
+            if s:
+                acc[cs] = acc.get(cs, Fraction(0)) + s * coeff
         terms = tuple(
             (c, AngleValue(1, cs))
             for cs, c in sorted(acc.items())
@@ -179,6 +190,16 @@ class ExactValue:
     def angle_turn(angle: AngleValue, coeff: RationalLike = 1) -> "ExactValue":
         """coeff * arccos(angle)/(2*pi) as an ExactValue."""
         return ExactValue(Fraction(0), ((Fraction(coeff), angle),))
+
+    @staticmethod
+    def on_basis(components: Sequence[RationalLike], angles: Sequence[AngleValue]) -> "ExactValue":
+        """components[0] + the sum of components[i] * arccos(angles[i - 1])/(2*pi),
+        for angles of canonical terms (sign 1, no rational turn, cos^2 < 1/2)
+        sorted by cos^2: zero coefficients are dropped, and nothing is
+        canonicalized again."""
+        rat, *coeffs = components
+        return _canonical(Fraction(rat),
+                          tuple((Fraction(c), a) for c, a in zip(coeffs, angles) if c))
 
     @property
     def is_rational(self) -> bool:

@@ -13,12 +13,13 @@ polytope's data is built once, on first use, and kept on it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
 from eak import linalg
-from eak.exactval import AngleValue, ExactValue, angle_of_cos_ratio
+from eak.exactval import AngleValue, ExactValue
 from eak.polytope import Face, Polytope
 
 
@@ -67,7 +68,6 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
     (v1, b1), (v2, b2) = P.inequalities[i], P.inequalities[j]
     n1, n2 = int(linalg.norm_sq(v1)), int(linalg.norm_sq(v2))
     dot12 = int(linalg.dot(v1, v2))
-    c_G = angle_of_cos_ratio(-dot12, n1 * n2)
 
     # x -> (<v1, x>, <v2, x>) maps the dual of Lambda_G onto the sublattice
     # of Z^2 of index k that contains (1, -h): k is the gcd of the 2x2
@@ -86,7 +86,7 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
         norm1_sq=n1,
         norm2_sq=n2,
         dot12=dot12,
-        c_G=c_G,
+        c_G=dihedral_angle(v1, v2),
         k=k,
         h=h,
         h_inv=h_inv,
@@ -95,6 +95,14 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
         b2_num=int(b2 * den),
         vol_star=P.relative_volume(face),
     )
+
+
+def dihedral_angle(v1: tuple[int, ...], v2: tuple[int, ...]) -> AngleValue:
+    """c_G of a ridge from its two integer facet normals alone, in integers:
+    the angle whose cosine is -<v1, v2> / (|v1| |v2|)."""
+    dot = sum(map(operator.mul, v1, v2))
+    return AngleValue((dot < 0) - (dot > 0),
+                      Fraction(dot * dot, sum(x * x for x in v1) * sum(x * x for x in v2)))
 
 
 def _unit_preimage(v: tuple[int, ...]) -> list[int]:

@@ -1,35 +1,44 @@
 """Brute-force ground truth: exact lattice-point counts, solid angles
-and Newton interpolation of quasi-coefficients from samples.
+and interpolation of quasi-coefficients from samples.
 
 The solid angle of tP is constant on the relative interior of each face,
 and the set of inequalities tight at a point of tP is the tight set of
 the face of P whose dilate holds the point in its relative interior.
+One scan, face_counts, returns the interior count and the boundary
+counts by tight set, each set packed into the bits of one integer.
 The face lattice of P gives that face's codimension, and one rule the
-angle: 1 inside, 1/2 on a facet, the dihedral angle c_G of the local
+angle: 1 inside, 1/2 on a facet, the dihedral angle omega_G of the local
 data on a codim-2 face, and on a codim-3 face (a vertex of a 3-polytope,
 an edge of a 4-polytope) Girard's theorem on the transverse cone: half
 the sum of its dihedral angles less (n - 2)/4 for n facets.
 The vertices of a 4-polytope have no exact rule: a sum that meets one
-refuses.  So A_P(t) is the interior count plus, for each tight set met
-on the boundary, its point count times one angle, and that angle, kept
-on the polytope, serves every t > 0."""
+refuses.  Each polytope keeps one AngleTable: one arccos basis, the
+canonical terms of its dihedral angles, and per face one sparse integer
+row, D = 48 times the face's angle over that basis with Girard's rule
+folded in.  So A_P(t), times D, is the integer vector
+interior * D * e_0 + sum of n_F * row_F, and it becomes one ExactValue
+only when it is read.  Interpolation applies one integer Lagrange matrix
+to rational, ExactValue or integer-vector samples."""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from eak import linalg, local_data
-from eak.exactval import ExactValue, exact_sum
+from eak.exactval import AngleValue, ExactValue, canonical_term, exact_sum
 from eak.polytope import Polytope
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ENUMERATION_BUDGET = 10**7
 INT64_LIMIT = 2**63
 VERTEX_REFUSAL = "no exact solid angle at a vertex of a 4-polytope"
+# A dihedral angle's canonical term has its rational part in (1/24)Z and
+# its basis coefficient +-1 (exactval.canonical_term), and Girard's rule
+# halves these: every solid angle of a polytope of dimension <= 4 is in
+# (1/48)(Z + Z theta_1 + ... + Z theta_n) over its arccos basis theta_i.
+ANGLE_DENOMINATOR = 48
 
 
 class BudgetExceeded(ValueError):
@@ -47,12 +56,13 @@ def _scaled_system(P: Polytope, t: Fraction):
     the scan would wrap silently."""
     import numpy as np
 
-    lo = []
-    hi = []
-    for j in range(P.dim):
-        coords = [v[j] * t for v in P.vertices]
-        lo.append(math.floor(min(coords)))
-        hi.append(math.ceil(max(coords)))
+    # t = p / q > 0 and the vertices of L P are integer: the coordinate j
+    # of t*P spans [p min_j / (L q), p max_j / (L q)]
+    L, points = P._dilate
+    p, q = t.numerator, L * t.denominator
+    columns = list(zip(*points))
+    lo = [p * min(c) // q for c in columns]
+    hi = [-(-p * max(c) // q) for c in columns]
     reach = [max(abs(lo_j), abs(hi_j)) for lo_j, hi_j in zip(lo, hi)]
     rows_a = []
     rows_c = []
@@ -87,21 +97,41 @@ def _enumerate(P: Polytope, t: Fraction):
 
 
 def count_points(P: Polytope, t) -> int:
-    """|tP cap Z^d| by the exact line scan."""
+    """|tP cap Z^d| by the exact line scan, with no grouping by face."""
     interior, boundary, _, _ = _enumerate(P, Fraction(t))
     return interior + len(boundary)
+
+
+def face_counts(P: Polytope, t) -> tuple[int, dict[int, int]]:
+    """The scan of t*P by face: the interior count and, for each tight set
+    met on the boundary, the number of its points.  A tight set is keyed
+    by the integer whose bit i is set iff inequality i is tight, exact for
+    any number of facets."""
+    import numpy as np
+
+    interior, boundary, A, C = _enumerate(P, Fraction(t))
+    # each point's tight rows, packed little-endian into bytes: one key a point
+    packed = np.packbits(boundary @ A.T == C, axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    counts = Counter(data[i:i + width] for i in range(0, len(data), width))
+    return interior, {int.from_bytes(key, "little"): n for key, n in counts.items()}
 
 
 # ---------------------------------------------------------------------------
 # solid angles
 
+def _bits(tight) -> int:
+    return sum(1 << i for i in tight)
+
+
 def _transverse_angle(P: Polytope, tight: tuple[int, ...]) -> ExactValue | None:
     """Solid angle of P on the relative interior of the face with tight
     inequality set `tight`, by that face's codimension c in the face
-    lattice of P.  At c = 2 it is the face's dihedral angle omega; at c = 3
-    the dihedral angles of the transverse cone sit at the codim-2 faces of
-    P inside the tight set; at c = 4, a vertex of a 4-polytope, there is
-    no exact rule and the angle is None."""
+    lattice of P: the per-face reference for AngleTable's rows.  At c = 2
+    it is the face's dihedral angle omega; at c = 3 the dihedral angles of
+    the transverse cone sit at the codim-2 faces of P inside the tight
+    set; at c = 4, a vertex of a 4-polytope, there is no exact rule and
+    the angle is None."""
     inside = frozenset(tight)
     c = next(
         (F.codim for k in range(P.dim + 1) for F in P.faces_of_codim(k) if F.tight_set == inside),
@@ -122,6 +152,92 @@ def _transverse_angle(P: Polytope, tight: tuple[int, ...]) -> ExactValue | None:
     return None
 
 
+class AngleTable:
+    """The solid angles of P as integer rows over one arccos basis.
+
+    The basis, `angles`, holds the distinct canonical arccos terms of P's
+    dihedral angles, sorted by cos^2.  The row of a face, keyed by the bits
+    of its tight set, is D = ANGLE_DENOMINATOR times its solid angle, as
+    the sparse pairs (i, n): n/D at i = 0 is the rational part, and n/D at
+    i >= 1 the coefficient of arccos(angles[i - 1])/(2pi); a vertex of a
+    4-polytope has the row None.  Each row is built the first time a scan
+    meets its face, and kept."""
+
+    def __init__(self, P: Polytope):
+        # the dihedral angles from the ridges' normals alone: no angle sum
+        # reads the rest of their local data (h, k, volumes)
+        terms = []
+        for G in P.codim2_faces():
+            v1, v2 = (P.inequalities[i][0] for i in G.tight_set)
+            terms.append((G.tight_set, canonical_term(local_data.dihedral_angle(v1, v2))))
+        basis = sorted({cs for _, (_, s, cs) in terms if s})
+        self.angles = tuple(AngleValue(1, cs) for cs in basis)
+        index = {cs: i for i, cs in enumerate(basis, 1)}
+        # each ridge's dihedral angle: (D/2 times its rational part, basis
+        # index, coefficient +-1 or 0), so Girard's halves stay integers
+        self._ridges = {}
+        for tight, (rat, s, cs) in terms:
+            half = rat * ANGLE_DENOMINATOR / 2
+            if half.denominator != 1:
+                raise RuntimeError(f"a dihedral angle of P has a rational part {rat} "
+                                   f"outside (2/{ANGLE_DENOMINATOR}) Z")
+            self._ridges[_bits(tight)] = (half.numerator, index.get(cs, 0), s)
+        self._codims = {_bits(F.tight_set): F.codim
+                        for c in range(1, P.dim + 1) for F in P.faces_of_codim(c)}
+        self.rows: dict[int, tuple[tuple[int, int], ...] | None] = {}
+
+    def _row(self, key: int) -> tuple[tuple[int, int], ...] | None:
+        """D times the solid angle on the face with tight-set bits key."""
+        c = self._codims.get(key)
+        if c is None:
+            raise RuntimeError(f"no face of P has the tight-set bits {key:#x}")
+        D = ANGLE_DENOMINATOR
+        if c == 1:
+            return ((0, D // 2),)
+        if c == 2:
+            half, i, s = self._ridges[key]
+            return ((0, 2 * half), (i, s * D)) if s else ((0, 2 * half),)
+        if c == 3:
+            # Girard: half the sum of the dihedral angles, less (n - 2)/4
+            row = {0: -(D // 4) * (key.bit_count() - 2)}
+            for bits, (half, i, s) in self._ridges.items():
+                if bits & key == bits:
+                    row[0] += half
+                    if s:
+                        row[i] = row.get(i, 0) + s * D // 2
+            return tuple(sorted((i, x) for i, x in row.items() if x))
+        return None
+
+    def vector(self, interior: int, counts: dict[int, int]) -> tuple[list[int], int]:
+        """D times A_P(t) from the scan face_counts(P, t) = (interior,
+        counts), as the integer vector over (1, basis), less the points at
+        a vertex of a 4-polytope, and the number of those points."""
+        rows = self.rows
+        total = [interior * ANGLE_DENOMINATOR] + [0] * len(self.angles)
+        left_out = 0
+        for key, n in counts.items():
+            if key not in rows:
+                rows[key] = self._row(key)
+            row = rows[key]
+            if row is None:
+                left_out += n
+                continue
+            for i, x in row:
+                total[i] += n * x
+        return total, left_out
+
+    def value(self, vector: Sequence) -> ExactValue:
+        """The ExactValue of vector / D over (1, basis)."""
+        return ExactValue.on_basis([Fraction(x) / ANGLE_DENOMINATOR for x in vector], self.angles)
+
+
+def angle_table(P: Polytope) -> AngleTable:
+    """P's AngleTable, built on first use and kept on P."""
+    if P._angle_table is None:
+        P._angle_table = AngleTable(P)
+    return P._angle_table
+
+
 def solid_angle_at(P: Polytope, x: Sequence, t=1) -> ExactValue:
     """Exact solid angle of t*P at the point x (0 when x is outside);
     refused at a vertex of a 4-polytope."""
@@ -138,63 +254,81 @@ def solid_angle_at(P: Polytope, x: Sequence, t=1) -> ExactValue:
 
 def solid_angle_sum(P: Polytope, t) -> ExactValue:
     """A_P(t): the sum of solid angles of t*P over the integer points;
-    refused when a point is a vertex of a 4-polytope.
-
-    Boundary points are grouped by their tight rows (exact in int64, as
-    _scaled_system bounds every row), and each group adds its count times
-    the angle of its face.  The angle does not depend on t > 0, so it is
-    kept in P._face_angles for every later t."""
-    total, left_out = _angle_sum(P, *_enumerate(P, Fraction(t)))
+    refused when a point is a vertex of a 4-polytope.  One integer vector
+    from the scan by face and P's AngleTable, read as one ExactValue."""
+    table = angle_table(P)
+    vector, left_out = table.vector(*face_counts(P, t))
     if left_out:
         raise ValueError(VERTEX_REFUSAL)
-    return total
-
-
-def _angle_sum(P: Polytope, interior: int, boundary: np.ndarray, A, C) -> tuple[ExactValue, int]:
-    """A_P(t) from the scan (interior, boundary, A, C) of t*P, less the
-    points at a vertex of a 4-polytope, and the number of those points."""
-    import numpy as np
-
-    patterns, counts = np.unique(boundary @ A.T == C, axis=0, return_counts=True)
-    angles = P._face_angles
-    terms = [ExactValue.of(interior)]
-    left_out = 0
-    for pattern, n in zip(patterns, counts):
-        key = tuple(np.flatnonzero(pattern).tolist())
-        if key not in angles:
-            angles[key] = _transverse_angle(P, key)
-        if angles[key] is None:
-            left_out += int(n)
-        else:
-            terms.append(angles[key] * int(n))
-    return exact_sum(terms), left_out
+    return table.value(vector)
 
 
 # ---------------------------------------------------------------------------
 # coefficient extraction and consistency checks
 
+def _lagrange_matrix(ts: Sequence[Fraction]) -> tuple[list[list[int]], int]:
+    """(M, W) in integers with coefficient r (highest degree first) of the
+    polynomial through (t_j, v_j) equal to sum_j M[r][j] v_j / W.  On the
+    integer nodes u_j = T t_j, T the lcm of the denominators, Lagrange's
+    basis is N_j(s) / w_j with N_j = prod_{i != j} (s - u_i) and
+    w_j = N_j(u_j); p(t) = q(T t) scales the s^k coefficient by T^k."""
+    T = math.lcm(*(t.denominator for t in ts))
+    us = [t.numerator * (T // t.denominator) for t in ts]
+    degree = len(us) - 1
+    nums, ws = [], []
+    for j, u in enumerate(us):
+        poly, w = [1], 1
+        for i, v in enumerate(us):
+            if i != j:
+                poly = [a - v * b for a, b in zip(poly + [0], [0] + poly)]
+                w *= u - v
+        nums.append(poly)
+        ws.append(w)
+    W = math.lcm(*ws)
+    matrix = [[N[r] * (W // w) * T ** (degree - r) for N, w in zip(nums, ws)]
+              for r in range(degree + 1)]
+    return matrix, W
+
+
 def interpolate_coefficients(samples: Sequence[tuple], degree: int):
     """Polynomial coefficients (highest degree first) from degree+1 exact
-    samples (t_j, value_j), by Newton's divided differences expanded into
-    the monomial basis.  Values may be Fractions or ExactValues; the
-    coefficients are all ExactValues if any value is one, else Fractions."""
+    samples (t_j, value_j), by one integer Lagrange matrix applied over
+    one common denominator.  Values may be rationals, ExactValues or
+    integer vectors (tuples or lists of one length); the coefficients are
+    ExactValues if any value is one, tuples of Fractions for vectors, and
+    else Fractions."""
     if len(samples) != degree + 1:
         raise ValueError(f"need {degree + 1} samples for degree {degree}")
     ts = [Fraction(t) for t, _ in samples]
     if len(set(ts)) != len(ts):
         raise ValueError("duplicate sample points make the system singular")
     values = [v for _, v in samples]
-    lift = ExactValue.of if any(isinstance(v, ExactValue) for v in values) else Fraction
-    diffs = [v if isinstance(v, ExactValue) else lift(v) for v in values]
-    for j in range(1, degree + 1):
-        for i in range(degree, j - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (ts[i] - ts[i - j])
-    # p(t) = d_0 + (t - t_0)(d_1 + (t - t_1)(d_2 + ...)), from the inside out
-    coeffs = [diffs[degree]]
-    for k in range(degree - 1, -1, -1):
-        shifted = [c * ts[k] for c in coeffs]
-        coeffs = [coeffs[0]] + [c - s for c, s in zip(coeffs[1:], shifted)] + [diffs[k] - shifted[-1]]
-    return coeffs
+    exact = any(isinstance(v, ExactValue) for v in values)
+    vector = not exact and isinstance(values[0], (tuple, list))
+    if exact:
+        # every value as its rational part, then its coefficients over the angles met
+        values = [v if isinstance(v, ExactValue) else ExactValue.of(v) for v in values]
+        angles = sorted({a for v in values for _, a in v.angle_terms}, key=lambda a: a.cos_squared)
+        rows = []
+        for v in values:
+            coeffs = {a: c for c, a in v.angle_terms}
+            rows.append([v.rational_part, *(coeffs.get(a, 0) for a in angles)])
+    elif vector:
+        rows = [list(v) for v in values]
+    else:
+        rows = [[Fraction(v)] for v in values]
+    # one denominator Q for all samples (ints and Fractions), then integer sums only
+    Q = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = [[x.numerator * (Q // x.denominator) for x in row] for row in rows]
+    matrix, den = _lagrange_matrix(ts)
+    coeffs = [[Fraction(sum(m * row[i] for m, row in zip(weights, ints)), den * Q)
+               for i in range(len(ints[0]))]
+              for weights in matrix]
+    if exact:
+        return [ExactValue.on_basis(c, angles) for c in coeffs]
+    if vector:
+        return [tuple(c) for c in coeffs]
+    return [c[0] for c in coeffs]
 
 
 def appendixA_cross_check(P: Polytope, t) -> ExactValue:

@@ -112,14 +112,12 @@ class Polytope:
         # the face lattice: the codim-2 data (filled by eak.local_data), the
         # integer volume over L P and the relative volume of each face, by
         # its vertex ids, the minor gcd of each set of normals, by the set,
-        # and the solid angle on each face met by a lattice point of a
-        # dilate (filled by eak.oracle), by the tuple of its tight
-        # inequality indices.
+        # and the solid-angle table (an eak.oracle.AngleTable).
         self._codim2_data: tuple | None = None
         self._lattice_volumes: dict[tuple[int, ...], int] = {}
         self._volumes: dict[tuple[int, ...], Fraction] = {}
         self._minor_gcds: dict[frozenset[int], int] = {}
-        self._face_angles: dict = {}
+        self._angle_table = None
 
     # -- constructors -----------------------------------------------------
 

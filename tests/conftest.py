@@ -201,8 +201,8 @@ def reference_scan_box(A, C, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# reference: interpolation through the inverse of the Fraction Vandermonde
-# matrix
+# references: interpolation through the inverse of the Fraction Vandermonde
+# matrix, and by Newton's divided differences
 
 
 def vandermonde_interpolation(samples, degree):
@@ -224,6 +224,29 @@ def vandermonde_interpolation(samples, degree):
             coeffs.append(exact_sum(v * inv[i][j] for j, v in enumerate(values)))
         else:
             coeffs.append(sum((Fraction(v) * inv[i][j] for j, v in enumerate(values)), Fraction(0)))
+    return coeffs
+
+
+def newton_interpolation(samples, degree):
+    """Polynomial coefficients (highest degree first) from degree+1 exact
+    samples (t_j, value_j), by Newton's divided differences expanded into
+    the monomial basis; ExactValues if any value is one, else Fractions."""
+    if len(samples) != degree + 1:
+        raise ValueError(f"need {degree + 1} samples for degree {degree}")
+    ts = [Fraction(t) for t, _ in samples]
+    if len(set(ts)) != len(ts):
+        raise ValueError("duplicate sample points make the system singular")
+    values = [v for _, v in samples]
+    lift = ExactValue.of if any(isinstance(v, ExactValue) for v in values) else Fraction
+    diffs = [v if isinstance(v, ExactValue) else lift(v) for v in values]
+    for j in range(1, degree + 1):
+        for i in range(degree, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (ts[i] - ts[i - j])
+    # p(t) = d_0 + (t - t_0)(d_1 + (t - t_1)(d_2 + ...)), from the inside out
+    coeffs = [diffs[degree]]
+    for k in range(degree - 1, -1, -1):
+        shifted = [c * ts[k] for c in coeffs]
+        coeffs = [coeffs[0]] + [c - s for c, s in zip(coeffs[1:], shifted)] + [diffs[k] - shifted[-1]]
     return coeffs
 
 
@@ -399,7 +422,7 @@ class ReferencePolytope(Polytope):
         self._lattice_volumes = {}
         self._volumes = {}
         self._minor_gcds = {}
-        self._face_angles = {}
+        self._angle_table = None
 
 
 def reference_check_bounded(rows, dim):

@@ -188,17 +188,24 @@ def test_verify(delta_path, local_data_builds, capsys):
 
 def test_verify_classifies_each_face_once(delta_path, monkeypatch, capsys):
     # the eight dilations 1..4 and 1/2..7/2 meet the 4 facets, 6 edges and
-    # 4 vertices of Delta_3; each face's angle is computed once
-    faces = []
-    angle_of = oracle._transverse_angle
+    # 4 vertices of Delta_3; the polytope's angle table is built once, and
+    # each face's row in it once
+    tables, faces = [], []
+    build, row_of = oracle.AngleTable.__init__, oracle.AngleTable._row
 
-    def counted(P, tight):
-        faces.append(frozenset(tight))
-        return angle_of(P, tight)
+    def counted_build(table, P):
+        tables.append(P)
+        build(table, P)
 
-    monkeypatch.setattr(oracle, "_transverse_angle", counted)
+    def counted_row(table, key):
+        faces.append(key)
+        return row_of(table, key)
+
+    monkeypatch.setattr(oracle.AngleTable, "__init__", counted_build)
+    monkeypatch.setattr(oracle.AngleTable, "_row", counted_row)
     assert run(["verify", delta_path, "--t", "1", "--t", "1/2"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+    assert len(tables) == 1
     assert 0 < len(faces) == len(set(faces)) <= 4 + 6 + 4
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -18,6 +20,7 @@ from eak.polytope import Polytope
 import reference_linalg as ref
 from conftest import (
     FOUR_POLYTOPE,
+    newton_interpolation,
     random_integer_polytope,
     random_rational_polytope,
     vandermonde_interpolation,
@@ -179,7 +182,7 @@ def test_transverse_angle_refuses_a_tight_set_of_no_face(cube):
 
 def test_oracle_path_takes_no_rank_or_inverse(tmp_path, capsys, delta, cube):
     """Angles come from the face lattice and the local data, and the
-    coefficients from Newton's divided differences: the package has no
+    coefficients from one integer Lagrange matrix: the package has no
     rank, rref, inverse or other Fraction elimination to take."""
     P4 = Polytope(4, FOUR_POLYTOPE)
     codim3 = [tuple(sorted(F.tight_set)) for F in P4.faces_of_codim(3)]
@@ -227,19 +230,37 @@ sample_values = st.one_of(
 @settings(deadline=None)
 @given(data=st.data(), degree=st.integers(0, 4), exact=st.booleans())
 def test_newton_matches_vandermonde(data, degree, exact):
-    """Newton's divided differences give the coefficients, and their
-    types, of the Vandermonde inverse: Fractions from Fraction samples,
-    ExactValues as soon as one sample is an ExactValue."""
+    """The Lagrange matrix gives the coefficients, and their types, of both
+    references, Newton's divided differences and the Vandermonde inverse:
+    Fractions from Fraction samples, ExactValues as soon as one sample is
+    an ExactValue."""
     ts = data.draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
                             min_size=degree + 1, max_size=degree + 1, unique=True))
     values = data.draw(st.lists(sample_values if exact else st.fractions(max_denominator=50,
                                                                        min_value=-9, max_value=9),
                                 min_size=degree + 1, max_size=degree + 1))
     samples = list(zip(ts, values))
-    newton = oracle.interpolate_coefficients(samples, degree)
+    lagrange = oracle.interpolate_coefficients(samples, degree)
+    newton = newton_interpolation(samples, degree)
     reference = vandermonde_interpolation(samples, degree)
-    assert newton == reference
-    assert [type(c) for c in newton] == [type(c) for c in reference]
+    assert lagrange == newton == reference
+    assert [type(c) for c in lagrange] == [type(c) for c in newton] == [type(c) for c in reference]
+
+
+@settings(deadline=None)
+@given(data=st.data(), degree=st.integers(0, 4), width=st.integers(1, 6))
+def test_vector_samples_interpolate_by_component(data, degree, width):
+    """Integer-vector samples give tuples of Fractions: on each component,
+    Newton's coefficients of that component's samples."""
+    ts = data.draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
+                            min_size=degree + 1, max_size=degree + 1, unique=True))
+    vectors = data.draw(st.lists(st.tuples(*[st.integers(-10**6, 10**6)] * width),
+                                 min_size=degree + 1, max_size=degree + 1))
+    coeffs = oracle.interpolate_coefficients(list(zip(ts, vectors)), degree)
+    assert all(type(c) is tuple and len(c) == width for c in coeffs)
+    for i in range(width):
+        component = newton_interpolation([(t, v[i]) for t, v in zip(ts, vectors)], degree)
+        assert [c[i] for c in coeffs] == component
 
 
 def test_interpolation_recovers_coefficients(delta):
@@ -323,6 +344,90 @@ def test_bucketed_sum_matches_per_point_sum(d, data):
                 == _value_or_refusal(_per_point_sum, P, t))
 
 
+@settings(max_examples=50, deadline=None)
+@given(rational_polytopes(3), dilations)
+def test_scaled_box_is_the_fraction_box(P, t):
+    # the box from the integer vertices of L P is the floor and the ceiling
+    # of the Fraction coordinates of t*P
+    _, _, lo, hi = oracle._scaled_system(P, t)
+    assert lo == [math.floor(min(v[j] * t for v in P.vertices)) for j in range(3)]
+    assert hi == [math.ceil(max(v[j] * t for v in P.vertices)) for j in range(3)]
+
+
+def _face_key(F) -> int:
+    return sum(1 << i for i in F.tight_set)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_angle_table_matches_per_face_reference(d, data):
+    """Each face's row of P's AngleTable, over D, is _transverse_angle of
+    its tight set, and None exactly at the vertices of a 4-polytope; the
+    table's sum is the per-point sum, or both refuse alike."""
+    P = data.draw(rational_polytopes(d))
+    table = oracle.angle_table(P)
+    assert oracle.angle_table(P) is table
+    for c in range(1, d + 1):
+        for F in P.faces_of_codim(c):
+            vector, left_out = table.vector(0, {_face_key(F): 1})
+            angle = oracle._transverse_angle(P, tuple(sorted(F.tight_set)))
+            assert left_out == (c == 4) == (angle is None)
+            if angle is not None:
+                assert table.value(vector) == angle
+    t = data.draw(dilations)
+    assert (_value_or_refusal(oracle.solid_angle_sum, P, t)
+            == _value_or_refusal(oracle.appendixA_cross_check, P, t))
+
+
+def small_rational_polytopes(d):
+    """Hulls of d+1 to d+3 points in [-1, 1]^d with denominator <= 2: every
+    dilation verify samples fits the enumeration budget, in d = 4 too."""
+    coord = st.fractions(min_value=-1, max_value=1, max_denominator=2)
+    points = st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 3)
+    return points.map(lambda pts: _hull_or_none(d, pts)).filter(lambda P: P is not None)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_verify_prints_the_newton_interpolation_of_the_oracles(d, data, tmp_path_factory):
+    """verify's oracle coefficients, read from integer vectors, are Newton's
+    interpolation of count_points and solid_angle_sum at t + j m; where a
+    4-D vertex makes solid_angle_sum refuse, the counts still are."""
+    P = data.draw(small_rational_polytopes(d))
+    t = data.draw(dilations)
+    path = tmp_path_factory.mktemp("verify") / "p.json"
+    path.write_text(json.dumps(P.to_json()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["verify", str(path), "--t", str(t)]) == 0
+    printed = {line.split(": ")[0].split()[1]: line.split(" oracle=")[1].rsplit(" [", 1)[0]
+               for line in out.getvalue().splitlines()}
+    ts = [t + j * P.denominator() for j in range(d + 1)]
+    counts = newton_interpolation([(s, oracle.count_points(P, s)) for s in ts], d)
+    expected = {name: str(ExactValue.of(counts[k]))
+                for name, k in (("vol", 0), ("e_d1", 1), ("e_d2", 2)) if k <= d}
+    try:
+        angles = newton_interpolation([(s, oracle.solid_angle_sum(P, s)) for s in ts], d)
+        expected.update({"a_d1": str(angles[1]), "a_d2": str(angles[2])})
+    except ValueError as refusal:
+        assert d == 4 and str(refusal) == oracle.VERTEX_REFUSAL
+        del printed["a_d1"], printed["a_d2"]
+    assert printed == expected
+
+
+def test_tight_set_keys_past_63_facets():
+    # the 70 vertices of this polygon lie on a parabola: 70 facets, so the
+    # tight-set keys of the scan reach past bit 63
+    P = Polytope(2, [(i, i * i) for i in range(70)])
+    assert len(P.inequalities) == 70
+    interior, faces = oracle.face_counts(P, 1)
+    assert max(faces).bit_length() > 64
+    assert interior + sum(faces.values()) == oracle.count_points(P, 1)
+    assert oracle.solid_angle_sum(P, 1) == oracle.appendixA_cross_check(P, 1)
+
+
 CUBE4 = Polytope(4, list(itertools.product((0, 1), repeat=4)))
 
 
@@ -331,10 +436,11 @@ def test_four_dimensional_sum_refuses_at_the_vertices():
     with pytest.raises(ValueError) as refusal:
         oracle.solid_angle_sum(CUBE4, 2)
     assert "vertex" in str(refusal.value) and "\n" not in str(refusal.value)
-    total, left_out = oracle._angle_sum(CUBE4, *oracle._enumerate(CUBE4, Fraction(2)))
+    table = oracle.angle_table(CUBE4)
+    total, left_out = table.vector(*oracle.face_counts(CUBE4, 2))
     assert left_out == 16
     # A(2) = vol(2*[0,1]^4) = 16, less the 16 vertex angles of 1/16
-    assert total == ExactValue.of(15)
+    assert table.value(total) == ExactValue.of(15)
 
 
 def test_four_dimensional_vertex_angle_matches_monte_carlo():
