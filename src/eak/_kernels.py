@@ -1,17 +1,52 @@
 """Hot loop for lattice-point enumeration over integer boxes.
 
 The scan solves, for an all-integer system, which points of a box
-satisfy A x <= C, splitting them into strictly-interior points (only
-counted) and boundary points (returned, they need exact geometric
-classification downstream).  It is a numpy line scan: on each line of
-the box along the last coordinate, every row bounds that coordinate by
-an integer, so the points of a line form one interval, counted by its
-length, and only rows tight at an integer of it give boundary points.
+satisfy A x <= C.  It is one numpy line scan in two stages: on each line
+of the box along the last coordinate, every row bounds that coordinate
+by an integer, so the points of a line form one interval.  The first
+stage builds those intervals, and the count stage, count_box, stands
+alone: it sums their lengths.  scan_box adds the boundary stage, for
+callers that group the points by face: only rows tight at an integer of
+an interval give boundary points, returned for exact classification
+downstream, and the rest of the points are strictly interior and only
+counted.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _lines(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(grid, slack, lower, upper, live) of A x <= C over [lo, hi]: grid
+    holds the lines' first d - 1 coordinates, slack the row slacks
+    C - A'x' on each line, and the points of a live line are the x_d in
+    [lower, upper]; None when the box is empty."""
+    d = len(lo)
+    if np.any(hi < lo):
+        return None
+    sides = hi[:-1] - lo[:-1] + 1
+    grid = lo[:-1] + np.indices(sides, dtype=np.int64).reshape(d - 1, int(np.prod(sides))).T
+    slack = C - grid @ A[:, :-1].T
+    a = A[:, -1]
+    up, down, flat = a > 0, a < 0, a == 0
+    # x_d in [lower, upper] on each line, clipped to the box widened by one
+    # so that upper - lower fits in int64
+    upper = np.maximum(np.min(slack[:, up] // a[up], axis=1, initial=hi[-1]), lo[-1] - 1)
+    lower = np.minimum(np.max(-(-slack[:, down] // a[down]), axis=1, initial=lo[-1]), hi[-1] + 1)
+    live = np.all(slack[:, flat] >= 0, axis=1) & (lower <= upper)
+    return grid, slack, lower, upper, live
+
+
+def count_box(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
+    """The number of points of the box [lo, hi] satisfying A x <= C, under
+    the int64 conditions of scan_box; no boundary point is built."""
+    A, C, lo, hi = (np.asarray(v, dtype=np.int64) for v in (A, C, lo, hi))
+    stage = _lines(A, C, lo, hi)
+    if stage is None:
+        return 0
+    _, _, lower, upper, live = stage
+    return int(np.where(live, upper - lower + 1, 0).sum())
 
 
 def scan_box(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -23,20 +58,13 @@ def scan_box(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     order, of the points satisfying the system with at least one equality.
     """
     A, C, lo, hi = (np.asarray(v, dtype=np.int64) for v in (A, C, lo, hi))
-    d = len(lo)
-    if np.any(hi < lo):
-        return 0, np.empty((0, d), dtype=np.int64)
-    sides = hi[:-1] - lo[:-1] + 1
-    grid = lo[:-1] + np.indices(sides, dtype=np.int64).reshape(d - 1, int(np.prod(sides))).T
-    slack = C - grid @ A[:, :-1].T
-    a = A[:, -1]
-    up, down, flat = a > 0, a < 0, a == 0
-    # x_d in [lower, upper] on each line, clipped to the box widened by one
-    # so that upper - lower fits in int64
-    upper = np.maximum(np.min(slack[:, up] // a[up], axis=1, initial=hi[-1]), lo[-1] - 1)
-    lower = np.minimum(np.max(-(-slack[:, down] // a[down]), axis=1, initial=lo[-1]), hi[-1] + 1)
-    live = np.all(slack[:, flat] >= 0, axis=1) & (lower <= upper)
+    stage = _lines(A, C, lo, hi)
+    if stage is None:
+        return 0, np.empty((0, len(lo)), dtype=np.int64)
+    grid, slack, lower, upper, live = stage
     length = np.where(live, upper - lower + 1, 0)
+    a = A[:, -1]
+    flat = a == 0
     # boundary points: x_d = slack / a_d where a_d != 0 divides the slack
     # inside the interval, and the whole line where a_d = 0 and the slack is 0
     q, r = np.divmod(slack[:, ~flat], a[~flat])

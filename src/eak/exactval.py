@@ -188,8 +188,11 @@ class ExactValue:
 
     @staticmethod
     def angle_turn(angle: AngleValue, coeff: RationalLike = 1) -> "ExactValue":
-        """coeff * arccos(angle)/(2*pi) as an ExactValue."""
-        return ExactValue(Fraction(0), ((Fraction(coeff), angle),))
+        """coeff * arccos(angle)/(2*pi) as an ExactValue, built from the
+        angle's one canonical term with no second canonicalizing pass."""
+        coeff = Fraction(coeff)
+        turn, s, cs = canonical_term(angle)
+        return _canonical(coeff * turn, ((s * coeff, AngleValue(1, cs)),) if s and coeff else ())
 
     @staticmethod
     def on_basis(components: Sequence[RationalLike], angles: Sequence[AngleValue]) -> "ExactValue":

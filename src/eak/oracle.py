@@ -5,7 +5,8 @@ The solid angle of tP is constant on the relative interior of each face,
 and the set of inequalities tight at a point of tP is the tight set of
 the face of P whose dilate holds the point in its relative interior.
 One scan, face_counts, returns the interior count and the boundary
-counts by tight set, each set packed into the bits of one integer.
+counts by tight set, each set packed into the bits of one integer;
+count_points sums the line lengths and builds no boundary points.
 The face lattice of P gives that face's codimension, and one rule the
 angle: 1 inside, 1/2 on a facet, the dihedral angle omega_G of the local
 data on a codim-2 face, and on a codim-3 face (a vertex of a 3-polytope,
@@ -51,11 +52,15 @@ class BudgetExceeded(ValueError):
 
 def _scaled_system(P: Polytope, t: Fraction):
     """Integer system A x <= C equivalent to x in t*P, as int64 arrays,
-    plus the integer bounding box lo, hi of t*P, as lists of ints.  Refuses
-    when a row's slack c - <a, x> over the box could leave int64, where
-    the scan would wrap silently."""
+    plus the integer bounding box lo, hi of t*P, as lists of ints: the
+    checked input of every scan.  Refuses t <= 0 (ValueError), a row whose
+    slack c - <a, x> over the box could leave int64, where the scan would
+    wrap silently, and a box of more than ENUMERATION_BUDGET points
+    (BudgetExceeded)."""
     import numpy as np
 
+    if t <= 0:
+        raise ValueError("positive dilation required")
     # t = p / q > 0 and the vertices of L P are integer: the coordinate j
     # of t*P spans [p min_j / (L q), p max_j / (L q)]
     L, points = P._dilate
@@ -77,29 +82,28 @@ def _scaled_system(P: Polytope, t: Fraction):
             )
         rows_a.append(row)
         rows_c.append(c.numerator)
+    size = math.prod(h - l + 1 for l, h in zip(lo, hi))
+    if size > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"bounding box has {size} candidate points "
+                             f"(budget {ENUMERATION_BUDGET})")
     return np.array(rows_a, dtype=np.int64), np.array(rows_c, dtype=np.int64), lo, hi
 
 
 def _enumerate(P: Polytope, t: Fraction):
     """(interior count, boundary points, A, C) of the scan of t*P, where
-    A x <= C is the integer system of t*P; refused (BudgetExceeded) when
-    the box holds more than ENUMERATION_BUDGET points."""
+    A x <= C is the integer system of t*P."""
     from eak import _kernels
 
-    if t <= 0:
-        raise ValueError("positive dilation required")
     A, C, lo, hi = _scaled_system(P, t)
-    size = math.prod(h - l + 1 for l, h in zip(lo, hi))
-    if size > ENUMERATION_BUDGET:
-        raise BudgetExceeded(f"bounding box has {size} candidate points "
-                             f"(budget {ENUMERATION_BUDGET})")
     return (*_kernels.scan_box(A, C, lo, hi), A, C)
 
 
 def count_points(P: Polytope, t) -> int:
-    """|tP cap Z^d| by the exact line scan, with no grouping by face."""
-    interior, boundary, _, _ = _enumerate(P, Fraction(t))
-    return interior + len(boundary)
+    """|tP cap Z^d|: the sum of the line lengths of the scan of t*P, with
+    no boundary point built."""
+    from eak import _kernels
+
+    return _kernels.count_box(*_scaled_system(P, Fraction(t)))
 
 
 def face_counts(P: Polytope, t) -> tuple[int, dict[int, int]]:

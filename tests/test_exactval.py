@@ -129,6 +129,11 @@ def test_exact_sum_is_the_left_fold(xs):
     assert exact_sum(xs) == functools.reduce(operator.add, xs, ExactValue.of(0))
 
 
+@given(angles, rationals)
+def test_angle_turn_is_the_constructors_canonical_form(angle, coeff):
+    assert ExactValue.angle_turn(angle, coeff) == ExactValue(Fraction(0), ((coeff, angle),))
+
+
 @given(cos_squares)
 def test_complementary_angles_fold(cs):
     # arccos(sqrt(c)) + arccos(sqrt(1 - c)) = pi/2

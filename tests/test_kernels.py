@@ -70,5 +70,6 @@ def test_line_scan_matches_the_box_scan(system):
     interior, boundary = _kernels.scan_box(A, C, lo, hi)
     ref_interior, ref_boundary = reference_scan_box(A, C, lo, hi)
     assert interior == ref_interior
+    assert _kernels.count_box(A, C, lo, hi) == ref_interior + len(ref_boundary)
     assert boundary.dtype == np.int64 and boundary.shape[1] == len(lo)
     assert np.array_equal(boundary, ref_boundary)

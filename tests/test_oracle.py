@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from eak import cli
 from eak import coefficients as co
-from eak import linalg, local_data, oracle
+from eak import _kernels, linalg, local_data, oracle
 from eak.exactval import AngleValue, ExactValue, angle_of_cos_ratio, exact_sum
 from eak.polytope import Polytope
 
@@ -59,6 +59,15 @@ def test_count_refuses_slack_beyond_int64():
     P = Polytope(3, [(x, y, z) for x in (-10, 10) for y in (-10, 10) for z in (-10, 10)])
     with pytest.raises(oracle.BudgetExceeded, match="int64"):
         oracle.count_points(P, Fraction(q + 1, q))
+
+
+def test_count_points_builds_no_boundary_points(delta, monkeypatch):
+    # counting sums the line lengths: it never reaches the boundary stage
+    def boundary_stage(*args):
+        raise AssertionError("count_points built boundary points")
+
+    monkeypatch.setattr(_kernels, "scan_box", boundary_stage)
+    assert [oracle.count_points(delta, t) for t in (1, 2, Fraction(7, 2))] == [4, 10, 20]
 
 
 def test_count_exact_near_int64_limit():
@@ -352,6 +361,16 @@ def test_scaled_box_is_the_fraction_box(P, t):
     _, _, lo, hi = oracle._scaled_system(P, t)
     assert lo == [math.floor(min(v[j] * t for v in P.vertices)) for j in range(3)]
     assert hi == [math.ceil(max(v[j] * t for v in P.vertices)) for j in range(3)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_count_is_the_scan_by_face_total(d, data):
+    P = data.draw(rational_polytopes(d))
+    t = data.draw(dilations)
+    interior, faces = oracle.face_counts(P, t)
+    assert oracle.count_points(P, t) == interior + sum(faces.values())
 
 
 def _face_key(F) -> int:
