@@ -1,6 +1,5 @@
 """Concreteness checks: hyperoctahedral symmetrization, multi-tiling
-levels by sampling, central symmetry of facets, and the direct
-definition A_P(t) = vol(P) t^d.
+levels by sampling, and the direct definition A_P(t) = vol(P) t^d.
 
 The multi-tiling level is sampled from the orbit of each sample point
 under the signed permutations, tested for exact integer membership in
@@ -8,6 +7,7 @@ the integer translates of P itself; no image polytope is built."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -56,14 +56,32 @@ class TilingReport:
         return self.level is not None
 
 
-def _translate_ranges(Q: Polytope) -> list[range]:
-    """Integer translate ranges per axis covering every x in [0,1)^d."""
-    ranges = []
-    for j in range(Q.dim):
-        lo_v = min(v[j] for v in Q.vertices)
-        hi_v = max(v[j] for v in Q.vertices)
-        ranges.append(range(math.floor(-hi_v), math.ceil(1 - lo_v) + 1))
+def _translate_ranges(P: Polytope) -> list[range]:
+    """Integer translate ranges per axis covering every x in [0,1)^d, read
+    from the integer vertices of L P.  Refuses a box of more than
+    ENUMERATION_BUDGET translates (BudgetExceeded) before it is built."""
+    L, points = P._dilate
+    # [floor(-max_j P), ceil(1 - min_j P)] with coordinate j of P = c / L
+    ranges = [range(-max(c) // L, -((min(c) - L) // L) + 1) for c in zip(*points)]
+    size = math.prod(len(r) for r in ranges)
+    if size > oracle.ENUMERATION_BUDGET:
+        raise oracle.BudgetExceeded(
+            f"the translate box has {size} translates (budget {oracle.ENUMERATION_BUDGET})"
+        )
     return ranges
+
+
+@functools.cache
+def _group_arrays(d: int):
+    """The perm and sign arrays of hyperoctahedral_elements(d), one row per
+    element, read-only since every call shares them."""
+    import numpy as np
+
+    group = hyperoctahedral_elements(d)
+    arrays = np.array([g.perm for g in group]), np.array([g.signs for g in group])
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def symmetrized_multitiling_level(
@@ -82,9 +100,14 @@ def symmetrized_multitiling_level(
 
     so the orbit of x is tested against the translates of P itself and
     no image polytope is built.  A sample is x = k/10^6; with P's rows
-    scaled to integers the test is exact, on Python ints so that no input
-    can overflow.  A point on the boundary of some translate is redrawn,
-    up to 64 times, and the check then refuses (ValueError).
+    scaled to integers the test is exact for every input.  It runs on
+    int64 when one bound computed from P is below 2^63: the larger of
+    SAMPLE_DEN times the largest row sum of |a| and the largest |bound|
+    of a translate, so that no product, partial sum or bound can leave
+    int64.  Otherwise the same expressions run on Python ints.  A box of
+    more than ENUMERATION_BUDGET translates is refused (BudgetExceeded)
+    before it is built.  A point on the boundary of some translate is
+    redrawn, up to 64 times, and the check then refuses (ValueError).
 
     A k-fold tiling by Z^d translates has k equal to the images' total
     volume 2^d d! vol(P); callers that know vol(P) can reject any other
@@ -94,25 +117,32 @@ def symmetrized_multitiling_level(
     if P.dim > 3:
         raise ValueError("dimension above three not supported")
     d = P.dim
-    group = hyperoctahedral_elements(d)
-    perms = np.array([g.perm for g in group])
-    signs = np.array([g.signs for g in group])
+    perms, signs = _group_arrays(d)
     # with L the lcm of the b denominators, y - mu in P for y = k/SAMPLE_DEN
     # reads L a.k <= L SAMPLE_DEN b + SAMPLE_DEN L a.mu, in integers throughout
     scale = math.lcm(*(b.denominator for _, b in P.inequalities))
-    rows = np.array([[scale * c for c in a] for a, _ in P.inequalities], dtype=object)
-    rhs = np.array([int(scale * SAMPLE_DEN * b) for _, b in P.inequalities], dtype=object)
+    rows = [[scale * c for c in a] for a, _ in P.inequalities]
+    rhs = [SAMPLE_DEN * (scale // b.denominator) * b.numerator for _, b in P.inequalities]
     translates = np.array(list(itertools.product(*_translate_ranges(P))), dtype=object)
-    bounds = rhs + SAMPLE_DEN * (translates @ rows.T)
+    bounds = np.array(rhs, dtype=object)[:, None] + SAMPLE_DEN * (
+        np.array(rows, dtype=object) @ translates.T
+    )
+    # |a.k| < SAMPLE_DEN sum |a| for 0 <= k < SAMPLE_DEN
+    reach = max(SAMPLE_DEN * max(sum(map(abs, row)) for row in rows), np.abs(bounds).max())
+    dtype = np.int64 if reach < oracle.INT64_LIMIT else object
+    rows = np.array(rows, dtype=dtype)
+    bounds = bounds.astype(dtype)  # facets on the leading axis: (f, translates)
     rng = random.Random(seed)
     level = None
     for _ in range(samples):
         for _retry in range(64):
             k = np.array([rng.randrange(SAMPLE_DEN) for _ in range(d)], dtype=np.int64)
             orbit = (signs * k[perms]) % SAMPLE_DEN  # frac(g x), scaled, for each g
-            values = orbit.astype(object) @ rows.T
-            g_in, mu_in = np.nonzero((values[:, None, :] <= bounds).all(axis=-1))
-            if not (values[g_in] == bounds[mu_in]).any():
+            values = rows @ orbit.astype(dtype, copy=False).T  # (f, group)
+            # reduced across the facets, the leading axis: (group, translates)
+            inside = (values[:, :, None] <= bounds[:, None, :]).all(axis=0)
+            g_in, mu_in = np.nonzero(inside)
+            if not (values[:, g_in] == bounds[:, mu_in]).any():
                 break
         else:
             raise ValueError("could not sample a point off all boundaries in 64 draws")
@@ -153,19 +183,3 @@ def is_concrete(P: Polytope, t_max: int) -> ConcretenessReport:
             return ConcretenessReport(False, t_max, t, defect)
     return ConcretenessReport(True, t_max, None, None)
 
-
-def centrally_symmetric_facets(P: Polytope) -> bool:
-    """Whether every facet is centrally symmetric about its vertex centroid."""
-    for f in P.facets():
-        verts = P.face_vertices(f)
-        n = len(verts)
-        centroid = tuple(
-            sum((v[j] for v in verts), Fraction(0)) / n for j in range(P.dim)
-        )
-        pts = {tuple(v) for v in verts}
-        mirrored = {
-            tuple(2 * centroid[j] - v[j] for j in range(P.dim)) for v in verts
-        }
-        if pts != mirrored:
-            return False
-    return True

@@ -167,6 +167,23 @@ def rhombic_dodecahedron(image) -> Polytope:
     return Polytope(3, [image(*v) for v in (*cube, *axes)])
 
 
+def centrally_symmetric_facets(P: Polytope) -> bool:
+    """Whether every facet is centrally symmetric about its vertex centroid."""
+    for f in P.facets():
+        verts = P.face_vertices(f)
+        n = len(verts)
+        centroid = tuple(
+            sum((v[j] for v in verts), Fraction(0)) / n for j in range(P.dim)
+        )
+        pts = {tuple(v) for v in verts}
+        mirrored = {
+            tuple(2 * centroid[j] - v[j] for j in range(P.dim)) for v in verts
+        }
+        if pts != mirrored:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # reference: the box scan, one int64 matrix product per value of the first
 # coordinate over the whole slab of the box

@@ -13,11 +13,7 @@ from fractions import Fraction
 from eak import coefficients as co
 from eak import linalg, oracle
 from eak.bernoulli import periodized
-from eak.concrete import (
-    centrally_symmetric_facets,
-    is_concrete,
-    symmetrized_multitiling_level,
-)
+from eak.concrete import is_concrete, symmetrized_multitiling_level
 from eak.bernoulli import one_sided_B1
 from eak.dedekind import _reciprocity_rhs, dr_sum_direct, dr_sum_fast
 from eak.exactval import AngleValue, ExactValue
@@ -27,6 +23,7 @@ from eak.polytope import Polytope
 
 import reference_linalg as ref
 from conftest import (
+    centrally_symmetric_facets,
     random_integer_polytope,
     random_rational_polytope,
     random_tetrahedron,

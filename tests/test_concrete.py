@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,12 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eak import linalg, polytope
+from eak import linalg, oracle, polytope
 from eak.concrete import (
     SignedPermutation,
     TilingReport,
-    _translate_ranges,
-    centrally_symmetric_facets,
     hyperoctahedral_elements,
     is_concrete,
     symmetrized_multitiling_level,
@@ -19,7 +18,7 @@ from eak.concrete import (
 from eak.exactval import AngleValue, ExactValue
 from eak.polytope import Polytope
 
-from conftest import rational_polytopes, rhombic_dodecahedron
+from conftest import centrally_symmetric_facets, rational_polytopes, rhombic_dodecahedron
 
 
 def test_hyperoctahedral_group():
@@ -98,8 +97,13 @@ def test_tiling_builds_no_local_data(cube, local_data_builds, monkeypatch):
 
 def _reference_multiplicity(Q: Polytope, x) -> tuple[int, bool]:
     """(covering translate count, whether x hits a translate boundary)."""
+    ranges = []
+    for j in range(Q.dim):
+        lo_v = min(v[j] for v in Q.vertices)
+        hi_v = max(v[j] for v in Q.vertices)
+        ranges.append(range(math.floor(-hi_v), math.ceil(1 - lo_v) + 1))
     count = 0
-    for lam in itertools.product(*_translate_ranges(Q)):
+    for lam in itertools.product(*ranges):
         shifted = tuple(x[i] - lam[i] for i in range(Q.dim))
         tight = False
         inside = True
@@ -151,6 +155,9 @@ def reference_multitiling_level(P: Polytope, samples: int, seed: int) -> TilingR
 
 
 HALF = Fraction(1, 2)
+HEX_PRISM = Polytope(
+    3, [(x, y, z) for x, y in ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)) for z in (0, 1)]
+)
 
 
 @settings(max_examples=30, deadline=None)
@@ -162,6 +169,7 @@ HALF = Fraction(1, 2)
 @example(P=Polytope(2, [(0, 0), (1, 0), (1, 1)]), samples=16, seed=0)  # level 4
 @example(P=Polytope(3, [(0, 0, 0), (HALF, 0, 0), (HALF, HALF, 0), (HALF, HALF, HALF)]),
          samples=16, seed=1)  # level 1
+@example(P=HEX_PRISM, samples=4, seed=0)  # 8 facets, 48 translates, level 144
 def test_multitiling_level_matches_image_hulls(P, samples, seed):
     assert symmetrized_multitiling_level(P, samples, seed) == reference_multitiling_level(
         P, samples, seed
@@ -175,3 +183,16 @@ def test_multitiling_redraws_a_boundary_sample():
     report = symmetrized_multitiling_level(P, 2, 581867)
     assert report == TilingReport(None, 2, (Fraction(678537, 10**6),))
     assert report == reference_multitiling_level(P, 2, 581867)
+
+
+def test_multitiling_on_python_ints_past_int64():
+    # SAMPLE_DEN times the normal (1, 1, 2^61 + 1) does not fit int64, so
+    # the orbit test runs on Python ints
+    P = Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, Fraction(1, 2**61 + 1))])
+    assert symmetrized_multitiling_level(P, 8, 3) == reference_multitiling_level(P, 8, 3)
+
+
+def test_multitiling_refuses_an_oversized_translate_box():
+    P = Polytope(3, [(0, 0, 0), (Fraction(2**40, 3), 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(oracle.BudgetExceeded, match="translate box"):
+        symmetrized_multitiling_level(P, 1)
