@@ -4,12 +4,15 @@ The scan solves, for an all-integer system, which points of a box
 satisfy A x <= C.  It is one numpy line scan in two stages: on each line
 of the box along the last coordinate, every row bounds that coordinate
 by an integer, so the points of a line form one interval.  The first
-stage builds those intervals, and the count stage, count_box, stands
-alone: it sums their lengths.  scan_box adds the boundary stage, for
-callers that group the points by face: only rows tight at an integer of
-an interval give boundary points, returned for exact classification
-downstream, and the rest of the points are strictly interior and only
-counted.
+stage builds those intervals from the row slacks on each line, an outer
+sum over the line axes: numpy's integer matrix product has no BLAS path
+and loops per output element, so no grid of lines is multiplied by A.
+The count stage, count_box, stands alone: it sums the intervals'
+lengths.  scan_box adds the boundary stage, for callers that group the
+points by face: only rows tight at an integer of an interval give
+boundary points, returned for exact classification downstream, with
+coordinates unravelled from their index in the box, and the rest of the
+points are strictly interior and only counted.
 """
 
 from __future__ import annotations
@@ -18,16 +21,23 @@ import numpy as np
 
 
 def _lines(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """(grid, slack, lower, upper, live) of A x <= C over [lo, hi]: grid
-    holds the lines' first d - 1 coordinates, slack the row slacks
-    C - A'x' on each line, and the points of a live line are the x_d in
-    [lower, upper]; None when the box is empty."""
-    d = len(lo)
+    """(slack, lower, upper, live) of A x <= C over [lo, hi]: slack holds
+    the row slacks C - A'x' on each line, the lines in C order over the
+    first d - 1 coordinates, and the points of a live line are the x_d in
+    [lower, upper]; None when the box is empty.
+
+    The slacks are an outer sum, C less one broadcast term a_j x_j per
+    line axis, not the product of a grid of lines with A': numpy's integer
+    matmul has no BLAS path and loops per output element.  Every partial
+    sum is a sub-sum of the terms whose absolute values the int64
+    condition of scan_box bounds, so none wraps."""
     if np.any(hi < lo):
         return None
-    sides = hi[:-1] - lo[:-1] + 1
-    grid = lo[:-1] + np.indices(sides, dtype=np.int64).reshape(d - 1, int(np.prod(sides))).T
-    slack = C - grid @ A[:, :-1].T
+    slack = C
+    for j in range(len(lo) - 1):
+        axis = np.arange(lo[j], hi[j] + 1, dtype=np.int64)
+        slack = slack[..., None, :] - axis[:, None] * A[:, j]
+    slack = slack.reshape(int(np.prod(hi[:-1] - lo[:-1] + 1)), len(C))
     a = A[:, -1]
     up, down, flat = a > 0, a < 0, a == 0
     # x_d in [lower, upper] on each line, clipped to the box widened by one
@@ -35,7 +45,7 @@ def _lines(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     upper = np.maximum(np.min(slack[:, up] // a[up], axis=1, initial=hi[-1]), lo[-1] - 1)
     lower = np.minimum(np.max(-(-slack[:, down] // a[down]), axis=1, initial=lo[-1]), hi[-1] + 1)
     live = np.all(slack[:, flat] >= 0, axis=1) & (lower <= upper)
-    return grid, slack, lower, upper, live
+    return slack, lower, upper, live
 
 
 def count_box(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
@@ -45,23 +55,24 @@ def count_box(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> i
     stage = _lines(A, C, lo, hi)
     if stage is None:
         return 0
-    _, _, lower, upper, live = stage
+    _, lower, upper, live = stage
     return int(np.where(live, upper - lower + 1, 0).sum())
 
 
 def scan_box(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """(interior_count, boundary_points) for A x <= C over the box [lo, hi].
 
-    All inputs are int64, and every slack C - A'x' over the box, A' the
-    rows without their last entry, and the box's point count must fit in
-    int64; boundary_points is an (n, d) int64 array, in lexicographic
-    order, of the points satisfying the system with at least one equality.
+    All inputs are int64, and for each row the absolute value of its
+    entry of C plus the sum over j < d of |a_j| max(|lo_j|, |hi_j|), and
+    the box's point count, must fit in int64; boundary_points is an (n, d)
+    int64 array, in lexicographic order, of the points satisfying the
+    system with at least one equality.
     """
     A, C, lo, hi = (np.asarray(v, dtype=np.int64) for v in (A, C, lo, hi))
     stage = _lines(A, C, lo, hi)
     if stage is None:
         return 0, np.empty((0, len(lo)), dtype=np.int64)
-    grid, slack, lower, upper, live = stage
+    slack, lower, upper, live = stage
     length = np.where(live, upper - lower + 1, 0)
     a = A[:, -1]
     flat = a == 0
@@ -72,11 +83,12 @@ def scan_box(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     whole = np.flatnonzero(live & np.any(slack[:, flat] == 0, axis=1))
     runs = length[whole]
     offsets = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
-    # dedup and sort by the key line * side + (x_d - lo_d), which is below
-    # the box's point count and, as lines run in C order, lexicographic
-    side = hi[-1] - lo[-1] + 1
+    # dedup and sort by the key line * side + (x_d - lo_d): the point's
+    # index in the box in C order, below its point count and lexicographic,
+    # from which only the boundary points' coordinates are unravelled
+    sides = hi - lo + 1
     lines = np.concatenate([on, np.repeat(whole, runs)])
     last = np.concatenate([q[on, row], np.repeat(lower[whole], runs) + offsets])
-    line, x = np.divmod(np.unique(lines * side + (last - lo[-1])), side)
-    boundary = np.column_stack([grid[line], lo[-1] + x])
+    keys = np.unique(lines * sides[-1] + (last - lo[-1]))
+    boundary = lo + np.column_stack(np.unravel_index(keys, sides))
     return int(length.sum()) - len(boundary), boundary

@@ -44,21 +44,28 @@ def _laplace_plan(n: int, k: int) -> tuple[tuple, tuple]:
                              for i, c in enumerate(cols)) for cols in keys)
 
 
+def laplace_step(minors: Sequence[int], row: Sequence[int], k: int) -> list[int]:
+    """The maximal minors, in lexicographic column order, of k rows: the
+    first k - 1 with maximal minors `minors`, in that order, then `row`.
+    One step of Laplace expansion along the new row."""
+    expanded = []
+    for terms in _laplace_plan(len(row), k)[1]:
+        total = 0
+        for sign, c, i in terms:
+            if row[c]:
+                total += sign * row[c] * minors[i]
+        expanded.append(total)
+    return expanded
+
+
 def maximal_minors(rows: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
     """The maximal minors of an integer (or rational) matrix with no more
     rows than columns, keyed by their column subsets in lexicographic order; {(): 1}
     for no rows.  Built a row at a time, by Laplace expansion along it."""
     keys, minors = ((),), [1]
     for k, row in enumerate(rows, 1):
-        keys, plan = _laplace_plan(len(row), k)
-        expanded = []
-        for terms in plan:
-            total = 0
-            for sign, c, i in terms:
-                if row[c]:
-                    total += sign * row[c] * minors[i]
-            expanded.append(total)
-        minors = expanded
+        keys = _laplace_plan(len(row), k)[0]
+        minors = laplace_step(minors, row, k)
     return dict(zip(keys, minors))
 
 

@@ -7,7 +7,10 @@ barycentric offsets (x1, x2) follow, and the exact dihedral angle, as a
 cosine and, on first use, in turns.  It names its two facets by index,
 and a facet needs no record of its own: its normal and offset are
 P.inequalities[i] and its relative volume is P.relative_volume(F).  Each
-polytope's data is built once, on first use, and kept on it.
+ridge's facet pair and cosine are computed once per polytope, in
+integers, and shared with the solid-angle table, which reads nothing
+else of this data.  Each polytope's data is built once, on first use,
+and kept on it.
 """
 
 from __future__ import annotations
@@ -62,13 +65,25 @@ class CodimTwoData:
         ).denominator == 1
 
 
-def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
-    # a ridge lies in exactly two facets; F1 has the lex-smaller normal
-    i, j = sorted(face.tight_set, key=P.inequalities.__getitem__)
-    (v1, b1), (v2, b2) = P.inequalities[i], P.inequalities[j]
-    n1, n2 = int(linalg.norm_sq(v1)), int(linalg.norm_sq(v2))
-    dot12 = int(linalg.dot(v1, v2))
+def ridges(P: Polytope) -> dict[frozenset[int], tuple[int, int, AngleValue]]:
+    """(f1, f2, c_G) of each ridge of P, by its tight set: its two facet
+    indices, F1 with the lexicographically smaller normal, and its
+    dihedral angle from the two integer normals alone.  Built on first use
+    and kept on P; the codim-2 data and the solid-angle table both read
+    it, and neither reads more of the other."""
+    if P._ridges is None:
+        P._ridges = {}
+        for G in P.codim2_faces():
+            # a ridge lies in exactly two facets
+            i, j = sorted(G.tight_set, key=P.inequalities.__getitem__)
+            v1, v2 = P.inequalities[i][0], P.inequalities[j][0]
+            P._ridges[G.tight_set] = (i, j, dihedral_angle(v1, v2))
+    return P._ridges
 
+
+def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
+    i, j, c_G = ridges(P)[face.tight_set]
+    (v1, b1), (v2, b2) = P.inequalities[i], P.inequalities[j]
     # x -> (<v1, x>, <v2, x>) maps the dual of Lambda_G onto the sublattice
     # of Z^2 of index k that contains (1, -h): k is the gcd of the 2x2
     # minors of [v1; v2], kept on P for the volumes too, and any integer x
@@ -83,16 +98,16 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
         face=face,
         f1=i,
         f2=j,
-        norm1_sq=n1,
-        norm2_sq=n2,
-        dot12=dot12,
-        c_G=dihedral_angle(v1, v2),
+        norm1_sq=sum(x * x for x in v1),
+        norm2_sq=sum(x * x for x in v2),
+        dot12=sum(map(operator.mul, v1, v2)),
+        c_G=c_G,
         k=k,
         h=h,
         h_inv=h_inv,
         den=den,
-        b1_num=int(b1 * den),
-        b2_num=int(b2 * den),
+        b1_num=b1.numerator * (den // b1.denominator),
+        b2_num=b2.numerator * (den // b2.denominator),
         vol_star=P.relative_volume(face),
     )
 

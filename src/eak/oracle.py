@@ -168,12 +168,10 @@ class AngleTable:
     meets its face, and kept."""
 
     def __init__(self, P: Polytope):
-        # the dihedral angles from the ridges' normals alone: no angle sum
-        # reads the rest of their local data (h, k, volumes)
-        terms = []
-        for G in P.codim2_faces():
-            v1, v2 = (P.inequalities[i][0] for i in G.tight_set)
-            terms.append((G.tight_set, canonical_term(local_data.dihedral_angle(v1, v2))))
+        # the dihedral angles of the ridge records: no angle sum reads the
+        # rest of the local data (h, k, volumes)
+        terms = [(tight, canonical_term(c_G))
+                 for tight, (_, _, c_G) in local_data.ridges(P).items()]
         basis = sorted({cs for _, (_, s, cs) in terms if s})
         self.angles = tuple(AngleValue(1, cs) for cs in basis)
         index = {cs: i for i, cs in enumerate(basis, 1)}

@@ -3,19 +3,20 @@
 Polytopes are bounded, full-dimensional, with rational vertex data, in
 ambient dimension at most four.  Both descriptions are built in integers
 by one cone kernel: points give the facets, inequalities the vertices,
-each a cross product of rows, with the rows it is tight on.  Normals are
-primitive; vertices, sorted, are the points no other point shares all
-facets with.  That hull is the only one taken: the face lattice is cut
-from the facets' vertex sets in one pass that keeps each face's facets,
-and every volume, of P or of a face in the lattice of its span, is a sum
-of pyramids over those facets, taken in integers over the integer dilate
-L P, L the lcm of the vertex denominators.
+each a cross product of rows, with the rows it is tight on.  The kernel
+walks the subsets of rows depth first, so each cross product extends its
+prefix's maximal minors by one Laplace row step.  Normals are primitive;
+vertices, sorted, are the points no other point shares all facets with.
+That hull is the only one taken: the face lattice is cut from the
+facets' vertex sets, as bitmasks, in one pass that builds each face once
+and keeps its facets, and every volume, of P or of a face in the lattice
+of its span, is a sum of pyramids over those facets, taken in integers
+over the integer dilate L P, L the lcm of the vertex denominators.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -39,6 +40,22 @@ class Face:
     codim: int
 
 
+def _cross_products(rows: Sequence[tuple[int, ...]], n: int):
+    """linalg.cross(subset, n) for each (n - 1)-subset of the rows, in
+    itertools.combinations order.  The subsets are walked depth first, so
+    each extends its prefix's maximal minors by one Laplace row step, and
+    its cross product is read by position: the minor leaving out column j
+    is the (n - 1 - j)-th in lexicographic order."""
+    def walk(start: int, k: int, minors: list[int]):
+        if k == n - 1:
+            yield tuple((-1) ** j * minors[n - 1 - j] for j in range(n))
+            return
+        for i in range(start, len(rows) - (n - 2 - k)):
+            yield from walk(i + 1, k + 1, linalg.laplace_step(minors, rows[i], k + 1))
+
+    return walk(0, 0, [1])
+
+
 def _cone_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[tuple, list[int]]] | None:
     """The primitive extreme rays of the cone {c : <c, r> <= 0 for every
     integer row r in Z^n}, each with the indices of the rows it is
@@ -46,8 +63,7 @@ def _cone_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[tuple, lis
     cross product of n - 1 rows, with the sign that meets every row; the
     rows span iff a nonzero cross product is not orthogonal to all."""
     rays, seen = [], set()
-    for subset in itertools.combinations(rows, n - 1):
-        c = linalg.cross(subset, n)
+    for c in _cross_products(rows, n):
         g = math.gcd(*c)
         if not g or (c := tuple(x // g for x in c)) in seen:
             continue
@@ -109,10 +125,12 @@ class Polytope:
             frozenset(v for v, j in enumerate(verts) if i in on[j]) for i in range(len(planes))
         )
         # Data derived from P alone, each built on first use and kept, as is
-        # the face lattice: the codim-2 data (filled by eak.local_data), the
-        # integer volume over L P and the relative volume of each face, by
-        # its vertex ids, the minor gcd of each set of normals, by the set,
-        # and the solid-angle table (an eak.oracle.AngleTable).
+        # the face lattice: each ridge's facets and dihedral angle and the
+        # codim-2 data (both filled by eak.local_data), the integer volume
+        # over L P and the relative volume of each face, by its vertex ids,
+        # the minor gcd of each set of two or more normals, by the set, and
+        # the solid-angle table (an eak.oracle.AngleTable).
+        self._ridges: dict | None = None
         self._codim2_data: tuple | None = None
         self._lattice_volumes: dict[tuple[int, ...], int] = {}
         self._volumes: dict[tuple[int, ...], Fraction] = {}
@@ -181,25 +199,32 @@ class Polytope:
         c, in the order of faces_of_codim, to its facets, the inclusion-
         maximal nonempty cuts of its vertex set by the vertex sets of the
         facets of P not containing it, each tight on the facets of P whose
-        vertex sets contain it."""
-        sets = self._facet_vertex_sets
-        faces = [Face(frozenset([i]), tuple(sorted(s)), self.dim - 1, 1)
-                 for i, s in enumerate(sets)]
-        levels = [{Face(frozenset(), tuple(range(len(self.vertices))), self.dim, 0): faces}]
+        vertex sets contain it.  Vertex sets are cut as bitmasks, and each
+        face is built the first time its cut appears."""
+        masks = [sum(1 << v for v in s) for s in self._facet_vertex_sets]
+        faces = [(m, Face(frozenset([i]), tuple(sorted(s)), self.dim - 1, 1))
+                 for i, (m, s) in enumerate(zip(masks, self._facet_vertex_sets))]
+        levels = [{Face(frozenset(), tuple(range(len(self.vertices))), self.dim, 0):
+                   [F for _, F in faces]}]
         while faces:
             level, made = {}, {}
-            for F in faces:
-                own = frozenset(F.vertex_ids)
-                cuts = {own & s for i, s in enumerate(sets) if i not in F.tight_set}
-                cuts.discard(frozenset())
-                level[F] = [
-                    made.setdefault(cut, Face(frozenset(i for i, s in enumerate(sets) if cut <= s),
-                                              tuple(sorted(cut)), F.dim - 1, F.codim + 1))
-                    for cut in cuts
-                    if not any(cut < other for other in cuts)
-                ]
+            for own, F in faces:
+                cuts = {own & m for i, m in enumerate(masks) if i not in F.tight_set}
+                cuts.discard(0)
+                kept = []
+                for cut in cuts:
+                    if any(cut != other and cut & other == cut for other in cuts):
+                        continue
+                    G = made.get(cut)
+                    if G is None:
+                        G = made[cut] = Face(
+                            frozenset(i for i, m in enumerate(masks) if cut & m == cut),
+                            tuple(v for v in range(cut.bit_length()) if cut >> v & 1),
+                            F.dim - 1, F.codim + 1)
+                    kept.append(G)
+                level[F] = kept
             levels.append(level)
-            faces = sorted(made.values(), key=lambda G: G.vertex_ids)
+            faces = sorted(made.items(), key=lambda item: item[1].vertex_ids)
         return levels
 
     def faces_of_codim(self, c: int) -> list[Face]:
@@ -242,8 +267,10 @@ class Polytope:
 
     def minor_gcd(self, tight: frozenset[int]) -> int:
         """g(R), the gcd of the maximal minors of the normals R indexed by
-        tight, kept by the set; at a ridge it is the k of its codim-2
-        data."""
+        tight: 1 for no normal or one, which is primitive, and else kept by
+        the set; at a ridge it is the k of its codim-2 data."""
+        if len(tight) < 2:
+            return 1
         g = self._minor_gcds.get(tight)
         if g is None:
             normals = [self.inequalities[i][0] for i in sorted(tight)]

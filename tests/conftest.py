@@ -435,6 +435,7 @@ class ReferencePolytope(Polytope):
             frozenset(j for j, v in enumerate(self.vertices) if linalg.dot(a, v) == b)
             for a, b in self.inequalities
         )
+        self._ridges = None
         self._codim2_data = None
         self._lattice_volumes = {}
         self._volumes = {}

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from eak import _kernels
+from eak import _kernels, oracle
+from eak.polytope import Polytope
 
 from conftest import reference_scan_box
 
@@ -73,3 +76,18 @@ def test_line_scan_matches_the_box_scan(system):
     assert _kernels.count_box(A, C, lo, hi) == ref_interior + len(ref_boundary)
     assert boundary.dtype == np.int64 and boundary.shape[1] == len(lo)
     assert np.array_equal(boundary, ref_boundary)
+
+
+def test_scan_exact_near_int64_limit():
+    """Both stages of the scan on the system of 20 Delta_3 at
+    t = (q + 1)/q, q = 4*10**16 + 1, as oracle._scaled_system builds it:
+    rows scaled by q, whose slack terms over the box of side 21 sum to
+    about 83 q, within a factor three of 2**63."""
+    q = 4 * 10**16 + 1
+    P = Polytope(3, [(0, 0, 0), (20, 0, 0), (0, 20, 0), (0, 0, 20)])
+    A, C, lo, hi = oracle._scaled_system(P, Fraction(q + 1, q))
+    interior, boundary = _kernels.scan_box(A, C, lo, hi)
+    ref_interior, ref_boundary = reference_scan_box(A, C, lo, hi)
+    assert interior == ref_interior
+    assert np.array_equal(boundary, ref_boundary)
+    assert _kernels.count_box(A, C, lo, hi) == ref_interior + len(ref_boundary) == 1771

@@ -77,6 +77,38 @@ def test_count_exact_near_int64_limit():
     assert oracle.count_points(P, Fraction(q + 1, q)) == 1771  # C(23, 3)
 
 
+def test_each_ridge_angle_is_computed_once(hex_prism, monkeypatch):
+    """The angle table, the codim-2 data and the closed forms of a fresh P
+    share one dihedral angle per ridge."""
+    calls = []
+    dihedral_angle = local_data.dihedral_angle
+
+    def counted(v1, v2):
+        calls.append(frozenset((v1, v2)))
+        return dihedral_angle(v1, v2)
+
+    monkeypatch.setattr(local_data, "dihedral_angle", counted)
+    for P in (hex_prism, Polytope(4, FOUR_POLYTOPE)):
+        calls.clear()
+        oracle.angle_table(P)
+        local_data.all_codim2_data(P)
+        co.evaluate(P, Fraction(1, 2))
+        assert len(calls) == len(set(calls)) == len(P.codim2_faces())
+
+
+def test_solid_angle_sum_builds_no_codim2_data(hex_prism, monkeypatch):
+    """The solid angles read only the ridges' dihedral angles: no h, k or
+    face volume is built for them."""
+
+    def refuse(P, face):
+        raise AssertionError("codim-2 data built")
+
+    monkeypatch.setattr(local_data, "codim2_data", refuse)
+    total = oracle.solid_angle_sum(hex_prism, 2)
+    monkeypatch.undo()
+    assert total == oracle.appendixA_cross_check(hex_prism, 2)
+
+
 def test_one_dimensional_formulas_match_oracles():
     for ends in ((Fraction(1, 2), Fraction(7, 3)), (0, 1), (Fraction(-3, 4), Fraction(5, 2))):
         P = Polytope(1, [(e,) for e in ends])

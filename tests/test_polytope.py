@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eak import linalg
+from eak import linalg, polytope
 from eak.exactval import primitive_integer_vector
 from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
@@ -95,6 +96,10 @@ def construction(build, *args):
 @example(case=(2, [(0, 0), (2, 0), (0, 2), (2, 2), (1, 0), (1, 1)]), data=None)
 @example(case=(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]), data=None)
 @example(case=(4, SIXTEEN_VERTICES), data=None)
+# the hexagonal prism and a point on a facet that is no vertex: many
+# coplanar 3-subsets, each giving one plane
+@example(case=(3, [(x, y, z) for x, y in ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+                   for z in (0, 1)] + [(0, 0, 0)]), data=None)
 def test_construction_matches_fraction_reference(case, data):
     """The integer hull and incidence vertex test build the same P as the
     Fraction rank and nullspace reference, or refuse with the same message;
@@ -111,6 +116,31 @@ def test_construction_matches_fraction_reference(case, data):
     assert construction(Polytope.from_inequalities, d, rows) == construction(
         reference_from_inequalities, d, rows
     )
+
+
+@given(st.data())
+def test_cone_kernel_shares_prefix_minors(data):
+    """The cone kernel's cross products, each subset extending its prefix's
+    minors by one Laplace row step, come in combinations order and equal
+    linalg.cross of each subset, zero, repeated and dependent rows
+    included."""
+    n = data.draw(st.integers(2, 5))
+    vector = st.tuples(*[st.integers(-3, 3)] * n)
+    rows = data.draw(st.lists(vector, max_size=6))
+    for kind in data.draw(st.lists(st.sampled_from(["zero", "repeat", "dependent"]), max_size=3)):
+        if kind == "zero":
+            row = (0,) * n
+        elif not rows:
+            continue
+        elif kind == "repeat":
+            row = data.draw(st.sampled_from(rows))
+        else:
+            u, v = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+            row = tuple(2 * a - b for a, b in zip(u, v))
+        rows.insert(data.draw(st.integers(0, len(rows))), row)
+    assert list(polytope._cross_products(rows, n)) == [
+        linalg.cross(subset, n) for subset in itertools.combinations(rows, n - 1)
+    ]
 
 
 def test_construction_takes_no_rank():
@@ -250,6 +280,25 @@ def test_faces_match_brute_force_reference(P):
             below = {r for r in reference if r[2] == F.dim - 1 and set(r[1]) <= set(F.vertex_ids)}
             assert len(kept) == len(below)
             assert {(G.tight_set, G.vertex_ids, G.dim, G.codim) for G in kept} == below
+
+
+def test_lattice_builds_each_face_once(hex_prism, monkeypatch):
+    """A face is built the first time its cut appears: a ridge, cut from
+    each facet through it, is constructed once."""
+    built = []
+    Face = polytope.Face
+
+    def counted(*args):
+        built.append(args[1])
+        return Face(*args)
+
+    for P in (hex_prism, Polytope(4, SIXTEEN_VERTICES)):
+        built.clear()
+        monkeypatch.setattr(polytope, "Face", counted)
+        P._lattice
+        monkeypatch.undo()
+        faces = [F.vertex_ids for c in range(P.dim + 1) for F in P.faces_of_codim(c)]
+        assert sorted(built) == sorted(faces)
 
 
 def test_relative_volume(delta, cube):
