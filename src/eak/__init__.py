@@ -6,7 +6,7 @@ with angle values carried symbolically and brute-force oracles for
 verification.
 """
 
-from eak.exactval import AngleValue, ExactValue, angle_of_cos_ratio, primitive_integer_vector
+from eak.exactval import AngleValue, ExactValue, angle_of_cos_ratio
 from eak.polytope import Polytope
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "ExactValue",
     "Polytope",
     "angle_of_cos_ratio",
-    "primitive_integer_vector",
 ]
 
 __version__ = "0.1.0"

@@ -41,12 +41,6 @@ def bernoulli_poly(r: int, x) -> Fraction:
     return value
 
 
-def frac_part(x) -> Fraction:
-    """x - floor(x), exact on rationals."""
-    x = Fraction(x)
-    return x - math.floor(x)
-
-
 def is_integer(x) -> bool:
     return Fraction(x).denominator == 1
 

@@ -149,30 +149,6 @@ def recovered_a_d1(P: Polytope, t) -> ExactValue:
     return boundary / 2 - coeff_e_d1(P).eval(-t)
 
 
-def tetrahedron_identity(P: Polytope) -> Fraction:
-    """Edge sum that vanishes identically on integer tetrahedra."""
-    if P.dim != 3 or len(P.vertices) != 4:
-        raise ValueError("integer tetrahedron required")
-    if P.denominator() != 1:
-        raise ValueError("integer tetrahedron required")
-    facets = P.facets()  # in inequality order, as g.f1 and g.f2 index
-    total = Fraction(0)
-    for g in all_codim2_data(P):
-        vol1, vol2 = P.relative_volume(facets[g.f1]), P.relative_volume(facets[g.f2])
-        # Every summand is rational after regrouping: the cosine terms give
-        # c_G |v_1|/|v_2| = -<v_1,v_2>/|v_2|^2, and since the Euclidean
-        # facet volume is vol*(F) |v_F| (sublattice determinant identity),
-        # the norm factors cancel out of the volume ratios entirely.
-        term = (
-            -Fraction(g.dot12, g.norm2_sq)
-            - Fraction(g.dot12, g.norm1_sq)
-            - vol2 / (3 * vol1)
-            - vol1 / (3 * vol2)
-        )
-        total += g.vol_star / g.k * term
-    return total
-
-
 @dataclass(frozen=True)
 class QuasiPolynomial:
     """Full quasi-polynomial of one flavor, for d <= 3: the closed-form

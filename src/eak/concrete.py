@@ -1,9 +1,11 @@
-"""Concreteness checks: hyperoctahedral symmetrization, multi-tiling
-levels by sampling, and the direct definition A_P(t) = vol(P) t^d.
+"""Concreteness checks: the multi-tiling level of the hyperoctahedral
+symmetrization by sampling, and the direct definition A_P(t) = vol(P) t^d,
+both in dimension at most three.
 
 The multi-tiling level is sampled from the orbit of each sample point
-under the signed permutations, tested for exact integer membership in
-the integer translates of P itself; no image polytope is built."""
+under the signed permutations, kept as integer perm and sign arrays,
+tested for exact integer membership in the integer translates of P
+itself; no image polytope is built."""
 
 from __future__ import annotations
 
@@ -20,29 +22,6 @@ from eak.polytope import Polytope
 
 # sample points of the multi-tiling check are k / SAMPLE_DEN, k in Z^d
 SAMPLE_DEN = 10**6
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """An element of the hypercube symmetry group: coordinate permutation
-    composed with sign flips; orthogonal and unimodular."""
-
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    def apply(self, v):
-        return tuple(self.signs[i] * Fraction(v[self.perm[i]]) for i in range(len(self.perm)))
-
-
-def hyperoctahedral_elements(d: int) -> list[SignedPermutation]:
-    """All 2^d d! signed permutations, in deterministic order."""
-    if d > 4:
-        raise ValueError("dimension above four not supported")
-    return [
-        SignedPermutation(perm, signs)
-        for perm in itertools.permutations(range(d))
-        for signs in itertools.product((1, -1), repeat=d)
-    ]
 
 
 @dataclass(frozen=True)
@@ -73,12 +52,14 @@ def _translate_ranges(P: Polytope) -> list[range]:
 
 @functools.cache
 def _group_arrays(d: int):
-    """The perm and sign arrays of hyperoctahedral_elements(d), one row per
-    element, read-only since every call shares them."""
+    """The 2^d d! signed permutations of Z^d as a perm and a sign array,
+    one row per element, each permutation with every sign pattern in turn:
+    g(x)_i = signs_i x_perm_i.  Read-only, since every call shares them."""
     import numpy as np
 
-    group = hyperoctahedral_elements(d)
-    arrays = np.array([g.perm for g in group]), np.array([g.signs for g in group])
+    perms, signs = zip(*itertools.product(itertools.permutations(range(d)),
+                                          itertools.product((1, -1), repeat=d)))
+    arrays = np.array(perms), np.array(signs)
     for a in arrays:
         a.flags.writeable = False
     return arrays

@@ -4,12 +4,12 @@ The two-parameter sum is
 
     s(h, k; x, y) = sum_{r mod k} B1~(h(r+y)/k + x) * B1~((r+y)/k)
 
-with B1~ the periodized first Bernoulli polynomial.  ``dr_sum_direct``
-evaluates the definition and ``_reciprocity_rhs`` the right-hand side of
-the reciprocity law, both on Fractions.  ``dr_sum_scaled`` descends
-through that law (Euclidean-style, like computing a gcd) on integers,
-with x and y over one denominator, and sums the definition directly for
-small modulus; ``dr_sum_fast`` takes x and y as rationals and calls it.
+with B1~ the periodized first Bernoulli polynomial.  ``dr_sum_scaled``
+descends through the reciprocity law (Euclidean-style, like computing a
+gcd) on integers, with x and y over one denominator, and sums the
+definition directly for small modulus; ``dr_sum_fast`` takes x and y as
+rationals and calls it.  The definition and the reciprocity law on
+Fractions are the tests' references (tests/reference_dedekind.py).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from eak.bernoulli import b1_scaled, b2_scaled, is_integer, periodized
+from eak.bernoulli import b1_scaled, b2_scaled
 
 # A descent step costs about as much as a few terms of the direct sum, so
 # descending down to a tiny modulus keeps the cost near log(k); a larger
@@ -35,27 +35,8 @@ def _validate(h: int, k: int) -> tuple[int, int]:
     return h, k
 
 
-def normalize_args(h: int, k: int, x, y) -> tuple[int, int, Fraction, Fraction]:
-    """Reduce h into [0, k) via s(h,k;x,y) = s(h-mk,k; x+my, y)."""
-    h, k = _validate(h, k)
-    x, y = Fraction(x), Fraction(y)
-    m, h = divmod(h, k)
-    return h, k, x + m * y, y
-
-
-def dr_sum_direct(h: int, k: int, x=0, y=0) -> Fraction:
-    """s(h,k;x,y) by summing the k definition terms."""
-    h, k = _validate(h, k)
-    x, y = Fraction(x), Fraction(y)
-    total = Fraction(0)
-    for r in range(k):
-        inner = (r + y) / k
-        total += periodized(1, h * inner + x) * periodized(1, inner)
-    return total
-
-
 def dr_sum_fast(h: int, k: int, x=0, y=0) -> Fraction:
-    """s(h,k;x,y) via reciprocity descent; equal to dr_sum_direct."""
+    """s(h,k;x,y) via reciprocity descent."""
     h, k = _validate(h, k)
     x, y = Fraction(x), Fraction(y)
     q = math.lcm(x.denominator, y.denominator)
@@ -102,7 +83,10 @@ def _direct_scaled(h: int, k: int, X: int, Y: int, q: int) -> Fraction:
 
 
 def _reciprocity_rhs_scaled(h: int, k: int, X: int, Y: int, q: int) -> Fraction:
-    # _reciprocity_rhs over 12hkq^2, by B1~(S/q) = b1_scaled(S, q)/(2q) and
+    # s(h,k;x,y) + s(k,h;y,x) at x = X/q and y = Y/q by the reciprocity law,
+    #   B1~(x) B1~(y) - [x and y integral]/4
+    #     + ((h/k) B2~(y) + B2~(kx + hy)/(hk) + (k/h) B2~(x))/2,
+    # over 12hkq^2, by B1~(S/q) = b1_scaled(S, q)/(2q) and
     # B2~(S/q) = b2_scaled(S, q)/(6q^2)
     qq = q * q
     ind = qq if X % q == 0 and Y % q == 0 else 0
@@ -113,22 +97,3 @@ def _reciprocity_rhs_scaled(h: int, k: int, X: int, Y: int, q: int) -> Fraction:
         + k * k * b2_scaled(X, q)
     )
     return Fraction(num, 12 * h * k * qq)
-
-
-def _reciprocity_rhs(h: int, k: int, x: Fraction, y: Fraction) -> Fraction:
-    ind = Fraction(1) if is_integer(x) and is_integer(y) else Fraction(0)
-    return (
-        -Fraction(1, 4) * ind
-        + periodized(1, x) * periodized(1, y)
-        + Fraction(1, 2)
-        * (
-            Fraction(h, k) * periodized(2, y)
-            + Fraction(1, h * k) * periodized(2, k * x + h * y)
-            + Fraction(k, h) * periodized(2, x)
-        )
-    )
-
-
-def dedekind_classic(h: int, k: int) -> Fraction:
-    """Classical Dedekind sum s(h,k) = s(h,k;0,0)."""
-    return dr_sum_fast(h, k, 0, 0)

@@ -9,7 +9,6 @@ formal Q-linear combination of ``arccos(angle)/(2*pi)`` terms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -47,20 +46,6 @@ def format_rational(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def primitive_integer_vector(v: Sequence[RationalLike]) -> tuple[int, ...]:
-    """Unique integer vector w with gcd 1 and w = lambda*v for lambda > 0.
-
-    Raises ValueError on the zero vector.
-    """
-    fracs = [Fraction(c) for c in v]
-    if all(c == 0 for c in fracs):
-        raise ValueError("zero direction")
-    den = math.lcm(*(c.denominator for c in fracs))
-    ints = [int(c * den) for c in fracs]
-    g = math.gcd(*ints)
-    return tuple(c // g for c in ints)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,11 @@
 """Regularized lattice sums over linear-form products.
 
-Two exact evaluators for the same family of sums: a finite form that
-enumerates dual-lattice points in a fundamental parallelepiped with
-solid-angle weights (rank <= 2), and a residue form without angle
-weights (valid when every exponent is at least two).  Both work in
-integers: a dual-lattice point is named by its integer pairings with the
-lattice basis, and coordinates come from an adjugate.  The damped-series
-convergence oracle is the tests' (tests/reference_lattice.py).
+The exact finite form enumerates dual-lattice points in a fundamental
+parallelepiped with solid-angle weights (rank <= 2), in integers: a
+dual-lattice point is named by its integer pairings with the lattice
+basis, and coordinates come from an adjugate.  The residue form without
+angle weights (every exponent at least two) and the damped-series
+convergence oracle are the tests' (tests/reference_lattice.py).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from eak import linalg
-from eak.bernoulli import bernoulli_poly, periodized
+from eak.bernoulli import bernoulli_poly
 from eak.exactval import ExactValue, angle_of_cos_ratio, exact_sum
 from eak.linalg import Vec
 from eak.oracle import ENUMERATION_BUDGET, BudgetExceeded
@@ -146,48 +145,3 @@ def _parallelepiped_angle(w_columns: Sequence[Vec], y: Sequence[Fraction]) -> Ex
     sign = 1 if y[0] == y[1] else -1
     angle = angle_of_cos_ratio(sign * linalg.dot(w0, w1), linalg.norm_sq(w0) * linalg.norm_sq(w1))
     return ExactValue.angle_turn(angle)
-
-
-def gunnels_sczech(W: Sequence[Sequence[int]], e: Sequence[int], x: Sequence) -> Fraction:
-    """Residue form over Z^d / W Z^d with periodized Bernoulli weights;
-    requires every exponent at least two (absolute convergence).  With
-    W^(-1) = adj(W) / det W, the residue of n is frac(adj(W) n / det W).
-    Refused (BudgetExceeded) when |det W| exceeds ENUMERATION_BUDGET."""
-    W = [tuple(int(c) for c in row) for row in W]
-    e = [int(v) for v in e]
-    x = linalg.vec(x)
-    d = len(W)
-    if any(v < 2 for v in e):
-        raise ValueError("conditionally convergent; use lattice_sum_finite")
-    adj, det_w = linalg.adjugate(W)
-    if det_w == 0:
-        raise ValueError("singular matrix")
-    L = abs(det_w)
-    if L > ENUMERATION_BUDGET:
-        raise BudgetExceeded(f"|det W| = {L} residues exceed the budget {ENUMERATION_BUDGET}")
-    x_coords = [linalg.dot(row, x) / det_w for row in adj]
-    # the residues frac(W^(-1) n) of Z^d mod W Z^d are the r / L for r in
-    # the subgroup of (Z/L)^d generated by the columns of adj(W) mod L, a set
-    # closed under the sign of det W; each column adds the cosets H + j col
-    # of the group H built so far, until j col falls back into H
-    residues = [(0,) * d]
-    for col in zip(*adj):
-        subgroup, coset = set(residues), residues
-        while True:
-            coset = [tuple((r + c) % L for r, c in zip(res, col)) for res in coset]
-            if coset[0] in subgroup:
-                break
-            residues += coset
-    # coordinate j of a residue alone fixes its weight B~_e_j(r_j/L - x_j):
-    # each distinct r_j is weighed once, as an integer over a denominator
-    # common to the coordinate, and the products are summed in integers
-    weights, den = [], 1
-    for j, (e_j, x_j) in enumerate(zip(e, x_coords)):
-        w = {r: periodized(e_j, Fraction(r, L) - x_j) for r in {res[j] for res in residues}}
-        q = math.lcm(*(v.denominator for v in w.values()))
-        weights.append({r: v.numerator * (q // v.denominator) for r, v in w.items()})
-        den *= q
-    total = sum(math.prod(w[r] for w, r in zip(weights, res)) for res in residues)
-    sign = -1 if d % 2 else 1
-    fact = math.prod(math.factorial(v) for v in e)
-    return Fraction(sign * total, fact * L * den)

@@ -57,13 +57,6 @@ class CodimTwoData:
         solid-angle flavor reads it."""
         return ExactValue.angle_turn(self.c_G)
 
-    def membership_scale(self, t) -> bool:
-        """Whether t * xbar_G lies in Lambda_G^*."""
-        t = Fraction(t)
-        return (t * self.k * self.x2).denominator == 1 and (
-            t * (self.x1 + self.h * self.x2)
-        ).denominator == 1
-
 
 def ridges(P: Polytope) -> dict[frozenset[int], tuple[int, int, AngleValue]]:
     """(f1, f2, c_G) of each ridge of P, by its tight set: its two facet

@@ -72,16 +72,20 @@ def _scaled_system(P: Polytope, t: Fraction):
     rows_a = []
     rows_c = []
     for a, b in P.inequalities:
-        c = b * t
-        row = [c.denominator * int(x) for x in a]
-        bound = sum(abs(x) * r for x, r in zip(row, reach)) + abs(c.numerator)
+        # b = B / L with B an integer, so b t = B p / q; in lowest terms it is
+        # C / n, and the facet's integer row is <n a, x> <= C
+        Bp = b.numerator * (L // b.denominator) * p
+        g = math.gcd(Bp, q)
+        C, n = Bp // g, q // g
+        row = [n * x for x in a]
+        bound = sum(abs(x) * r for x, r in zip(row, reach)) + abs(C)
         if bound >= INT64_LIMIT:
             raise BudgetExceeded(
                 f"the scaled system at t={t} needs integers up to {bound}, "
                 f"beyond the int64 limit 2**63"
             )
         rows_a.append(row)
-        rows_c.append(c.numerator)
+        rows_c.append(C)
     size = math.prod(h - l + 1 for l, h in zip(lo, hi))
     if size > ENUMERATION_BUDGET:
         raise BudgetExceeded(f"bounding box has {size} candidate points "

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -13,8 +14,8 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from eak import linalg, local_data
-from eak.exactval import ExactValue, exact_sum, primitive_integer_vector
+from eak import linalg, local_data, oracle
+from eak.exactval import ExactValue, exact_sum
 from eak.linalg import Vec
 from eak.polytope import MAX_DIM, Polytope
 from reference_lattice import (
@@ -167,6 +168,29 @@ def rhombic_dodecahedron(image) -> Polytope:
     return Polytope(3, [image(*v) for v in (*cube, *axes)])
 
 
+@dataclass(frozen=True)
+class SignedPermutation:
+    """An element of the hypercube symmetry group: coordinate permutation
+    composed with sign flips; orthogonal and unimodular."""
+
+    perm: tuple[int, ...]
+    signs: tuple[int, ...]
+
+    def apply(self, v):
+        return tuple(self.signs[i] * Fraction(v[self.perm[i]]) for i in range(len(self.perm)))
+
+
+def hyperoctahedral_elements(d: int) -> list[SignedPermutation]:
+    """All 2^d d! signed permutations, in deterministic order."""
+    if d > 4:
+        raise ValueError("dimension above four not supported")
+    return [
+        SignedPermutation(perm, signs)
+        for perm in itertools.permutations(range(d))
+        for signs in itertools.product((1, -1), repeat=d)
+    ]
+
+
 def centrally_symmetric_facets(P: Polytope) -> bool:
     """Whether every facet is centrally symmetric about its vertex centroid."""
     for f in P.facets():
@@ -182,6 +206,42 @@ def centrally_symmetric_facets(P: Polytope) -> bool:
         if pts != mirrored:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference: the integer system of t*P with each row's bound the Fraction
+# b * t, as eak.oracle._scaled_system built it before it worked in integers
+
+
+def reference_scaled_system(P: Polytope, t: Fraction):
+    """(A, C, lo, hi) of x in t*P, with the refusals of the package's
+    _scaled_system: t <= 0, a row past int64, a box past the budget."""
+    if t <= 0:
+        raise ValueError("positive dilation required")
+    L, points = P._dilate
+    p, q = t.numerator, L * t.denominator
+    columns = list(zip(*points))
+    lo = [p * min(c) // q for c in columns]
+    hi = [-(-p * max(c) // q) for c in columns]
+    reach = [max(abs(lo_j), abs(hi_j)) for lo_j, hi_j in zip(lo, hi)]
+    rows_a = []
+    rows_c = []
+    for a, b in P.inequalities:
+        c = b * t
+        row = [c.denominator * int(x) for x in a]
+        bound = sum(abs(x) * r for x, r in zip(row, reach)) + abs(c.numerator)
+        if bound >= oracle.INT64_LIMIT:
+            raise oracle.BudgetExceeded(
+                f"the scaled system at t={t} needs integers up to {bound}, "
+                f"beyond the int64 limit 2**63"
+            )
+        rows_a.append(row)
+        rows_c.append(c.numerator)
+    size = math.prod(h - l + 1 for l, h in zip(lo, hi))
+    if size > oracle.ENUMERATION_BUDGET:
+        raise oracle.BudgetExceeded(f"bounding box has {size} candidate points "
+                                    f"(budget {oracle.ENUMERATION_BUDGET})")
+    return np.array(rows_a, dtype=np.int64), np.array(rows_c, dtype=np.int64), lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +448,7 @@ def reference_hull_facets(points, dim):
         ]
         if len(normals) != 1:
             continue
-        a = primitive_integer_vector(normals[0])
+        a = ref.primitive_integer_vector(normals[0])
         b = linalg.dot(a, pts[0])
         if (a, b) in seen:
             continue

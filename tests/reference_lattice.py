@@ -6,8 +6,12 @@ basis columns.  Determinants are carried only through the rational Gram
 determinant det(B^T B), never as floating square roots.  The lattice-sum
 references enumerate the dual lattice in its own coordinates and project
 x onto the span of the lattice, as eak.lattice_sum did before it named
-dual-lattice points by their integer pairings.  The damped series
-approaches the same sums numerically, with no exact arithmetic at all.
+dual-lattice points by their integer pairings.  The residue form
+``gunnels_sczech`` (every exponent at least two) runs in integers over
+the group the columns of adj(W) generate, and ``reference_gunnels_sczech``
+checks it by elimination; no command reaches either, and both keep all
+|det W| residues in memory.  The damped series approaches the same sums
+numerically, with no exact arithmetic at all.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ from typing import Sequence
 
 import numpy as np
 
-from eak.bernoulli import bernoulli_poly, frac_part, periodized
-from eak.exactval import ExactValue, angle_of_cos_ratio, primitive_integer_vector
+from eak import linalg
+from eak.bernoulli import bernoulli_poly, periodized
+from eak.exactval import ExactValue, angle_of_cos_ratio
 from eak.lattice_sum import LatticeSumProblem
 from eak.linalg import Vec, dot, norm_sq, vec
+from eak.oracle import ENUMERATION_BUDGET, BudgetExceeded
 from reference_linalg import (
     columns,
     det,
@@ -36,11 +42,18 @@ from reference_linalg import (
     mat_vec,
     nullspace,
     orthogonal_projection,
+    primitive_integer_vector,
     transpose,
     vec_add,
     vec_scale,
     vec_sub,
 )
+
+
+def frac_part(x) -> Fraction:
+    """x - floor(x), exact on rationals."""
+    x = Fraction(x)
+    return x - math.floor(x)
 
 
 @dataclass(frozen=True)
@@ -207,8 +220,53 @@ def _parallelepiped_angle(w_columns: Sequence[Vec], y: Vec) -> ExactValue:
     return ExactValue.angle_turn(angle)
 
 
+def gunnels_sczech(W: Sequence[Sequence[int]], e: Sequence[int], x: Sequence) -> Fraction:
+    """Residue form over Z^d / W Z^d with periodized Bernoulli weights;
+    requires every exponent at least two (absolute convergence).  With
+    W^(-1) = adj(W) / det W, the residue of n is frac(adj(W) n / det W).
+    Refused (BudgetExceeded) when |det W| exceeds ENUMERATION_BUDGET."""
+    W = [tuple(int(c) for c in row) for row in W]
+    e = [int(v) for v in e]
+    x = linalg.vec(x)
+    d = len(W)
+    if any(v < 2 for v in e):
+        raise ValueError("conditionally convergent; use lattice_sum_finite")
+    adj, det_w = linalg.adjugate(W)
+    if det_w == 0:
+        raise ValueError("singular matrix")
+    L = abs(det_w)
+    if L > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"|det W| = {L} residues exceed the budget {ENUMERATION_BUDGET}")
+    x_coords = [linalg.dot(row, x) / det_w for row in adj]
+    # the residues frac(W^(-1) n) of Z^d mod W Z^d are the r / L for r in
+    # the subgroup of (Z/L)^d generated by the columns of adj(W) mod L, a set
+    # closed under the sign of det W; each column adds the cosets H + j col
+    # of the group H built so far, until j col falls back into H
+    residues = [(0,) * d]
+    for col in zip(*adj):
+        subgroup, coset = set(residues), residues
+        while True:
+            coset = [tuple((r + c) % L for r, c in zip(res, col)) for res in coset]
+            if coset[0] in subgroup:
+                break
+            residues += coset
+    # coordinate j of a residue alone fixes its weight B~_e_j(r_j/L - x_j):
+    # each distinct r_j is weighed once, as an integer over a denominator
+    # common to the coordinate, and the products are summed in integers
+    weights, den = [], 1
+    for j, (e_j, x_j) in enumerate(zip(e, x_coords)):
+        w = {r: periodized(e_j, Fraction(r, L) - x_j) for r in {res[j] for res in residues}}
+        q = math.lcm(*(v.denominator for v in w.values()))
+        weights.append({r: v.numerator * (q // v.denominator) for r, v in w.items()})
+        den *= q
+    total = sum(math.prod(w[r] for w, r in zip(weights, res)) for res in residues)
+    sign = -1 if d % 2 else 1
+    fact = math.prod(math.factorial(v) for v in e)
+    return Fraction(sign * total, fact * L * den)
+
+
 def reference_gunnels_sczech(W: Sequence[Sequence[int]], e: Sequence[int], x: Sequence) -> Fraction:
-    """The residue form of eak.lattice_sum with W^(-1) by elimination."""
+    """The residue form gunnels_sczech with W^(-1) by elimination."""
     W = [tuple(int(c) for c in row) for row in W]
     e = [int(v) for v in e]
     x = vec(x)

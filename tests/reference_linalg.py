@@ -21,7 +21,8 @@ Mat = tuple[Vec, ...]
 FRACTION_ROUTINES = (
     "Mat", "vec_add", "vec_sub", "vec_scale", "transpose", "columns", "from_columns",
     "identity", "mat_mul", "mat_vec", "gram", "det", "rref", "rank", "inverse",
-    "nullspace", "orthogonal_projection", "hnf_column_basis", "integer_kernel",
+    "nullspace", "orthogonal_projection", "primitive_integer_vector", "hnf_column_basis",
+    "integer_kernel",
 )
 
 
@@ -156,6 +157,20 @@ def orthogonal_projection(u_cols: Sequence[Sequence]) -> Mat:
 
 # ---------------------------------------------------------------------------
 # integer lattice algorithms
+
+def primitive_integer_vector(v: Sequence) -> tuple[int, ...]:
+    """Unique integer vector w with gcd 1 and w = lambda*v for lambda > 0.
+
+    Raises ValueError on the zero vector.
+    """
+    fracs = [Fraction(c) for c in v]
+    if all(c == 0 for c in fracs):
+        raise ValueError("zero direction")
+    den = math.lcm(*(c.denominator for c in fracs))
+    ints = [int(c * den) for c in fracs]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
 
 def hnf_column_basis(int_cols: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Basis of the integer column lattice, by column-style Hermite reduction.

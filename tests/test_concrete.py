@@ -3,22 +3,24 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eak import linalg, oracle, polytope
-from eak.concrete import (
-    SignedPermutation,
-    TilingReport,
-    hyperoctahedral_elements,
-    is_concrete,
-    symmetrized_multitiling_level,
-)
+from eak.concrete import TilingReport, _group_arrays, is_concrete, symmetrized_multitiling_level
 from eak.exactval import AngleValue, ExactValue
 from eak.polytope import Polytope
 
-from conftest import centrally_symmetric_facets, rational_polytopes, rhombic_dodecahedron
+from conftest import (
+    FOUR_POLYTOPE,
+    SignedPermutation,
+    centrally_symmetric_facets,
+    hyperoctahedral_elements,
+    rational_polytopes,
+    rhombic_dodecahedron,
+)
 
 
 def test_hyperoctahedral_group():
@@ -30,6 +32,24 @@ def test_hyperoctahedral_group():
     assert g.apply((1, 2, 3)) == (2, -1, 3)
     with pytest.raises(ValueError):
         hyperoctahedral_elements(5)
+
+
+def test_group_arrays_are_the_signed_permutations():
+    """The sampler's perm and sign rows are the group elements, in order,
+    and act on a point as SignedPermutation.apply does."""
+    for d in (1, 2, 3):
+        perms, signs = _group_arrays(d)
+        group = hyperoctahedral_elements(d)
+        assert perms.tolist() == [list(g.perm) for g in group]
+        assert signs.tolist() == [list(g.signs) for g in group]
+        x = (1, 2, 3)[:d]
+        assert (signs * np.array(x)[perms]).tolist() == [list(g.apply(x)) for g in group]
+        assert not perms.flags.writeable and not signs.flags.writeable
+
+
+def test_multitiling_refuses_a_four_polytope():
+    with pytest.raises(ValueError, match="dimension above three"):
+        symmetrized_multitiling_level(Polytope(4, FOUR_POLYTOPE), 1)
 
 
 def test_centrally_symmetric_facets(cube, hex_prism, delta):

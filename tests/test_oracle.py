@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eak import cli
@@ -23,6 +23,7 @@ from conftest import (
     newton_interpolation,
     random_integer_polytope,
     random_rational_polytope,
+    reference_scaled_system,
     vandermonde_interpolation,
 )
 
@@ -393,6 +394,34 @@ def test_scaled_box_is_the_fraction_box(P, t):
     _, _, lo, hi = oracle._scaled_system(P, t)
     assert lo == [math.floor(min(v[j] * t for v in P.vertices)) for j in range(3)]
     assert hi == [math.ceil(max(v[j] * t for v in P.vertices)) for j in range(3)]
+
+
+def _system_or_refusal(build, P, t):
+    """The arrays, lo and hi of build(P, t), or the type and message of
+    its refusal."""
+    try:
+        A, C, lo, hi = build(P, t)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return A.dtype, A.tolist(), C.dtype, C.tolist(), lo, hi
+
+
+NEAR_1E16 = st.integers(10**16 - 10**3, 10**16 + 10**3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(rational_polytopes),
+    st.builds(Fraction, st.one_of(st.integers(-2, 40), NEAR_1E16),
+              st.one_of(st.integers(1, 12), NEAR_1E16)),
+)
+@example(P=Polytope(3, [(0, 0, 0), (20, 0, 0), (0, 20, 0), (0, 0, 20)]),
+         t=Fraction(4 * 10**16 + 2, 4 * 10**16 + 1))  # within a factor three of 2**63
+def test_scaled_system_is_the_fraction_build(P, t):
+    """Each row's bound from integers gives the arrays, the box and every
+    refusal of the build on the Fraction b * t, t <= 0 included."""
+    assert (_system_or_refusal(oracle._scaled_system, P, t)
+            == _system_or_refusal(reference_scaled_system, P, t))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eak import linalg, polytope
-from eak.exactval import primitive_integer_vector
 from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
 
@@ -322,7 +321,7 @@ def fraction_pyramid_volume(P, face, kept: dict) -> Fraction:
     elif face.dim == 1:
         diff = ref.vec_sub(verts[1], verts[0])
         j = next(j for j, c in enumerate(diff) if c)
-        vol = diff[j] / primitive_integer_vector(diff)[j]
+        vol = diff[j] / ref.primitive_integer_vector(diff)[j]
     else:
         normals = [P.inequalities[i][0] for i in sorted(face.tight_set)]
         g = math.gcd(*linalg.maximal_minors(normals).values())
