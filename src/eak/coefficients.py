@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from eak.bernoulli import b1_scaled, b2_scaled, is_integer
 from eak.dedekind import dr_sum_scaled
-from eak.exactval import ExactValue, exact_sum
+from eak.exactval import ExactValue, _merged
 from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
 
@@ -62,40 +62,53 @@ def _codim2_walk(P: Polytope, t: Fraction, angles: bool = True) -> dict[str, Exa
 
     Each face's values are integers over one denominator: s_i = b_i t is
     S_i/q, and x, y and the offsets of the B1 corrections are integers
-    over n = kq, so a face and a t build one Fraction for the shared part
-    and, where a correction applies, one more."""
-    shared = quarter = correction = Fraction(0)
-    members = []
+    over n = kq, and dr_sum_scaled returns s(h,k;x,y) as an integer pair.
+    So a face and a t build no Fraction: the shared part, the corrections
+    and the rational part of the omega_G - 1/4 terms are summed as integer
+    pairs (numerator, denominator), and each coefficient builds one
+    Fraction at the end.  Only the arccos terms of omega_G, scaled by
+    vol*(G), stay Fractions, merged once by angle."""
+    shared = correction = omega_rat = (0, 1)
+    terms = []
+    tn, td = t.numerator, t.denominator
     for g in all_codim2_data(P):
         k, h = g.k, g.h
-        q = g.den * t.denominator
-        S1, S2 = g.b1_num * t.numerator, g.b2_num * t.numerator
+        q = g.den * td
+        S1, S2 = g.b1_num * tn, g.b2_num * tn
         n, X = k * q, S2 + h * S1  # x = X/n, y = -s1 = -kS1/n
         # (c_G/2k) ((|v2|/|v1|) B2~(s1) + (|v1|/|v2|) B2~(s2)), by the rational
         # regrouping c_G |v2|/|v1| = -<v1,v2>/|v1|^2, over 12kq^2 |v1|^2 |v2|^2
         b2_den = 12 * n * q * g.norm1_sq * g.norm2_sq
         b2_num = -g.dot12 * (g.norm2_sq * b2_scaled(S1, q) + g.norm1_sq * b2_scaled(S2, q))
-        s = dr_sum_scaled(h, k, X, -k * S1, n)
-        vol = g.vol_star
-        shared += Fraction(
-            (b2_num * s.denominator - s.numerator * b2_den) * vol.numerator,
-            b2_den * s.denominator * vol.denominator,
-        )
+        s_num, s_den = dr_sum_scaled(h, k, X, -k * S1, n)
+        vn, vd = g.vol_star.numerator, g.vol_star.denominator
+        shared = _plus(shared, (b2_num * s_den - s_num * b2_den) * vn, b2_den * s_den * vd)
         # 2n B1~ of each correction: ((h_inv s2 + s1)/k) where s2 is integral,
         # and the right limit at x where y is, which is -1/2 at an integer x
         c = b1_scaled(g.h_inv * S2 + S1, n) if S2 % q == 0 else 0
         if S1 % q == 0:
             r = X % n
             c += 2 * r - n
-            if r == 0:  # t xbar_G in Lambda_G^*: s1 and x integral
-                quarter += vol
-                members.append((g, vol))
+            if r == 0 and angles:  # t xbar_G in Lambda_G^*: s1 and x integral
+                turn, angle_terms = g.omega.rational_part, g.omega.angle_terms
+                omega_rat = _plus(omega_rat, vn * (4 * turn.numerator - turn.denominator),
+                               4 * vd * turn.denominator)
+                terms.append(tuple((coeff * g.vol_star, a) for coeff, a in angle_terms))
         if c:
-            correction += Fraction(c * vol.numerator, 2 * n * vol.denominator)
-    values = {"e_d2": ExactValue.of(shared - correction / 2)}
+            correction = _plus(correction, c * vn, 4 * n * vd)
+    values = {"e_d2": ExactValue.of(Fraction(*_plus(shared, -correction[0], correction[1])))}
     if angles:
-        values["a_d2"] = exact_sum([shared - quarter / 4, *(g.omega * vol for g, vol in members)])
+        values["a_d2"] = _merged(Fraction(*_plus(shared, *omega_rat)), terms)
     return values
+
+
+def _plus(pair: tuple[int, int], num: int, den: int) -> tuple[int, int]:
+    """pair[0]/pair[1] + num/den in lowest terms, for positive denominators:
+    reduced at every step, a sum over many faces stays as small as a
+    Fraction sum."""
+    num, den = pair[0] * den + num * pair[1], pair[1] * den
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def evaluate(P: Polytope, t) -> dict[str, ExactValue]:

@@ -74,6 +74,24 @@ class AngleValue:
         # inverse on every call
         return self._hash
 
+    @cached_property
+    def canonical_term(self) -> tuple[Fraction, int, Fraction]:
+        """arccos/(2*pi) in canonical form, rat + s * arccos(sqrt(cs))/(2*pi),
+        as (rat, s, cs): s = 0 when the angle is a rational number of turns,
+        else s = +-1 and cs in (0, 1/2) with no rational number of turns.
+        Computed once, on first use: the solid-angle table and omega_G both
+        read the term of each ridge's angle."""
+        turn = self.rational_turn()
+        if turn is not None:
+            return turn, 0, Fraction(0)
+        # arccos(-c) = pi - arccos(c)
+        rat, s = (Fraction(0), 1) if self.sign > 0 else (Fraction(1, 2), -1)
+        cs = self.cos_squared
+        if cs > Fraction(1, 2):
+            # arccos(sqrt(c)) + arccos(sqrt(1 - c)) = pi/2
+            return rat + Fraction(s, 4), -s, 1 - cs
+        return rat, s, cs
+
     def rational_turn(self) -> Fraction | None:
         """arccos/(2*pi) as an exact rational, when the angle admits one."""
         if self.sign == 0:
@@ -109,22 +127,6 @@ def angle_of_cos_ratio(num: RationalLike, den_sq: RationalLike) -> AngleValue:
     return AngleValue(0 if num == 0 else (1 if num > 0 else -1), cs)
 
 
-def canonical_term(angle: AngleValue) -> tuple[Fraction, int, Fraction]:
-    """arccos(angle)/(2*pi) in canonical form, rat + s * arccos(sqrt(cs))/(2*pi),
-    as (rat, s, cs): s = 0 when the angle is a rational number of turns,
-    else s = +-1 and cs in (0, 1/2) with no rational number of turns."""
-    turn = angle.rational_turn()
-    if turn is not None:
-        return turn, 0, Fraction(0)
-    # arccos(-c) = pi - arccos(c)
-    rat, s = (Fraction(0), 1) if angle.sign > 0 else (Fraction(1, 2), -1)
-    cs = angle.cos_squared
-    if cs > Fraction(1, 2):
-        # arccos(sqrt(c)) + arccos(sqrt(1 - c)) = pi/2
-        return rat + Fraction(s, 4), -s, 1 - cs
-    return rat, s, cs
-
-
 @dataclass(frozen=True)
 class ExactValue:
     """rational_part + sum of coeff * arccos(angle)/(2*pi), canonicalized.
@@ -155,7 +157,7 @@ class ExactValue:
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            turn, s, cs = canonical_term(angle)
+            turn, s, cs = angle.canonical_term
             rat += coeff * turn
             if s:
                 acc[cs] = acc.get(cs, Fraction(0)) + s * coeff
@@ -176,7 +178,7 @@ class ExactValue:
         """coeff * arccos(angle)/(2*pi) as an ExactValue, built from the
         angle's one canonical term with no second canonicalizing pass."""
         coeff = Fraction(coeff)
-        turn, s, cs = canonical_term(angle)
+        turn, s, cs = angle.canonical_term
         return _canonical(coeff * turn, ((s * coeff, AngleValue(1, cs)),) if s and coeff else ())
 
     @staticmethod

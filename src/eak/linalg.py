@@ -20,7 +20,8 @@ Vec = tuple[Fraction, ...]
 
 
 def vec(entries: Sequence) -> Vec:
-    return tuple(Fraction(e) for e in entries)
+    """The entries as Fractions; a Fraction entry is kept as it is."""
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:

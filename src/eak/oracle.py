@@ -29,14 +29,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from eak import linalg, local_data
-from eak.exactval import AngleValue, ExactValue, canonical_term, exact_sum
+from eak.exactval import AngleValue, ExactValue, exact_sum
 from eak.polytope import Polytope
 
 ENUMERATION_BUDGET = 10**7
 INT64_LIMIT = 2**63
 VERTEX_REFUSAL = "no exact solid angle at a vertex of a 4-polytope"
 # A dihedral angle's canonical term has its rational part in (1/24)Z and
-# its basis coefficient +-1 (exactval.canonical_term), and Girard's rule
+# its basis coefficient +-1 (AngleValue.canonical_term), and Girard's rule
 # halves these: every solid angle of a polytope of dimension <= 4 is in
 # (1/48)(Z + Z theta_1 + ... + Z theta_n) over its arccos basis theta_i.
 ANGLE_DENOMINATOR = 48
@@ -174,7 +174,7 @@ class AngleTable:
     def __init__(self, P: Polytope):
         # the dihedral angles of the ridge records: no angle sum reads the
         # rest of the local data (h, k, volumes)
-        terms = [(tight, canonical_term(c_G))
+        terms = [(tight, c_G.canonical_term)
                  for tight, (_, _, c_G) in local_data.ridges(P).items()]
         basis = sorted({cs for _, (_, s, cs) in terms if s})
         self.angles = tuple(AngleValue(1, cs) for cs in basis)

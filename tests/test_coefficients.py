@@ -168,6 +168,24 @@ def test_codim2_walk_matches_the_reference_on_reeve_tetrahedra(r, t):
     _walk_matches_the_reference(reeve_tetrahedron(r), t)
 
 
+RATIONAL4 = Polytope(4, [(0, 0, 0, 0), (Fraction(1, 2), 0, 0, 0), (0, Fraction(2, 3), 0, 0),
+                         (0, 0, 1, 0), (0, 0, 0, Fraction(3, 2)), (Fraction(1, 3),) * 4,
+                         (1, 1, 0, 1)])
+LARGE_T = (Fraction(10**30 + 1, 7), Fraction(-10**40, 10**12 + 39), Fraction(3, 10**20 + 1))
+
+
+@pytest.mark.parametrize("t", LARGE_T, ids=("huge", "negative", "tiny"))
+@pytest.mark.parametrize("P", [
+    Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    reeve_tetrahedron(1021),
+    RATIONAL4,
+], ids=("delta3", "reeve1021", "rational4"))
+def test_codim2_walk_is_exact_at_any_size_of_t(P, t):
+    """The integer pairs stay exact when t has numerators and denominators
+    far beyond the drawn ones."""
+    _walk_matches_the_reference(P, t)
+
+
 def test_ehrhart_half_reads_no_dihedral_angle(delta, monkeypatch):
     # omega_G is built on first use, and only the solid-angle flavor uses it
     calls = []

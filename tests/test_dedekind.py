@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,17 @@ def test_validation():
         dr_sum_fast(1, -3)
 
 
+@pytest.mark.parametrize("h, k", [(2.7, 5), (2, 5.0), ("2", 5), (2, "5"), (True, 5),
+                                  (2, True), (Fraction(2), 5)],
+                         ids=("float-h", "float-k", "str-h", "str-k", "bool-h", "bool-k",
+                              "Fraction-h"))
+def test_validation_refuses_what_is_not_an_int(h, k):
+    # int() would read h = 2.7 as 2 and return s(2, 5) = 0
+    bad = h if type(h) is not int else k
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {bad!r}")):
+        dr_sum_fast(h, k)
+
+
 def test_normalize_args_preserves_value():
     x, y = Fraction(1, 3), Fraction(2, 5)
     h, k, x2, y2 = normalize_args(17, 7, x, y)
@@ -63,7 +75,7 @@ def test_reciprocity(h, k, x, y):
     lhs = dr_sum_direct(h, k, x, y) + dr_sum_direct(k, h, y, x)
     assert lhs == _reciprocity_rhs(h, k, x, y)
     q = math.lcm(x.denominator, y.denominator)
-    assert _reciprocity_rhs_scaled(h, k, int(x * q), int(y * q), q) == lhs
+    assert Fraction(*_reciprocity_rhs_scaled(h, k, int(x * q), int(y * q), q)) == lhs
 
 
 @settings(max_examples=60)
@@ -97,4 +109,16 @@ def test_fast_matches_direct_on_large_moduli(h, k, x, y, c):
     expected = dr_sum_direct(*normalize_args(h, k, x, y))
     assert dr_sum_fast(h, k, x, y) == expected
     q = c * math.lcm(x.denominator, y.denominator)
-    assert dr_sum_scaled(h, k, int(x * q), int(y * q), q) == expected
+    assert Fraction(*dr_sum_scaled(h, k, int(x * q), int(y * q), q)) == expected
+
+
+def test_deep_descent_is_exact():
+    """Consecutive Fibonacci numbers of 100 digits descend through about 480
+    levels: the two descents still satisfy the reciprocity law, and the
+    pair stays over 4(kq)^2."""
+    h, k = 1, 1
+    while k < 10**100:
+        h, k = k, h + k
+    x, y = Fraction(1, 3), Fraction(2, 7)
+    assert dr_sum_fast(h, k, x, y) + dr_sum_fast(k, h, y, x) == _reciprocity_rhs(h, k, x, y)
+    assert dr_sum_scaled(h, k, 7, 6, 21)[1] == 4 * (k * 21) ** 2

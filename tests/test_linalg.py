@@ -138,3 +138,10 @@ def test_cross_is_the_determinant_against_its_rows(data):
     assert linalg.dot(u, x) == ref.det([x, *rows])
     assert all(linalg.dot(u, r) == 0 for r in rows)
     assert any(u) == (ref.rank(rows) == n - 1)
+
+
+def test_vec_keeps_fraction_entries():
+    third = Fraction(1, 3)
+    v = linalg.vec((third, 2, "1/2"))
+    assert v == (third, Fraction(2), Fraction(1, 2))
+    assert v[0] is third

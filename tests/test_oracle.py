@@ -97,6 +97,24 @@ def test_each_ridge_angle_is_computed_once(hex_prism, monkeypatch):
         assert len(calls) == len(set(calls)) == len(P.codim2_faces())
 
 
+def test_each_ridge_canonical_term_is_computed_once(hex_prism, monkeypatch):
+    """The angle table and omega_G of the closed forms read one canonical
+    arccos term per ridge, kept on its dihedral angle."""
+    calls = []
+    rational_turn = AngleValue.rational_turn
+
+    def counted(angle):
+        calls.append(id(angle))
+        return rational_turn(angle)
+
+    monkeypatch.setattr(AngleValue, "rational_turn", counted)
+    for P in (hex_prism, Polytope(4, FOUR_POLYTOPE)):
+        calls.clear()
+        oracle.angle_table(P)
+        co.evaluate(P, 1)
+        assert len(calls) == len(set(calls)) == len(P.codim2_faces())
+
+
 def test_solid_angle_sum_builds_no_codim2_data(hex_prism, monkeypatch):
     """The solid angles read only the ridges' dihedral angles: no h, k or
     face volume is built for them."""
