@@ -51,12 +51,9 @@ def periodized(r: int, x) -> Fraction:
         raise ValueError("periodization needs degree >= 1")
     x = Fraction(x)
     q = x.denominator
-    # Every coefficient term uses degree 1 or 2, so these skip the Horner
-    # loop over Fractions
+    # degree 1 skips the Horner loop over Fractions and is 0 at integers
     if r == 1:
         return Fraction(b1_scaled(x.numerator, q), 2 * q)
-    if r == 2:
-        return Fraction(b2_scaled(x.numerator, q), 6 * q * q)
     return bernoulli_poly(r, Fraction(x.numerator % q, q))
 
 

@@ -265,12 +265,12 @@ def _cmd_concrete(args) -> int:
     total = order * P.volume()
     if level is not None and level != total:
         print("symmetrized copy is not a constant-multiplicity tiling "
-              f"(sampled level {level} on {tiling.samples} points, but "
+              f"(sampled level {level} on {args.samples} points, but "
               f"{order} vol(P) = {format_rational(total)})")
         level = None
     elif level is not None:
         print(f"symmetrized copy multi-tiles at level {level} "
-              f"(sampled {tiling.samples} points)")
+              f"(sampled {args.samples} points)")
     else:
         witness = ", ".join(format_rational(c) for c in tiling.witness)
         print("symmetrized copy is not a constant-multiplicity tiling "
@@ -282,7 +282,7 @@ def _cmd_concrete(args) -> int:
         "failed_t": rep.failed_t,
         "defect": _exact_json(rep.defect) if rep.defect is not None else None,
         "tiling_level": level,
-        "samples": tiling.samples,
+        "samples": args.samples,
     }
     _emit(report, args.json)
     return 0

@@ -121,14 +121,10 @@ def evaluate(P: Polytope, t) -> dict[str, ExactValue]:
 @dataclass(frozen=True)
 class QuasiCoefficient:
     """One closed-form quasi-coefficient of P; its period is the denominator
-    of P: eval(t + period) == eval(t)."""
+    m of P: eval(t + m) == eval(t)."""
 
     kind: str  # one of "a_d1", "a_d2", "e_d1", "e_d2"
     polytope: Polytope
-
-    @property
-    def period(self) -> int:
-        return self.polytope.denominator()
 
     def eval(self, t) -> ExactValue:
         t = Fraction(t)

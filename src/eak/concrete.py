@@ -27,12 +27,7 @@ SAMPLE_DEN = 10**6
 @dataclass(frozen=True)
 class TilingReport:
     level: int | None  # None: not multi-tiling
-    samples: int
     witness: tuple | None  # a sampled point with a deviating multiplicity
-
-    @property
-    def is_multitiling(self) -> bool:
-        return self.level is not None
 
 
 def _translate_ranges(P: Polytope) -> list[range]:
@@ -130,14 +125,13 @@ def symmetrized_multitiling_level(
         if level is None:
             level = len(g_in)
         elif len(g_in) != level:
-            return TilingReport(None, samples, tuple(Fraction(int(c), SAMPLE_DEN) for c in k))
-    return TilingReport(level, samples, None)
+            return TilingReport(None, tuple(Fraction(int(c), SAMPLE_DEN) for c in k))
+    return TilingReport(level, None)
 
 
 @dataclass(frozen=True)
 class ConcretenessReport:
     concrete: bool
-    t_max: int
     failed_t: int | None
     defect: ExactValue | None  # A_P(t) - vol t^d at the first failure
 
@@ -161,6 +155,6 @@ def is_concrete(P: Polytope, t_max: int) -> ConcretenessReport:
                     f"cannot decide concreteness at t={t}: the defect {defect} "
                     "is nonzero in form but zero to 150 bits"
                 )
-            return ConcretenessReport(False, t_max, t, defect)
-    return ConcretenessReport(True, t_max, None, None)
+            return ConcretenessReport(False, t, defect)
+    return ConcretenessReport(True, None, None)
 

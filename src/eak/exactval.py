@@ -9,6 +9,7 @@ formal Q-linear combination of ``arccos(angle)/(2*pi)`` terms.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -31,13 +32,20 @@ _RATIONAL_TURNS = {
 }
 
 
+_RATIONAL_TEXT = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact Fraction; ValueError on a
-    malformed text or a zero denominator."""
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    """Parse 'p/q' or 'p', with an optional sign and surrounding
+    whitespace, into an exact Fraction; ValueError on any other text
+    (decimals, exponents, underscores) or a zero denominator."""
+    match = _RATIONAL_TEXT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not of the form p/q or p: {text!r}")
+    num, den = match.groups()
+    if den is not None and not int(den):
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -174,12 +182,11 @@ class ExactValue:
         return _canonical(Fraction(x), ())
 
     @staticmethod
-    def angle_turn(angle: AngleValue, coeff: RationalLike = 1) -> "ExactValue":
-        """coeff * arccos(angle)/(2*pi) as an ExactValue, built from the
-        angle's one canonical term with no second canonicalizing pass."""
-        coeff = Fraction(coeff)
+    def angle_turn(angle: AngleValue) -> "ExactValue":
+        """arccos(angle)/(2*pi) as an ExactValue, built from the angle's one
+        canonical term with no second canonicalizing pass."""
         turn, s, cs = angle.canonical_term
-        return _canonical(coeff * turn, ((s * coeff, AngleValue(1, cs)),) if s and coeff else ())
+        return _canonical(turn, ((Fraction(s), AngleValue(1, cs)),) if s else ())
 
     @staticmethod
     def on_basis(components: Sequence[RationalLike], angles: Sequence[AngleValue]) -> "ExactValue":
@@ -190,15 +197,6 @@ class ExactValue:
         rat, *coeffs = components
         return _canonical(Fraction(rat),
                           tuple((Fraction(c), a) for c, a in zip(coeffs, angles) if c))
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.angle_terms
-
-    def as_rational(self) -> Fraction:
-        if self.angle_terms:
-            raise ValueError(f"not a pure rational: {self}")
-        return self.rational_part
 
     def __add__(self, other: Union["ExactValue", RationalLike]) -> "ExactValue":
         other = _coerce(other)

@@ -19,7 +19,8 @@ row, D = 48 times the face's angle over that basis with Girard's rule
 folded in.  So A_P(t), times D, is the integer vector
 interior * D * e_0 + sum of n_F * row_F, and it becomes one ExactValue
 only when it is read.  Interpolation applies one integer Lagrange matrix
-to rational, ExactValue or integer-vector samples."""
+to rational or integer-vector samples: eak verify interpolates those
+vectors and reads each coefficient back as one ExactValue."""
 
 from __future__ import annotations
 
@@ -299,30 +300,19 @@ def _lagrange_matrix(ts: Sequence[Fraction]) -> tuple[list[list[int]], int]:
 def interpolate_coefficients(samples: Sequence[tuple], degree: int):
     """Polynomial coefficients (highest degree first) from degree+1 exact
     samples (t_j, value_j), by one integer Lagrange matrix applied over
-    one common denominator.  Values may be rationals, ExactValues or
-    integer vectors (tuples or lists of one length); the coefficients are
-    ExactValues if any value is one, tuples of Fractions for vectors, and
-    else Fractions."""
+    one common denominator.  Values are rationals or integer vectors
+    (tuples or lists of one length); the coefficients are tuples of
+    Fractions for vectors, and else Fractions.  A solid-angle sum is
+    interpolated as its AngleTable vector and read back with
+    AngleTable.value."""
     if len(samples) != degree + 1:
         raise ValueError(f"need {degree + 1} samples for degree {degree}")
     ts = [Fraction(t) for t, _ in samples]
     if len(set(ts)) != len(ts):
         raise ValueError("duplicate sample points make the system singular")
     values = [v for _, v in samples]
-    exact = any(isinstance(v, ExactValue) for v in values)
-    vector = not exact and isinstance(values[0], (tuple, list))
-    if exact:
-        # every value as its rational part, then its coefficients over the angles met
-        values = [v if isinstance(v, ExactValue) else ExactValue.of(v) for v in values]
-        angles = sorted({a for v in values for _, a in v.angle_terms}, key=lambda a: a.cos_squared)
-        rows = []
-        for v in values:
-            coeffs = {a: c for c, a in v.angle_terms}
-            rows.append([v.rational_part, *(coeffs.get(a, 0) for a in angles)])
-    elif vector:
-        rows = [list(v) for v in values]
-    else:
-        rows = [[Fraction(v)] for v in values]
+    vector = isinstance(values[0], (tuple, list))
+    rows = [list(v) for v in values] if vector else [[Fraction(v)] for v in values]
     # one denominator Q for all samples (ints and Fractions), then integer sums only
     Q = math.lcm(*(x.denominator for row in rows for x in row))
     ints = [[x.numerator * (Q // x.denominator) for x in row] for row in rows]
@@ -330,8 +320,6 @@ def interpolate_coefficients(samples: Sequence[tuple], degree: int):
     coeffs = [[Fraction(sum(m * row[i] for m, row in zip(weights, ints)), den * Q)
                for i in range(len(ints[0]))]
               for weights in matrix]
-    if exact:
-        return [ExactValue.on_basis(c, angles) for c in coeffs]
     if vector:
         return [tuple(c) for c in coeffs]
     return [c[0] for c in coeffs]

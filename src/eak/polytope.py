@@ -127,13 +127,12 @@ class Polytope:
         # Data derived from P alone, each built on first use and kept, as is
         # the face lattice: each ridge's facets and dihedral angle and the
         # codim-2 data (both filled by eak.local_data), the integer volume
-        # over L P and the relative volume of each face, by its vertex ids,
-        # the minor gcd of each set of two or more normals, by the set, and
-        # the solid-angle table (an eak.oracle.AngleTable).
+        # of each face over L P, by its vertex ids, the minor gcd of each
+        # set of two or more normals, by the set, and the solid-angle table
+        # (an eak.oracle.AngleTable).
         self._ridges: dict | None = None
         self._codim2_data: tuple | None = None
         self._lattice_volumes: dict[tuple[int, ...], int] = {}
-        self._volumes: dict[tuple[int, ...], Fraction] = {}
         self._minor_gcds: dict[frozenset[int], int] = {}
         self._angle_table = None
 
@@ -241,9 +240,6 @@ class Polytope:
     def codim2_faces(self) -> list[Face]:
         return self.faces_of_codim(2)
 
-    def face_vertices(self, face: Face) -> list[Vec]:
-        return [self.vertices[i] for i in face.vertex_ids]
-
     # -- metric data ------------------------------------------------------
 
     def contains(self, x: Sequence, t=1) -> bool:
@@ -280,13 +276,9 @@ class Polytope:
     def relative_volume(self, face: Face) -> Fraction:
         """Face volume normalized to the integer lattice of its span; 1 for
         a vertex, by convention, and the lattice length for an edge: the
-        integer lattice_volume(face) over dim! L^dim, built once per face."""
-        vol = self._volumes.get(face.vertex_ids)
-        if vol is None:
-            vol = self._volumes[face.vertex_ids] = Fraction(
-                self.lattice_volume(face), math.factorial(face.dim) * self.denominator() ** face.dim
-            )
-        return vol
+        integer lattice_volume(face), kept per face, over dim! L^dim."""
+        return Fraction(self.lattice_volume(face),
+                        math.factorial(face.dim) * self.denominator() ** face.dim)
 
     def lattice_volume(self, face: Face) -> int:
         """N(F) = dim(F)! vol*(L F), an integer since L F has integer

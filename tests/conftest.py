@@ -194,7 +194,7 @@ def hyperoctahedral_elements(d: int) -> list[SignedPermutation]:
 def centrally_symmetric_facets(P: Polytope) -> bool:
     """Whether every facet is centrally symmetric about its vertex centroid."""
     for f in P.facets():
-        verts = P.face_vertices(f)
+        verts = [P.vertices[i] for i in f.vertex_ids]
         n = len(verts)
         centroid = tuple(
             sum((v[j] for v in verts), Fraction(0)) / n for j in range(P.dim)
@@ -327,6 +327,15 @@ def newton_interpolation(samples, degree):
     return coeffs
 
 
+def interpolated_angle_sum(P: Polytope, ts) -> list[ExactValue]:
+    """The coefficients of A_P through its values at ts, as eak verify
+    interpolates them: P's AngleTable vectors of the scans at ts,
+    interpolated and read back with AngleTable.value."""
+    table = oracle.angle_table(P)
+    samples = [(s, table.vector(*oracle.face_counts(P, s))[0]) for s in ts]
+    return [table.value(c) for c in oracle.interpolate_coefficients(samples, len(ts) - 1)]
+
+
 # ---------------------------------------------------------------------------
 # Fraction solves and a unimodular completion, used by the references below
 
@@ -408,7 +417,7 @@ def transverse_lattice(P: Polytope, g: local_data.CodimTwoData) -> TransverseLat
     m, h = divmod(alpha, beta)
     u = (u[0] + m * c1[0], u[1] + m * c1[1])
 
-    xbar = ref.mat_vec(proj, P.face_vertices(g.face)[0])
+    xbar = ref.mat_vec(proj, P.vertices[g.face.vertex_ids[0]])
     x1, x2 = solve(ref.from_columns([v_F1_G, v_F2_G]), xbar)
     return TransverseLattice(
         lam=lam,
@@ -498,7 +507,6 @@ class ReferencePolytope(Polytope):
         self._ridges = None
         self._codim2_data = None
         self._lattice_volumes = {}
-        self._volumes = {}
         self._minor_gcds = {}
         self._angle_table = None
 

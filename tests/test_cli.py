@@ -471,6 +471,20 @@ def test_input_errors(delta_path, tmp_path, capsys):
     _one_line_error(capsys, "cannot write")
 
 
+def test_a_rational_is_p_over_q_or_p(delta_path, tmp_path, capsys):
+    """Decimals, exponents and underscores are refused wherever a rational
+    is read: a --t or --eval value and a rational string in a JSON file."""
+    vertex = tmp_path / "vertex.json"
+    for text in ("0.5", "1e3", "1_000", "-.5e-2", "1 / 2"):
+        assert run(["eval", delta_path, f"--t={text}"]) == 2
+        _one_line_error(capsys, "--t", "not a rational", repr(text))
+        assert run(["analyze", delta_path, f"--eval={text}"]) == 2
+        _one_line_error(capsys, "--eval", "not a rational", repr(text))
+        vertex.write_text(json.dumps({"dim": 1, "vertices": [["0"], [text]]}))
+        assert run(["analyze", str(vertex)]) == 2
+        _one_line_error(capsys, "a vertex", repr(text))
+
+
 def test_every_refusal_is_one_line_with_exit_2(delta_path, tmp_path, monkeypatch, capsys):
     """One refusal path for every command: argparse's errors, a ValueError
     from any layer and a missing key of a lattice-sum problem each exit 2

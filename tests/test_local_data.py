@@ -138,7 +138,7 @@ def simplex_volume(points, simplex):
 def reference_relative_volume(P, face):
     if face.dim == 0:
         return Fraction(1)
-    pts = P.face_vertices(face)
+    pts = [P.vertices[i] for i in face.vertex_ids]
     dirs = [ref.vec_sub(p, pts[0]) for p in pts[1:]]
     lat = intersection_with_integer_lattice(dirs)
     coords = [(Fraction(0),) * lat.rank] + [lat.coordinates(d) for d in dirs]

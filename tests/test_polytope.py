@@ -315,7 +315,7 @@ def fraction_pyramid_volume(P, face, kept: dict) -> Fraction:
     volumes summed so far, by vertex ids."""
     if face.vertex_ids in kept:
         return kept[face.vertex_ids]
-    verts = P.face_vertices(face)
+    verts = [P.vertices[i] for i in face.vertex_ids]
     if face.dim == 0:
         vol = Fraction(1)
     elif face.dim == 1:
