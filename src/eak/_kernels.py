@@ -1,18 +1,29 @@
 """Hot loop for lattice-point enumeration over integer boxes.
 
 The scan solves, for an all-integer system, which points of a box
-satisfy A x <= C.  It is one numpy line scan in two stages: on each line
-of the box along the last coordinate, every row bounds that coordinate
-by an integer, so the points of a line form one interval.  The first
-stage builds those intervals from the row slacks on each line, an outer
-sum over the line axes: numpy's integer matrix product has no BLAS path
-and loops per output element, so no grid of lines is multiplied by A.
+satisfy A x <= C.  It is one numpy line scan in two stages.  The line
+axis k is the box's longest side (the first of equal ones): on each line
+of the box along it, every row bounds x_k by an integer, so the points
+of a line form one interval.  The first stage keeps one slack row per
+inequality, its slacks on every line side by side (rows x lines), built
+as an outer sum over the other axes: numpy's integer matrix product has
+no BLAS path and loops per output element, so no grid of lines is
+multiplied by A.  Each row then bounds the intervals with one floor
+division of its slack row by its scalar entry a_k, applied in place by
+np.minimum; a row with a_k = 0 masks out the lines where its slack is
+negative.  No column is gathered and no division has an array divisor.
+The slacks leave out the line axis, so the int64 condition of the count
+is a sum over every axis but k.
+
 The count stage, count_box, stands alone: it sums the intervals'
-lengths.  scan_box adds the boundary stage, for callers that group the
-points by face: only rows tight at an integer of an interval give
-boundary points, returned for exact classification downstream, with
-coordinates unravelled from their index in the box, and the rest of the
-points are strictly interior and only counted.
+lengths.  The boundary stage serves the callers that group the points by
+face, in one pass over the concatenated lines of one or more boxes: a
+row can be tight on a line only at its bound, so the rows whose bound
+lies in the interval are the candidates, and those where a_k x_k equals
+the slack give the boundary points and their tight sets; the rest of the
+points are strictly interior and only counted.  scan_box returns one
+box's boundary points in lexicographic order; scan_faces returns, for
+each of several boxes, the rows tight at each of its boundary points.
 """
 
 from __future__ import annotations
@@ -20,75 +31,164 @@ from __future__ import annotations
 import numpy as np
 
 
+def _int64(A, C, lo, hi):
+    return tuple(np.asarray(v, dtype=np.int64) for v in (A, C, lo, hi))
+
+
+def _line_axis(lo: np.ndarray, hi: np.ndarray) -> int:
+    """The first longest side of the box [lo, hi]."""
+    return int(np.argmax(hi - lo))
+
+
 def _lines(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """(slack, lower, upper, live) of A x <= C over [lo, hi]: slack holds
-    the row slacks C - A'x' on each line, the lines in C order over the
-    first d - 1 coordinates, and the points of a live line are the x_d in
-    [lower, upper]; None when the box is empty.
+    """(k, slack, lower, upper) of A x <= C over [lo, hi], or None when
+    the box is empty.  k is the line axis, _line_axis of the box; slack[i]
+    holds the slacks C_i - sum_{j != k} a_ij x_j of row i on every line,
+    the lines in C order over the other axes; the points of a line are the
+    x_k in [lower, upper], an empty interval when upper < lower.
 
     The slacks are an outer sum, C less one broadcast term a_j x_j per
-    line axis, not the product of a grid of lines with A': numpy's integer
+    axis but k, not the product of a grid of lines with A: numpy's integer
     matmul has no BLAS path and loops per output element.  Every partial
     sum is a sub-sum of the terms whose absolute values the int64
     condition of scan_box bounds, so none wraps."""
     if np.any(hi < lo):
         return None
-    slack = C
-    for j in range(len(lo) - 1):
-        axis = np.arange(lo[j], hi[j] + 1, dtype=np.int64)
-        slack = slack[..., None, :] - axis[:, None] * A[:, j]
-    slack = slack.reshape(int(np.prod(hi[:-1] - lo[:-1] + 1)), len(C))
-    a = A[:, -1]
-    up, down, flat = a > 0, a < 0, a == 0
-    # x_d in [lower, upper] on each line, clipped to the box widened by one
-    # so that upper - lower fits in int64
-    upper = np.maximum(np.min(slack[:, up] // a[up], axis=1, initial=hi[-1]), lo[-1] - 1)
-    lower = np.minimum(np.max(-(-slack[:, down] // a[down]), axis=1, initial=lo[-1]), hi[-1] + 1)
-    live = np.all(slack[:, flat] >= 0, axis=1) & (lower <= upper)
-    return slack, lower, upper, live
+    k = _line_axis(lo, hi)
+    slack = C[:, None]
+    for j in range(len(lo)):
+        if j != k:
+            axis = np.arange(lo[j], hi[j] + 1, dtype=np.int64)
+            slack = (slack[:, :, None] - np.multiply.outer(A[:, j], axis)[:, None, :]
+                     ).reshape(len(C), -1)
+    lo_k, hi_k = int(lo[k]), int(hi[k])
+    upper = np.full(slack.shape[1], hi_k)
+    # minus the lower end, so that every row with a_k != 0 takes one
+    # minimum of one floor division
+    neg_lower = np.full(slack.shape[1], -lo_k)
+    bound = np.empty_like(upper)
+    for i, a in enumerate(A[:, k].tolist()):
+        if a > 0:
+            # a x_k <= s: x_k <= floor(s / a)
+            np.floor_divide(slack[i], a, out=bound)
+            np.minimum(upper, bound, out=upper)
+        elif a < 0:
+            # -|a| x_k <= s: x_k >= -floor(s / |a|)
+            np.floor_divide(slack[i], -a, out=bound)
+            np.minimum(neg_lower, bound, out=neg_lower)
+        else:
+            np.copyto(upper, lo_k - 1, where=slack[i] < 0)
+    # clipped to the box widened by one, so that upper - lower fits in int64
+    np.maximum(upper, lo_k - 1, out=upper)
+    lower = np.minimum(-neg_lower, hi_k + 1)
+    return k, slack, lower, upper
+
+
+def _count(lower: np.ndarray, upper: np.ndarray) -> int:
+    return int(np.maximum(upper - lower + 1, 0).sum())
 
 
 def count_box(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
     """The number of points of the box [lo, hi] satisfying A x <= C, under
     the int64 conditions of scan_box; no boundary point is built."""
-    A, C, lo, hi = (np.asarray(v, dtype=np.int64) for v in (A, C, lo, hi))
-    stage = _lines(A, C, lo, hi)
+    stage = _lines(*_int64(A, C, lo, hi))
     if stage is None:
         return 0
-    _, lower, upper, live = stage
-    return int(np.where(live, upper - lower + 1, 0).sum())
+    return _count(stage[2], stage[3])
+
+
+def _boundary(systems):
+    """The boundary stage of the systems (A, C, lo, hi), all with the same
+    number of rows, over the concatenated lines of their boxes: (totals,
+    box, line, x, tight).  totals[b] is the point count of box b.  The
+    boundary points are x on the line `line` of box `box`, each once, in
+    the order of their index in the box along its lines, box after box;
+    column p of the bool array tight marks the rows tight at point p.
+
+    On a line, a row with a_k > 0 can be tight only at the upper end of
+    the interval, one with a_k < 0 only at the lower end, and one with
+    a_k = 0 is tight at every point where its slack is zero.  Each box
+    gives the cells (row, line) where its slack equals a_k times that end,
+    vectorised across rows; one pass over the cells of every box turns
+    them into points and reads each point's tight set from them."""
+    totals, cells, lowers, uppers, starts, ends = [], [], [], [], [], []
+    lines = offset = 0
+    for A, C, lo, hi in systems:
+        stage = _lines(A, C, lo, hi)
+        if stage is None:
+            totals.append(0)
+            ends.append(offset)
+            continue
+        k, slack, lower, upper = stage
+        a = A[:, k]
+        totals.append(_count(lower, upper))
+        # a zero row: its cell stands at the lower end for the whole line
+        end = np.where((a > 0)[:, None], upper, lower)
+        # on a live line both ends lie in the box, so a_k x_k is exact
+        tight = np.flatnonzero((slack == a[:, None] * end) & (lower <= upper))
+        row, on = np.divmod(tight, slack.shape[1])
+        cells.append((row, on + lines, end.ravel()[tight], a[row]))
+        # the key of x on a line: its index in the box along the lines, past
+        # the boxes before
+        side = int(hi[k] - lo[k]) + 1
+        starts.append(offset - int(lo[k]) + side * np.arange(slack.shape[1], dtype=np.int64))
+        lowers.append(lower)
+        uppers.append(upper)
+        lines += slack.shape[1]
+        offset += side * slack.shape[1]
+        ends.append(offset)
+    rows = len(systems[0][1])
+    if not cells:
+        empty = np.empty(0, dtype=np.int64)
+        return totals, empty, empty, empty, np.empty((rows, 0), dtype=bool)
+    row, line, x, a = (np.concatenate(v) for v in zip(*cells))
+    lower, upper, start = (np.concatenate(v) for v in (lowers, uppers, starts))
+    # a tight zero row stands for every point of its line
+    runs = np.where(a == 0, upper[line] - lower[line] + 1, 1)
+    steps = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
+    row, line, x = np.repeat(row, runs), np.repeat(line, runs), np.repeat(x, runs) + steps
+    key, first, point = np.unique(start[line] + x, return_index=True, return_inverse=True)
+    tight = np.zeros((rows, len(key)), dtype=bool)
+    tight[row, point] = True
+    return totals, np.searchsorted(ends, key, side="right"), line[first], x[first], tight
 
 
 def scan_box(A: np.ndarray, C: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """(interior_count, boundary_points) for A x <= C over the box [lo, hi].
 
-    All inputs are int64, and for each row the absolute value of its
-    entry of C plus the sum over j < d of |a_j| max(|lo_j|, |hi_j|), and
-    the box's point count, must fit in int64; boundary_points is an (n, d)
-    int64 array, in lexicographic order, of the points satisfying the
-    system with at least one equality.
+    All inputs are int64.  For each row, the absolute value of its entry
+    of C plus the sum over the axes j but the line axis of
+    |a_j| max(|lo_j|, |hi_j|) must fit in int64, and so must the box's
+    point count: count_box needs no more.  The boundary stage multiplies
+    x_k by a_k on the line axis k, so |a_k| max(|lo_k|, |hi_k|) must fit
+    too.  boundary_points is an (n, d) int64 array, in lexicographic
+    order, of the points satisfying the system with at least one equality.
     """
-    A, C, lo, hi = (np.asarray(v, dtype=np.int64) for v in (A, C, lo, hi))
-    stage = _lines(A, C, lo, hi)
-    if stage is None:
+    A, C, lo, hi = _int64(A, C, lo, hi)
+    if np.any(hi < lo):
         return 0, np.empty((0, len(lo)), dtype=np.int64)
-    slack, lower, upper, live = stage
-    length = np.where(live, upper - lower + 1, 0)
-    a = A[:, -1]
-    flat = a == 0
-    # boundary points: x_d = slack / a_d where a_d != 0 divides the slack
-    # inside the interval, and the whole line where a_d = 0 and the slack is 0
-    q, r = np.divmod(slack[:, ~flat], a[~flat])
-    on, row = np.nonzero((r == 0) & (lower[:, None] <= q) & (q <= upper[:, None]) & live[:, None])
-    whole = np.flatnonzero(live & np.any(slack[:, flat] == 0, axis=1))
-    runs = length[whole]
-    offsets = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
-    # dedup and sort by the key line * side + (x_d - lo_d): the point's
-    # index in the box in C order, below its point count and lexicographic,
-    # from which only the boundary points' coordinates are unravelled
+    (total,), _, line, x, _ = _boundary([(A, C, lo, hi)])
+    k = _line_axis(lo, hi)
     sides = hi - lo + 1
-    lines = np.concatenate([on, np.repeat(whole, runs)])
-    last = np.concatenate([q[on, row], np.repeat(lower[whole], runs) + offsets])
-    keys = np.unique(lines * sides[-1] + (last - lo[-1]))
-    boundary = lo + np.column_stack(np.unravel_index(keys, sides))
-    return int(length.sum()) - len(boundary), boundary
+    others = [j for j in range(len(lo)) if j != k]
+    boundary = np.empty((len(x), len(lo)), dtype=np.int64)
+    if others:
+        boundary[:, others] = lo[others] + np.column_stack(np.unravel_index(line, sides[others]))
+    boundary[:, k] = x
+    # lexicographic: by the index of each point in the box in C order
+    order = np.argsort(np.ravel_multi_index(tuple((boundary - lo).T), sides))
+    return total - len(boundary), boundary[order]
+
+
+def scan_faces(systems) -> list[tuple[int, np.ndarray]]:
+    """For each system (A, C, lo, hi), under the int64 conditions of
+    scan_box and with one row count for all: (interior_count, tight), where
+    tight is an (n, rows) bool array whose row p marks the rows tight at
+    the p-th of the system's n boundary points, in no fixed order.  One
+    boundary stage runs over the lines of every box; the sum of the boxes'
+    point counts must fit in int64."""
+    systems = [_int64(*system) for system in systems]
+    totals, box, _, _, tight = _boundary(systems)
+    cuts = np.searchsorted(box, np.arange(len(systems) + 1))
+    return [(total - int(cuts[b + 1] - cuts[b]), tight[:, cuts[b]:cuts[b + 1]].T)
+            for b, total in enumerate(totals)]

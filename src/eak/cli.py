@@ -35,7 +35,8 @@ def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
+        # parse_rational's message names the text, so it is not repeated
+        raise argparse.ArgumentTypeError(f"not a rational: {exc}")
 
 
 def _positive_rational(text: str) -> Fraction:
@@ -181,9 +182,9 @@ def _cmd_verify(args) -> int:
     vol = ExactValue.of(P.volume())
     for t in args.t:
         t = Fraction(t)
+        ts = [t + j * m for j in range(d + 1)]
         samples = []
-        for s in (t + j * m for j in range(d + 1)):
-            interior, faces = oracle.face_counts(P, s)
+        for s, (interior, faces) in zip(ts, oracle.face_counts(P, ts)):
             # points left out at 4-D vertices add one constant over all s: only t^0 sees it
             angles, _ = table.vector(interior, faces)
             samples.append((s, (interior + sum(faces.values()), *angles)))

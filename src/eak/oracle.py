@@ -4,9 +4,12 @@ and interpolation of quasi-coefficients from samples.
 The solid angle of tP is constant on the relative interior of each face,
 and the set of inequalities tight at a point of tP is the tight set of
 the face of P whose dilate holds the point in its relative interior.
-One scan, face_counts, returns the interior count and the boundary
-counts by tight set, each set packed into the bits of one integer;
-count_points sums the line lengths and builds no boundary points.
+face_counts scans the dilations of one t (eak verify's t + j m) in one
+boundary pass of the line scan, over the lines of each dilation's own
+box, and returns per dilation the interior count and the boundary counts
+by tight set, each set read from the slacks of the point's line and
+packed into the bits of one integer; count_points sums the line lengths
+and builds no boundary points.
 The face lattice of P gives that face's codimension, and one rule the
 angle: 1 inside, 1/2 on a facet, the dihedral angle omega_G of the local
 data on a codim-2 face, and on a codim-3 face (a vertex of a 3-polytope,
@@ -94,15 +97,6 @@ def _scaled_system(P: Polytope, t: Fraction):
     return np.array(rows_a, dtype=np.int64), np.array(rows_c, dtype=np.int64), lo, hi
 
 
-def _enumerate(P: Polytope, t: Fraction):
-    """(interior count, boundary points, A, C) of the scan of t*P, where
-    A x <= C is the integer system of t*P."""
-    from eak import _kernels
-
-    A, C, lo, hi = _scaled_system(P, t)
-    return (*_kernels.scan_box(A, C, lo, hi), A, C)
-
-
 def count_points(P: Polytope, t) -> int:
     """|tP cap Z^d|: the sum of the line lengths of the scan of t*P, with
     no boundary point built."""
@@ -111,19 +105,28 @@ def count_points(P: Polytope, t) -> int:
     return _kernels.count_box(*_scaled_system(P, Fraction(t)))
 
 
-def face_counts(P: Polytope, t) -> tuple[int, dict[int, int]]:
-    """The scan of t*P by face: the interior count and, for each tight set
-    met on the boundary, the number of its points.  A tight set is keyed
-    by the integer whose bit i is set iff inequality i is tight, exact for
-    any number of facets."""
+def face_counts(P: Polytope, ts) -> list[tuple[int, dict[int, int]]]:
+    """The scans of s*P by face, for each s in ts: the interior count and,
+    for each tight set met on the boundary, the number of its points.  A
+    tight set is keyed by the integer whose bit i is set iff inequality i
+    is tight, exact for any number of facets.  One boundary pass of the
+    line scan runs over the lines of every dilation's own box, not over a
+    box holding them all, and reads each point's tight set from the
+    slacks of its line; a dilation that _scaled_system refuses refuses
+    the whole call."""
     import numpy as np
 
-    interior, boundary, A, C = _enumerate(P, Fraction(t))
-    # each point's tight rows, packed little-endian into bytes: one key a point
-    packed = np.packbits(boundary @ A.T == C, axis=1, bitorder="little")
-    width, data = packed.shape[1], packed.tobytes()
-    counts = Counter(data[i:i + width] for i in range(0, len(data), width))
-    return interior, {int.from_bytes(key, "little"): n for key, n in counts.items()}
+    from eak import _kernels
+
+    scans = _kernels.scan_faces([_scaled_system(P, Fraction(s)) for s in ts])
+    result = []
+    for interior, tight in scans:
+        # each point's tight rows, packed little-endian into bytes: one key a point
+        packed = np.packbits(tight, axis=1, bitorder="little")
+        width, data = packed.shape[1], packed.tobytes()
+        counts = Counter(data[i:i + width] for i in range(0, len(data), width))
+        result.append((interior, {int.from_bytes(key, "little"): n for key, n in counts.items()}))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +267,7 @@ def solid_angle_sum(P: Polytope, t) -> ExactValue:
     refused when a point is a vertex of a 4-polytope.  One integer vector
     from the scan by face and P's AngleTable, read as one ExactValue."""
     table = angle_table(P)
-    vector, left_out = table.vector(*face_counts(P, t))
+    vector, left_out = table.vector(*face_counts(P, [t])[0])
     if left_out:
         raise ValueError(VERTEX_REFUSAL)
     return table.value(vector)
@@ -329,8 +332,10 @@ def appendixA_cross_check(P: Polytope, t) -> ExactValue:
     """A_P(t) by the per-point reference: the interior count plus
     solid_angle_at at every boundary point, added one by one, with no
     grouping by face; solid_angle_sum is checked against it."""
+    from eak import _kernels
+
     t = Fraction(t)
-    interior, boundary, _, _ = _enumerate(P, t)
+    interior, boundary = _kernels.scan_box(*_scaled_system(P, t))
     total = ExactValue.of(interior)
     for row in boundary:
         total = total + solid_angle_at(P, tuple(int(c) for c in row), t)

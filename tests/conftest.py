@@ -332,7 +332,7 @@ def interpolated_angle_sum(P: Polytope, ts) -> list[ExactValue]:
     interpolates them: P's AngleTable vectors of the scans at ts,
     interpolated and read back with AngleTable.value."""
     table = oracle.angle_table(P)
-    samples = [(s, table.vector(*oracle.face_counts(P, s))[0]) for s in ts]
+    samples = [(s, table.vector(*scan)[0]) for s, scan in zip(ts, oracle.face_counts(P, ts))]
     return [table.value(c) for c in oracle.interpolate_coefficients(samples, len(ts) - 1)]
 
 

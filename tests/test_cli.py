@@ -210,19 +210,19 @@ def test_verify_classifies_each_face_once(delta_path, monkeypatch, capsys):
 
 
 def test_verify_scans_each_dilation_once(delta_path, monkeypatch, capsys):
-    # two values of t, four dilations t + j each: one scan gives both the
-    # count and the solid-angle sum of a dilation
+    # two values of t, four dilations t + j each: one boundary pass per t
+    # gives the counts and the solid-angle sums of its four dilations
     scans = []
-    scan_box = _kernels.scan_box
+    scan_faces = _kernels.scan_faces
 
-    def counted(*args):
-        scans.append(args)
-        return scan_box(*args)
+    def counted(systems):
+        scans.append(len(systems))
+        return scan_faces(systems)
 
-    monkeypatch.setattr(_kernels, "scan_box", counted)
+    monkeypatch.setattr(_kernels, "scan_faces", counted)
     assert run(["verify", delta_path, "--t", "1", "--t", "1/2"]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    assert len(scans) == 8
+    assert scans == [4, 4]
 
 
 # vertices by name: at t = 1, delta4 and four_polytope have lattice
@@ -352,6 +352,7 @@ def _one_line_error(capsys, *words):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(w in err for w in words)
+    return err
 
 
 def test_input_errors(delta_path, tmp_path, capsys):
@@ -473,16 +474,17 @@ def test_input_errors(delta_path, tmp_path, capsys):
 
 def test_a_rational_is_p_over_q_or_p(delta_path, tmp_path, capsys):
     """Decimals, exponents and underscores are refused wherever a rational
-    is read: a --t or --eval value and a rational string in a JSON file."""
+    is read: a --t or --eval value and a rational string in a JSON file,
+    each refusal naming the text once."""
     vertex = tmp_path / "vertex.json"
     for text in ("0.5", "1e3", "1_000", "-.5e-2", "1 / 2"):
         assert run(["eval", delta_path, f"--t={text}"]) == 2
-        _one_line_error(capsys, "--t", "not a rational", repr(text))
+        assert _one_line_error(capsys, "--t", "not a rational").count(repr(text)) == 1
         assert run(["analyze", delta_path, f"--eval={text}"]) == 2
-        _one_line_error(capsys, "--eval", "not a rational", repr(text))
+        assert _one_line_error(capsys, "--eval", "not a rational").count(repr(text)) == 1
         vertex.write_text(json.dumps({"dim": 1, "vertices": [["0"], [text]]}))
         assert run(["analyze", str(vertex)]) == 2
-        _one_line_error(capsys, "a vertex", repr(text))
+        assert _one_line_error(capsys, "a vertex").count(repr(text)) == 1
 
 
 def test_every_refusal_is_one_line_with_exit_2(delta_path, tmp_path, monkeypatch, capsys):

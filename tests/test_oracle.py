@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from conftest import (
     random_integer_polytope,
     random_rational_polytope,
     reference_scaled_system,
+    reference_scan_box,
     vandermonde_interpolation,
 )
 
@@ -449,7 +451,7 @@ def test_scaled_system_is_the_fraction_build(P, t):
 def test_count_is_the_scan_by_face_total(d, data):
     P = data.draw(rational_polytopes(d))
     t = data.draw(dilations)
-    interior, faces = oracle.face_counts(P, t)
+    (interior, faces), = oracle.face_counts(P, [t])
     assert oracle.count_points(P, t) == interior + sum(faces.values())
 
 
@@ -487,6 +489,42 @@ def small_rational_polytopes(d):
     return points.map(lambda pts: _hull_or_none(d, pts)).filter(lambda P: P is not None)
 
 
+def _reference_face_counts(P, s):
+    """The scan of s*P by face from the reference box scan: its boundary
+    points grouped by boundary @ A.T == C."""
+    A, C, lo, hi = oracle._scaled_system(P, s)
+    interior, boundary = reference_scan_box(A, C, lo, hi)
+    keys = Counter(sum(1 << int(i) for i in np.flatnonzero(tight)) for tight in boundary @ A.T == C)
+    return interior, dict(keys)
+
+
+@st.composite
+def polytopes_and_dilations(draw):
+    """P in d = 1..4 and the dilations t + j m, j = 0..d, that verify scans,
+    or unrelated dilations, whose boxes differ in size and position."""
+    P = draw(st.integers(1, 4).flatmap(small_rational_polytopes))
+    t = draw(dilations)
+    if draw(st.booleans()):
+        return P, [t + j * P.denominator() for j in range(P.dim + 1)]
+    return P, [t, *draw(st.lists(dilations, max_size=P.dim))]
+
+
+# the longest box side, the scan's line axis, is the first axis
+@example((Polytope(3, [(0, 0, 0), (4, 0, 0), (0, 1, 0), (0, 0, 1)]), [1, 2, 3, 4]))
+@example((Polytope(2, [(0, 0), (Fraction(5, 2), 0), (0, 1)]),
+          [Fraction(1, 2), Fraction(5, 2), Fraction(9, 2)]))
+# far from the origin, at unrelated dilations: boxes apart and of other sizes
+@example((Polytope(2, [(10, 10), (12, 10), (10, 11)]), [Fraction(7, 3), 1, 2]))
+@settings(max_examples=60, deadline=None)
+@given(polytopes_and_dilations())
+def test_face_counts_match_the_reference_scan(case):
+    """One boundary pass over several dilations gives, for each, the
+    reference scan's interior count and boundary points by tight set."""
+    P, ts = case
+    ts = [Fraction(s) for s in ts]
+    assert oracle.face_counts(P, ts) == [_reference_face_counts(P, s) for s in ts]
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
@@ -521,7 +559,7 @@ def test_tight_set_keys_past_63_facets():
     # tight-set keys of the scan reach past bit 63
     P = Polytope(2, [(i, i * i) for i in range(70)])
     assert len(P.inequalities) == 70
-    interior, faces = oracle.face_counts(P, 1)
+    (interior, faces), = oracle.face_counts(P, [1])
     assert max(faces).bit_length() > 64
     assert interior + sum(faces.values()) == oracle.count_points(P, 1)
     assert oracle.solid_angle_sum(P, 1) == oracle.appendixA_cross_check(P, 1)
@@ -536,7 +574,7 @@ def test_four_dimensional_sum_refuses_at_the_vertices():
         oracle.solid_angle_sum(CUBE4, 2)
     assert "vertex" in str(refusal.value) and "\n" not in str(refusal.value)
     table = oracle.angle_table(CUBE4)
-    total, left_out = table.vector(*oracle.face_counts(CUBE4, 2))
+    total, left_out = table.vector(*oracle.face_counts(CUBE4, [2])[0])
     assert left_out == 16
     # A(2) = vol(2*[0,1]^4) = 16, less the 16 vertex angles of 1/16
     assert table.value(total) == ExactValue.of(15)
