@@ -82,10 +82,6 @@ def test_line_scan_matches_the_box_scan(system):
     assert np.array_equal(boundary, ref_boundary)
 
 
-def _tight_sets(A, C, boundary):
-    return sorted(map(tuple, (boundary @ A.T == C).tolist()))
-
-
 @given(integer_systems(), st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 4)), max_size=3))
 def test_scan_faces_matches_the_box_scan(system, moves):
     """One boundary pass over boxes of one system moved by (shift, growth),
@@ -97,7 +93,8 @@ def test_scan_faces_matches_the_box_scan(system, moves):
         ref_interior, ref_boundary = reference_scan_box(A, C, lo, hi)
         assert interior == ref_interior
         assert tight.dtype == bool and tight.shape == (len(ref_boundary), len(C))
-        assert sorted(map(tuple, tight.tolist())) == _tight_sets(A, C, ref_boundary)
+        assert (sorted(map(tuple, tight.tolist()))
+                == sorted(map(tuple, (ref_boundary @ A.T == C).tolist())))
 
 
 def test_scan_exact_near_int64_limit():
