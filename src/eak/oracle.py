@@ -219,9 +219,10 @@ class AngleTable:
         return None
 
     def vector(self, interior: int, counts: dict[int, int]) -> tuple[list[int], int]:
-        """D times A_P(t) from the scan face_counts(P, t) = (interior,
-        counts), as the integer vector over (1, basis), less the points at
-        a vertex of a 4-polytope, and the number of those points."""
+        """D times A_P(t) from the scan (interior, counts) of t*P, one
+        entry of face_counts(P, ts), as the integer vector over (1, basis),
+        less the points at a vertex of a 4-polytope, and the number of
+        those points."""
         rows = self.rows
         total = [interior * ANGLE_DENOMINATOR] + [0] * len(self.angles)
         left_out = 0

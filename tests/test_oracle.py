@@ -70,7 +70,7 @@ def test_count_points_builds_no_boundary_points(delta, monkeypatch):
     def boundary_stage(*args):
         raise AssertionError("count_points built boundary points")
 
-    monkeypatch.setattr(_kernels, "scan_box", boundary_stage)
+    monkeypatch.setattr(_kernels, "_boundary", boundary_stage)
     assert [oracle.count_points(delta, t) for t in (1, 2, Fraction(7, 2))] == [4, 10, 20]
 
 
@@ -509,7 +509,7 @@ def polytopes_and_dilations(draw):
     return P, [t, *draw(st.lists(dilations, max_size=P.dim))]
 
 
-# the longest box side, the scan's line axis, is the first axis
+# the longest box side is the first axis
 @example((Polytope(3, [(0, 0, 0), (4, 0, 0), (0, 1, 0), (0, 0, 1)]), [1, 2, 3, 4]))
 @example((Polytope(2, [(0, 0), (Fraction(5, 2), 0), (0, 1)]),
           [Fraction(1, 2), Fraction(5, 2), Fraction(9, 2)]))
