@@ -17,7 +17,7 @@ from fractions import Fraction
 from eak import concrete as concrete_mod
 from eak import coefficients, lattice_sum, oracle
 from eak.dedekind import dr_sum_fast
-from eak.exactval import ExactValue, format_rational, parse_rational
+from eak.exactval import ExactValue, format_rational, parse_integer, parse_rational
 from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
 
@@ -46,10 +46,17 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
+def _integer(text: str) -> int:
+    try:
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _positive_int(text: str) -> int:
     try:
-        if int(text) >= 1:
-            return int(text)
+        if (value := parse_integer(text)) >= 1:
+            return value
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"not an integer of at least 1: {text!r}")
@@ -324,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("dedekind", help="exact Dedekind-Rademacher sum")
-    p.add_argument("h", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("h", type=_integer)
+    p.add_argument("k", type=_integer)
     p.add_argument("x", type=_rational, nargs="?", default=Fraction(0))
     p.add_argument("y", type=_rational, nargs="?", default=Fraction(0))
     p.add_argument("--json")
@@ -340,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("polytope")
     p.add_argument("--tmax", type=_positive_int, default=4)
     p.add_argument("--samples", type=_positive_int, default=256)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--json")
     p.set_defaults(func=_cmd_concrete)
 

@@ -48,6 +48,16 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num), int(den or 1))
 
 
+def parse_integer(text: str) -> int:
+    """Parse 'p', with an optional sign and surrounding whitespace, into
+    an int: parse_rational's grammar with no denominator, so ValueError
+    on any other text (underscores, non-ASCII digits, 'p/q')."""
+    match = _RATIONAL_TEXT.fullmatch(text)
+    if match is None or match[2] is not None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(match[1])
+
+
 def format_rational(x: Fraction | int) -> str:
     """Serialize an int or a Fraction as 'p/q', or 'p' when the denominator
     is 1, read from its own numerator and denominator."""

@@ -3,15 +3,17 @@
 Polytopes are bounded, full-dimensional, with rational vertex data, in
 ambient dimension at most four.  Both descriptions are built in integers
 by one cone kernel: points give the facets, inequalities the vertices,
-each a cross product of rows, with the rows it is tight on.  The kernel
-walks the subsets of rows depth first, so each cross product extends its
-prefix's maximal minors by one Laplace row step.  Normals are primitive;
-vertices, sorted, are the points no other point shares all facets with.
-That hull is the only one taken: the face lattice is cut from the
-facets' vertex sets, as bitmasks, in one pass that builds each face once
-and keeps its facets, and every volume, of P or of a face in the lattice
-of its span, is a sum of pyramids over those facets, taken in integers
-over the integer dilate L P, L the lcm of the vertex denominators.
+each an extreme ray of a cone, with the rows it is tight on.  The kernel
+is the double description method: a simplicial cone on n independent
+rows, cut by each other row in turn, so its work follows the rays found
+and not the subsets of rows.  Normals are primitive; vertices, sorted,
+are the points alone on every facet through them, read from the facets'
+point bitmasks.  That hull is the only one taken: the face lattice is
+cut from the facets' vertex sets, as bitmasks, in one pass that builds
+each face once and keeps its facets, and every volume, of P or of a face
+in the lattice of its span, is a sum of pyramids over those facets,
+taken in integers over the integer dilate L P, L the lcm of the vertex
+denominators.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from eak import linalg
-from eak.exactval import format_rational, parse_rational
+from eak.exactval import format_rational, parse_integer, parse_rational
 from eak.linalg import Vec
 
 MAX_DIM = 4
@@ -59,39 +61,71 @@ def _cross_products(rows: Sequence[tuple[int, ...]], n: int):
 def _cone_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[tuple, list[int]]] | None:
     """The primitive extreme rays of the cone {c : <c, r> <= 0 for every
     integer row r in Z^n}, each with the indices of the rows it is
-    orthogonal to, or None when the rows do not span Q^n.  Each is the
-    cross product of n - 1 rows, with the sign that meets every row; the
-    rows span iff a nonzero cross product is not orthogonal to all."""
-    rays, seen = [], set()
-    for c in _cross_products(rows, n):
-        g = math.gcd(*c)
-        if not g or (c := tuple(x // g for x in c)) in seen:
-            continue
-        neg = tuple(-x for x in c)
-        seen.update((c, neg))
-        side, tight = 0, []
-        for i, r in enumerate(rows):
-            value = sum(map(operator.mul, c, r))
-            if not value:
-                tight.append(i)
-            elif side * value < 0:
+    orthogonal to, or None when the rows do not span Q^n.
+
+    By the double description method.  The first n independent rows,
+    found by Laplace row steps, cut a simplicial cone, whose rays are the
+    cross products of each n - 1 of them.  Each other row in turn keeps
+    the rays that meet it, and joins each ray p that fails it to each ray
+    q that meets it strictly by the ray on its hyperplane, v_p c_q - v_q c_p
+    for the values v = <c, row>, when p and q are adjacent: when the rows
+    tight on both, n - 2 at least, are tight on no third ray.  Tight rows
+    are kept as bitmasks, so the work follows the rays found, not the
+    subsets of rows."""
+    basis, minors = [], [1]
+    for i, r in enumerate(rows):
+        step = linalg.laplace_step(minors, r, len(basis) + 1)
+        if any(step):
+            basis.append(i)
+            minors = step
+            if len(basis) == n:
                 break
-            side = side or value
-        else:
-            if not side:
-                return None
-            rays.append((c if side < 0 else neg, tight))
-    return rays if seen else None
+    else:
+        return None
+    full = sum(1 << i for i in basis)
+    rays, masks = [], []
+    # the k-th cross product leaves out basis row n - 1 - k
+    for i, c in zip(reversed(basis), _cross_products([rows[i] for i in basis], n)):
+        g = math.gcd(*c)
+        if sum(map(operator.mul, c, rows[i])) > 0:
+            g = -g
+        rays.append(tuple(x // g for x in c))
+        masks.append(full ^ 1 << i)
+    for i, r in enumerate(rows):
+        if full >> i & 1:
+            continue
+        bit = 1 << i
+        values = [sum(map(operator.mul, c, r)) for c in rays]
+        fail = [k for k, v in enumerate(values) if v > 0]
+        joined, joined_masks = [], []
+        for q, vq in enumerate(values):
+            if vq >= 0:
+                continue
+            for p in fail:
+                m = masks[p] & masks[q]
+                if m.bit_count() < n - 2 or [m & o for o in masks].count(m) > 2:
+                    continue
+                vp = values[p]
+                c = tuple(vp * a - vq * b for a, b in zip(rays[q], rays[p]))
+                g = math.gcd(*c)
+                joined.append(tuple(x // g for x in c))
+                joined_masks.append(m | bit)
+        keep = [k for k, v in enumerate(values) if v <= 0]
+        rays = [rays[k] for k in keep] + joined
+        masks = [masks[k] if values[k] else masks[k] | bit for k in keep] + joined_masks
+    return [(c, [i for i, b in enumerate(reversed(bin(m))) if b == "1"])
+            for c, m in zip(rays, masks)]
 
 
 def hull_facets(points: Sequence[Vec], dim: int) -> list[tuple[tuple[int, ...], Fraction, list]]:
     """All supporting hyperplanes (primitive a, b) of a full-dimensional
     point set, <a, x> <= b inside, each with the indices of the points on
     it; a set that is not full-dimensional is refused.  Each is a cone ray
-    (a, B) of the rows (L p, -1), L the lcm of the denominators, read as
-    <a, x> <= B / L."""
+    (a, B) of the integer rows (L p, -1), L the lcm of the denominators,
+    read as <a, x> <= B / L."""
     scale = math.lcm(*(c.denominator for p in points for c in p))
-    rays = _cone_rays([(*(int(c * scale) for c in p), -1) for p in points], dim + 1)
+    rays = _cone_rays([(*(c.numerator * (scale // c.denominator) for c in p), -1) for p in points],
+                      dim + 1)
     if rays is None:
         raise ValueError("polytope is not full-dimensional")
     facets = []
@@ -111,18 +145,23 @@ class Polytope:
         if any(len(p) != dim for p in pts):
             raise ValueError("vertex dimension mismatch")
         planes = sorted(hull_facets(pts, dim))
-        # keep extreme points only: a point is a vertex iff no other point
-        # lies on every facet through it
-        on = [{i for i, (*_, ids) in enumerate(planes) if j in ids} for j in range(len(pts))]
-        verts = [j for j, s in enumerate(on) if not any(s <= t for t in on[:j] + on[j + 1:])]
+        # keep extreme points only: point j is a vertex iff it is the only
+        # point on every facet through it, iff the AND of the point masks of
+        # those facets is bit j
+        through = [(1 << len(pts)) - 1] * len(pts)
+        for *_, ids in planes:
+            mask = sum(1 << j for j in ids)
+            for j in ids:
+                through[j] &= mask
+        vertex_id = {j: v for v, j in enumerate(j for j, m in enumerate(through) if m == 1 << j)}
         self.dim = dim
-        self.vertices: tuple[Vec, ...] = tuple(pts[j] for j in verts)
+        self.vertices: tuple[Vec, ...] = tuple(pts[j] for j in vertex_id)
         self.inequalities: tuple[tuple[tuple[int, ...], Fraction], ...] = tuple(
             (a, b) for a, b, _ in planes
         )
         # the vertex ids on each facet: every face is cut from these sets
         self._facet_vertex_sets: tuple[frozenset[int], ...] = tuple(
-            frozenset(v for v, j in enumerate(verts) if i in on[j]) for i in range(len(planes))
+            frozenset(vertex_id[j] for j in ids if j in vertex_id) for *_, ids in planes
         )
         # Data derived from P alone, each built on first use and kept, as is
         # the face lattice: each ridge's facets and dihedral angle and the
@@ -325,12 +364,15 @@ class Polytope:
 # each refusal names its field
 
 def parse_int(value, field: str) -> int:
-    """An integer or integer string; a float or a boolean is refused."""
-    try:
-        if type(value) is int or isinstance(value, str):
-            return int(value)
-    except ValueError:
-        pass
+    """An integer or an integer string, read by parse_integer; a float or
+    a boolean is refused."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return parse_integer(value)
+        except ValueError:
+            pass
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 

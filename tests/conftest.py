@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from eak import linalg, local_data, oracle
+from eak import linalg, local_data, oracle, polytope
 from eak.exactval import ExactValue, exact_sum
 from eak.linalg import Vec
 from eak.polytope import MAX_DIM, Polytope
@@ -432,6 +433,38 @@ def transverse_lattice(P: Polytope, g: local_data.CodimTwoData) -> TransverseLat
         x2=x2,
         xbar=xbar,
     )
+
+
+# ---------------------------------------------------------------------------
+# reference: the cone kernel by the subset walk, in integers
+
+
+def reference_cone_rays(rows, n):
+    """The primitive extreme rays of {c : <c, r> <= 0 for every row r},
+    each with the indices of the rows orthogonal to it, or None when the
+    rows do not span Q^n, by the subset walk: each ray is the cross
+    product of n - 1 rows, with the sign that meets every row, and the
+    rows span iff a nonzero cross product is not orthogonal to all."""
+    rays, seen = [], set()
+    for c in polytope._cross_products(rows, n):
+        g = math.gcd(*c)
+        if not g or (c := tuple(x // g for x in c)) in seen:
+            continue
+        neg = tuple(-x for x in c)
+        seen.update((c, neg))
+        side, tight = 0, []
+        for i, r in enumerate(rows):
+            value = sum(map(operator.mul, c, r))
+            if not value:
+                tight.append(i)
+            elif side * value < 0:
+                break
+            side = side or value
+        else:
+            if not side:
+                return None
+            rays.append((c if side < 0 else neg, tight))
+    return rays if seen else None
 
 
 # ---------------------------------------------------------------------------

@@ -487,6 +487,38 @@ def test_a_rational_is_p_over_q_or_p(delta_path, tmp_path, capsys):
         assert _one_line_error(capsys, "a vertex").count(repr(text)) == 1
 
 
+def test_an_integer_is_a_sign_and_ascii_digits(delta_path, tmp_path, capsys):
+    """Underscores and digits other than ASCII, which int() reads, are
+    refused wherever an integer is read: dedekind's h and k, --tmax,
+    --samples and --seed, and an integer string in a JSON file, each
+    refusal naming the text once; a sign is read."""
+    square = [{"a": a, "b": b} for a, b in (([-1, 0], "0"), ([0, 1], "1"), ([0, -1], "0"))]
+    unit = [[1, 0], [0, 1]]
+    for text in ("1_0", "\uff18", "\u0661\u0660", "10.0", "3/1"):
+        for argv, field in ((["dedekind", text, "1021"], "argument h"),
+                            (["dedekind", "5", text], "argument k"),
+                            (["concrete", delta_path, "--tmax", text], "--tmax"),
+                            (["concrete", delta_path, "--samples", text], "--samples"),
+                            (["concrete", delta_path, "--seed", text], "--seed")):
+            assert run(argv) == 2
+            assert _one_line_error(capsys, field).count(repr(text)) == 1
+        for command, field, data in (
+            ("analyze", "'dim'", {**DELTA, "dim": text}),
+            ("analyze", "'a'", {"dim": 2, "inequalities": [{"a": [text, 0], "b": "1"}, *square]}),
+            ("lattice-sum", "'e'", {"basis": unit, "w": unit, "e": [text, 1], "x": [0, 0]}),
+        ):
+            path = tmp_path / "integer.json"
+            path.write_text(json.dumps(data))
+            assert run([command, str(path)]) == 2
+            assert _one_line_error(capsys, field, "must be an integer").count(repr(text)) == 1
+    assert run(["dedekind", "+5", "7"]) == 0
+    assert capsys.readouterr().out.strip() == "-1/14"
+    square = {"dim": 2, "inequalities": [{"a": ["+1", " 0 "], "b": "1"}, *square]}
+    path.write_text(json.dumps(square))
+    assert run(["analyze", str(path)]) == 0
+    assert "denominator=1 volume=1" in capsys.readouterr().out
+
+
 def test_every_refusal_is_one_line_with_exit_2(delta_path, tmp_path, monkeypatch, capsys):
     """One refusal path for every command: argparse's errors, a ValueError
     from any layer and a missing key of a lattice-sum problem each exit 2

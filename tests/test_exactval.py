@@ -14,6 +14,7 @@ from eak.exactval import (
     angle_of_cos_ratio,
     exact_sum,
     format_rational,
+    parse_integer,
     parse_rational,
 )
 from reference_linalg import primitive_integer_vector
@@ -35,6 +36,15 @@ def test_parse_rational_reads_only_p_over_q_or_p():
             parse_rational(text)
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")
+
+
+def test_parse_integer_reads_only_a_sign_and_ascii_digits():
+    assert parse_integer("+3") == 3
+    assert parse_integer("\t-22\n") == -22
+    # int() reads the first three as 10
+    for text in ("1_0", "\uff11\uff10", "\u0661\u0660", "3/1", "1e3", "10.0", "- 3", "", "x"):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_integer(text)
 
 
 def test_format_rational_reads_ints_and_fractions():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from conftest import (
     ReferencePolytope,
     rational_polytopes,
     reeve_tetrahedron,
+    reference_cone_rays,
     reference_from_inequalities,
 )
 
@@ -117,15 +119,12 @@ def test_construction_matches_fraction_reference(case, data):
     )
 
 
-@given(st.data())
-def test_cone_kernel_shares_prefix_minors(data):
-    """The cone kernel's cross products, each subset extending its prefix's
-    minors by one Laplace row step, come in combinations order and equal
-    linalg.cross of each subset, zero, repeated and dependent rows
-    included."""
+def kernel_rows(data, max_rows: int) -> tuple[int, list]:
+    """n = 2..5 and up to max_rows integer rows in Z^n, with zero, repeated
+    and dependent rows inserted among them."""
     n = data.draw(st.integers(2, 5))
     vector = st.tuples(*[st.integers(-3, 3)] * n)
-    rows = data.draw(st.lists(vector, max_size=6))
+    rows = data.draw(st.lists(vector, max_size=max_rows))
     for kind in data.draw(st.lists(st.sampled_from(["zero", "repeat", "dependent"]), max_size=3)):
         if kind == "zero":
             row = (0,) * n
@@ -137,9 +136,53 @@ def test_cone_kernel_shares_prefix_minors(data):
             u, v = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
             row = tuple(2 * a - b for a, b in zip(u, v))
         rows.insert(data.draw(st.integers(0, len(rows))), row)
+    return n, rows
+
+
+@given(st.data())
+def test_cone_kernel_shares_prefix_minors(data):
+    """The cone kernel's cross products, each subset extending its prefix's
+    minors by one Laplace row step, come in combinations order and equal
+    linalg.cross of each subset, zero, repeated and dependent rows
+    included."""
+    n, rows = kernel_rows(data, 6)
     assert list(polytope._cross_products(rows, n)) == [
         linalg.cross(subset, n) for subset in itertools.combinations(rows, n - 1)
     ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_double_description_matches_the_subset_walk(data):
+    """The double description finds the rays, and the rows tight on each,
+    that the subset walk finds, and refuses the rows it refuses, zero,
+    repeated and dependent rows included."""
+    n, rows = kernel_rows(data, 9)
+
+    def rays(kernel):
+        found = kernel(rows, n)
+        return None if found is None else sorted(found)
+
+    assert rays(polytope._cone_rays) == rays(reference_cone_rays)
+
+
+def test_large_point_sets(monkeypatch):
+    """The kernel's work follows the rays found, not the subsets of rows:
+    the 512 points of the 8 x 8 x 8 grid build the cube on its 8 corners,
+    and 150 random rational points a hull that every point satisfies, with
+    the planes the subset walk finds on its vertices alone."""
+    grid = [(x, y, z) for x in range(8) for y in range(8) for z in range(8)]
+    P = Polytope(3, grid)
+    corners = Polytope(3, [(x, y, z) for x in (0, 7) for y in (0, 7) for z in (0, 7)])
+    assert (P.vertices, P.inequalities) == (corners.vertices, corners.inequalities)
+    assert len(P.facets()) == 6 and P.volume() == 343
+    rng = random.Random(150)
+    points = [tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 7)) for _ in range(3))
+              for _ in range(150)]
+    P = Polytope(3, points)
+    assert all(P.contains(p) for p in points)
+    monkeypatch.setattr(polytope, "_cone_rays", reference_cone_rays)
+    assert sorted((a, b) for a, b, _ in polytope.hull_facets(P.vertices, 3)) == list(P.inequalities)
 
 
 def test_construction_takes_no_rank():
