@@ -513,8 +513,7 @@ def test_an_integer_is_a_sign_and_ascii_digits(delta_path, tmp_path, capsys):
             assert _one_line_error(capsys, field, "must be an integer").count(repr(text)) == 1
     assert run(["dedekind", "+5", "7"]) == 0
     assert capsys.readouterr().out.strip() == "-1/14"
-    square = {"dim": 2, "inequalities": [{"a": ["+1", " 0 "], "b": "1"}, *square]}
-    path.write_text(json.dumps(square))
+    path.write_text(json.dumps({"dim": 2, "inequalities": [{"a": ["+1", " 0 "], "b": "1"}, *square]}))
     assert run(["analyze", str(path)]) == 0
     assert "denominator=1 volume=1" in capsys.readouterr().out
 
