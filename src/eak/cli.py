@@ -3,7 +3,9 @@ sums, lattice sums and concreteness checks for rational polytopes.
 
 Every refusal is a ValueError raised where the invalid input is found,
 argparse's own included; run alone prints it, as the one line
-`error: <message>`, and returns 2."""
+`error: <message>`, and returns 2.  Each command returns its exit code and
+a report of the values it printed, and run alone writes that report to
+--json, each exact value encoded by _encode."""
 
 from __future__ import annotations
 
@@ -76,46 +78,50 @@ def _load(path: str, from_json):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _exact_json(v: ExactValue):
-    return {
-        "rational": format_rational(v.rational_part),
-        "angle_terms": [
-            {
-                "coefficient": format_rational(c),
-                "sign": a.sign,
-                "cos_squared": format_rational(a.cos_squared),
-            }
-            for c, a in v.angle_terms
-        ],
-    }
+def _encode(value):
+    """A report value JSON has no type for: a Fraction as 'p/q' or 'p', an
+    ExactValue as its rational part and its arccos terms."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, ExactValue):
+        return {
+            "rational": format_rational(value.rational_part),
+            "angle_terms": [
+                {"coefficient": format_rational(c), "sign": a.sign,
+                 "cos_squared": format_rational(a.cos_squared)}
+                for c, a in value.angle_terms
+            ],
+        }
+    raise TypeError(f"a report holds no {type(value).__name__}")
 
 
-def _emit(report: dict, json_path: str | None) -> None:
-    if json_path:
-        try:
-            with open(json_path, "w") as f:
-                json.dump(report, f, indent=2, sort_keys=True)
-                f.write("\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write {json_path}: {exc}") from None
+def _write_report(report: dict, path: str) -> None:
+    try:
+        with open(path, "w") as f:
+            json.dump(report, f, indent=2, sort_keys=True, default=_encode)
+            f.write("\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[int, dict]:
     P = _load(args.polytope, Polytope.from_json)
-    report: dict = {"schema": SCHEMA, "command": "analyze", "polytope": P.to_json()}
+    report = {"polytope": P.to_json(), "denominator": P.denominator(), "volume": P.volume(),
+              "facets": [], "codim2": [], "evaluations": []}
     print(f"polytope: dim={P.dim} vertices={len(P.vertices)} facets={len(P.inequalities)}")
     print(f"denominator={P.denominator()} volume={format_rational(P.volume())}")
-    report["denominator"] = P.denominator()
-    report["volume"] = format_rational(P.volume())
 
     facets = [(a, b, P.relative_volume(F)) for (a, b), F in zip(P.inequalities, P.facets())]
     codim2 = all_codim2_data(P)
     print("\nfacets (normal | offset | relative volume):")
     for a, b, vol in facets:
         print(f"  {a}  {format_rational(b)}  {format_rational(vol)}")
+        # schema 1 writes the integer norm_sq and dot12 as strings
+        report["facets"].append({"normal": list(a), "offset": b, "relative_volume": vol,
+                                 "norm_sq": format_rational(sum(c * c for c in a))})
     print("\ncodim-2 faces (facet pair | h | k | x1 | x2 | vol*):")
     for g in codim2:
         print(
@@ -123,72 +129,42 @@ def _cmd_analyze(args) -> int:
             f"x1={format_rational(g.x1)} x2={format_rational(g.x2)} "
             f"vol*={format_rational(g.vol_star)}"
         )
-    if args.dump_local:
-        report["facets"] = [
-            {
-                "normal": list(a),
-                "offset": format_rational(b),
-                "relative_volume": format_rational(vol),
-                "norm_sq": format_rational(sum(c * c for c in a)),
-            }
-            for a, b, vol in facets
-        ]
-        report["codim2"] = [
-            {
-                "facets": [g.f1, g.f2],
-                "h": g.h,
-                "k": g.k,
-                "h_inv": g.h_inv,
-                "x1": format_rational(g.x1),
-                "x2": format_rational(g.x2),
-                "dot12": format_rational(g.dot12),
-                "cos_squared": format_rational(g.c_G.cos_squared),
-                "cos_sign": g.c_G.sign,
-                "relative_volume": format_rational(g.vol_star),
-            }
-            for g in codim2
-        ]
+        report["codim2"].append({
+            "facets": [g.f1, g.f2], "h": g.h, "k": g.k, "h_inv": g.h_inv,
+            "x1": g.x1, "x2": g.x2, "dot12": format_rational(g.dot12),
+            "cos_squared": g.c_G.cos_squared, "cos_sign": g.c_G.sign,
+            "relative_volume": g.vol_star,
+        })
 
     flavors = list(coefficients.FLAVORS) if args.flavor == "both" else [args.flavor]
-    evals = []
     for t in args.eval or []:
         all_values = coefficients.evaluate(P, t)
         for flavor in flavors:
             values = {kind: all_values[kind] for kind in coefficients.FLAVORS[flavor]}
             shown = "; ".join(f"{name} = {v}" for name, v in values.items())
             print(f"\nt={format_rational(t)} [{flavor}]: {shown}")
-            evals.append(
-                {
-                    "t": format_rational(t),
-                    "flavor": flavor,
-                    **{name: _exact_json(v) for name, v in values.items()},
-                }
-            )
-    report["evaluations"] = evals
-    _emit(report, args.json)
-    return 0
+            report["evaluations"].append({"t": t, "flavor": flavor, **values})
+    return 0, report
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[int, dict]:
     P = _load(args.polytope, Polytope.from_json)
-    report: dict = {"schema": SCHEMA, "command": "eval", "values": []}
     qp = coefficients.complete_quasipolynomial(P, args.flavor)
+    values = []
     for t in args.t:
         v = qp.value(t)
         print(f"{args.flavor}({format_rational(t)}) = {v}")
-        report["values"].append({"t": format_rational(t), "value": _exact_json(v)})
-    _emit(report, args.json)
-    return 0
+        values.append({"t": t, "value": v})
+    return 0, {"values": values}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict]:
     P = _load(args.polytope, Polytope.from_json)
     d, m = P.dim, P.denominator()
     table = oracle.angle_table(P)
     checks = []
     vol = ExactValue.of(P.volume())
     for t in args.t:
-        t = Fraction(t)
         ts = [t + j * m for j in range(d + 1)]
         samples = []
         for s, (interior, faces) in zip(ts, oracle.face_counts(P, ts)):
@@ -211,50 +187,26 @@ def _cmd_verify(args) -> int:
                 f"t={format_rational(t)} {name}: formula={formula} "
                 f"oracle={interpolated} [{'pass' if ok else 'FAIL'}]"
             )
-            checks.append(
-                {
-                    "t": format_rational(t),
-                    "coefficient": name,
-                    "formula": _exact_json(formula),
-                    "oracle": _exact_json(interpolated),
-                    "pass": ok,
-                }
-            )
+            checks.append({"t": t, "coefficient": name, "formula": formula,
+                           "oracle": interpolated, "pass": ok})
     ok_all = all(check["pass"] for check in checks)
-    _emit({"schema": SCHEMA, "command": "verify", "checks": checks, "pass": ok_all}, args.json)
-    return 0 if ok_all else 1
+    return 0 if ok_all else 1, {"checks": checks, "pass": ok_all}
 
 
-def _cmd_dedekind(args) -> int:
+def _cmd_dedekind(args) -> tuple[int, dict]:
     value = dr_sum_fast(args.h, args.k, args.x, args.y)
     print(format_rational(value))
-    _emit(
-        {
-            "schema": SCHEMA,
-            "command": "dedekind",
-            "h": args.h,
-            "k": args.k,
-            "x": format_rational(Fraction(args.x)),
-            "y": format_rational(Fraction(args.y)),
-            "value": format_rational(value),
-        },
-        args.json,
-    )
-    return 0
+    return 0, {"h": args.h, "k": args.k, "x": args.x, "y": args.y, "value": value}
 
 
-def _cmd_lattice_sum(args) -> int:
+def _cmd_lattice_sum(args) -> tuple[int, dict]:
     problem = _load(args.problem, lattice_sum.LatticeSumProblem.from_json)
     value = lattice_sum.lattice_sum_finite(problem)
     print(value)
-    _emit(
-        {"schema": SCHEMA, "command": "lattice-sum", "value": _exact_json(value)},
-        args.json,
-    )
-    return 0
+    return 0, {"value": value}
 
 
-def _cmd_concrete(args) -> int:
+def _cmd_concrete(args) -> tuple[int, dict]:
     P = _load(args.polytope, Polytope.from_json)
     rep = concrete_mod.is_concrete(P, args.tmax)
     if rep.concrete:
@@ -283,17 +235,8 @@ def _cmd_concrete(args) -> int:
         witness = ", ".join(format_rational(c) for c in tiling.witness)
         print("symmetrized copy is not a constant-multiplicity tiling "
               f"(witness ({witness}))")
-    report = {
-        "schema": SCHEMA,
-        "command": "concrete",
-        "concrete": rep.concrete,
-        "failed_t": rep.failed_t,
-        "defect": _exact_json(rep.defect) if rep.defect is not None else None,
-        "tiling_level": level,
-        "samples": args.samples,
-    }
-    _emit(report, args.json)
-    return 0
+    return 0, {"concrete": rep.concrete, "failed_t": rep.failed_t, "defect": rep.defect,
+               "tiling_level": level, "samples": args.samples}
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("polytope")
     p.add_argument("--flavor", choices=[*coefficients.FLAVORS, "both"], default="both")
     p.add_argument("--eval", action="append", type=_rational, metavar="T")
-    p.add_argument("--dump-local", action="store_true")
     p.add_argument("--json")
     p.set_defaults(func=_cmd_analyze)
 
@@ -357,10 +299,15 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """The exit code of the eak command on argv: 0, 1 when a verification
     fails, and 2 for every refusal, which is printed as one stderr line
-    `error: <message>`.  --help prints and exits 0 through SystemExit."""
+    `error: <message>`.  With --json, the command's report, headed by the
+    schema and the command's name, is written there.  --help prints and
+    exits 0 through SystemExit."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code, report = args.func(args)
+        if args.json:
+            _write_report({"schema": SCHEMA, "command": args.command, **report}, args.json)
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -172,8 +172,8 @@ class AngleTable:
     of its tight set, is D = ANGLE_DENOMINATOR times its solid angle, as
     the sparse pairs (i, n): n/D at i = 0 is the rational part, and n/D at
     i >= 1 the coefficient of arccos(angles[i - 1])/(2pi); a vertex of a
-    4-polytope has the row None.  Each row is built the first time a scan
-    meets its face, and kept."""
+    4-polytope has the row None.  Every face's row is built with the
+    table, since a scan's tight set is always that of a face of P."""
 
     def __init__(self, P: Polytope):
         # the dihedral angles of the ridge records: no angle sum reads the
@@ -192,15 +192,15 @@ class AngleTable:
                 raise RuntimeError(f"a dihedral angle of P has a rational part {rat} "
                                    f"outside (2/{ANGLE_DENOMINATOR}) Z")
             self._ridges[_bits(tight)] = (half.numerator, index.get(cs, 0), s)
-        self._codims = {_bits(F.tight_set): F.codim
-                        for c in range(1, P.dim + 1) for F in P.faces_of_codim(c)}
         self.rows: dict[int, tuple[tuple[int, int], ...] | None] = {}
+        for c in range(1, P.dim + 1):
+            for F in P.faces_of_codim(c):
+                key = _bits(F.tight_set)
+                self.rows[key] = self._row(key, c)
 
-    def _row(self, key: int) -> tuple[tuple[int, int], ...] | None:
-        """D times the solid angle on the face with tight-set bits key."""
-        c = self._codims.get(key)
-        if c is None:
-            raise RuntimeError(f"no face of P has the tight-set bits {key:#x}")
+    def _row(self, key: int, c: int) -> tuple[tuple[int, int], ...] | None:
+        """D times the solid angle on the face of codimension c with
+        tight-set bits key."""
         D = ANGLE_DENOMINATOR
         if c == 1:
             return ((0, D // 2),)
@@ -227,8 +227,6 @@ class AngleTable:
         total = [interior * ANGLE_DENOMINATOR] + [0] * len(self.angles)
         left_out = 0
         for key, n in counts.items():
-            if key not in rows:
-                rows[key] = self._row(key)
             row = rows[key]
             if row is None:
                 left_out += n
@@ -254,9 +252,10 @@ def solid_angle_at(P: Polytope, x: Sequence, t=1) -> ExactValue:
     refused at a vertex of a 4-polytope."""
     t = Fraction(t)
     x = linalg.vec(x)
-    if not P.contains(x, t):
+    slacks = [b * t - linalg.dot(a, x) for a, b in P.inequalities]
+    if min(slacks) < 0:
         return ExactValue.of(0)
-    tight = tuple(i for i, (a, b) in enumerate(P.inequalities) if linalg.dot(a, x) == b * t)
+    tight = tuple(i for i, slack in enumerate(slacks) if slack == 0)
     angle = _transverse_angle(P, tight)
     if angle is None:
         raise ValueError(VERTEX_REFUSAL)

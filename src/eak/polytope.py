@@ -281,11 +281,6 @@ class Polytope:
 
     # -- metric data ------------------------------------------------------
 
-    def contains(self, x: Sequence, t=1) -> bool:
-        """Exact membership of x in the dilate t*P."""
-        t = Fraction(t)
-        return all(linalg.dot(a, x) <= b * t for a, b in self.inequalities)
-
     def volume(self) -> Fraction:
         """Euclidean volume: the relative volume of P as its own face."""
         return self.relative_volume(self.faces_of_codim(0)[0])

@@ -115,9 +115,10 @@ def test_analyze_json_report(delta_path, tmp_path, capsys):
 
 
 def test_analyze_dump_local(delta_path, tmp_path, capsys):
-    """--dump-local reports each facet's normal, offset, relative volume and
-    squared norm, in inequality order, and each codim-2 face's transverse
-    data, with x1 the offset of its second facet and x2 of its first."""
+    """The analyze report holds each facet's normal, offset, relative volume
+    and squared norm, in inequality order, and each codim-2 face's
+    transverse data, with x1 the offset of its second facet and x2 of its
+    first; --dump-local, which only added them, is refused."""
     cube = tmp_path / "cube.json"
     cube.write_text(json.dumps(
         {"dim": 3, "vertices": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]}
@@ -133,7 +134,7 @@ def test_analyze_dump_local(delta_path, tmp_path, capsys):
     )
     for path, normals, offsets, volumes, norms, pairs in cases:
         report = tmp_path / "report.json"
-        assert run(["analyze", path, "--dump-local", "--json", str(report)]) == 0
+        assert run(["analyze", path, "--json", str(report)]) == 0
         capsys.readouterr()
         data = json.loads(report.read_text())
         assert data["facets"] == [
@@ -158,6 +159,102 @@ def test_analyze_dump_local(delta_path, tmp_path, capsys):
             }
             for i, j in pairs
         ]
+    assert run(["analyze", delta_path, "--dump-local"]) == 2
+    _one_line_error(capsys, "--dump-local")
+
+
+def _exact(rational, *terms):
+    """The report of an ExactValue: its rational part and its (coefficient,
+    cos^2) arccos terms, each of sign 1 as canonical terms are."""
+    return {"rational": rational,
+            "angle_terms": [{"coefficient": c, "sign": 1, "cos_squared": cs} for c, cs in terms]}
+
+
+def test_every_command_writes_its_report(delta_path, tmp_path, capsys):
+    """Each command's --json report, whole: rationals as p/q or p, exact
+    values as their rational part and arccos terms, and norm_sq and dot12
+    as strings."""
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps(
+        {"dim": 3, "vertices": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]}
+    ))
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"basis": [["1"]], "w": [["1"]], "e": [2], "x": ["1/3"]}))
+    a_d2 = _exact("-5/12", ("3", "1/3"))
+
+    def ridge(i, j, x1, dot12, cos_squared, cos_sign):
+        return {"facets": [i, j], "h": 0, "k": 1, "h_inv": 1, "x1": x1, "x2": "0",
+                "dot12": dot12, "cos_squared": cos_squared, "cos_sign": cos_sign,
+                "relative_volume": "1"}
+
+    def check(t, name, value):
+        return {"t": t, "coefficient": name, "formula": value, "oracle": value, "pass": True}
+
+    cases = [
+        (["analyze", delta_path, "--eval", "1", "--eval", "1/2"], {
+            "schema": "1", "command": "analyze",
+            "polytope": {"dim": 3, "vertices": [["0", "0", "0"], ["0", "0", "1"],
+                                                ["0", "1", "0"], ["1", "0", "0"]]},
+            "denominator": 1, "volume": "1/6",
+            "facets": [
+                {"normal": [-1, 0, 0], "offset": "0", "relative_volume": "1/2", "norm_sq": "1"},
+                {"normal": [0, -1, 0], "offset": "0", "relative_volume": "1/2", "norm_sq": "1"},
+                {"normal": [0, 0, -1], "offset": "0", "relative_volume": "1/2", "norm_sq": "1"},
+                {"normal": [1, 1, 1], "offset": "1", "relative_volume": "1/2", "norm_sq": "3"},
+            ],
+            "codim2": [
+                ridge(0, 1, "0", "0", "0", 0), ridge(0, 2, "0", "0", "0", 0),
+                ridge(1, 2, "0", "0", "0", 0), ridge(0, 3, "1", "-1", "1/3", 1),
+                ridge(1, 3, "1", "-1", "1/3", 1), ridge(2, 3, "1", "-1", "1/3", 1),
+            ],
+            "evaluations": [
+                {"t": "1", "flavor": "solid-angle", "a_d1": _exact("0"), "a_d2": a_d2},
+                {"t": "1", "flavor": "ehrhart", "e_d1": _exact("1"), "e_d2": _exact("11/6")},
+                {"t": "1/2", "flavor": "solid-angle", "a_d1": _exact("0"),
+                 "a_d2": _exact("5/24")},
+                {"t": "1/2", "flavor": "ehrhart", "e_d1": _exact("3/4"),
+                 "e_d2": _exact("23/24")},
+            ],
+        }),
+        (["eval", delta_path, "--t", "2"], {
+            "schema": "1", "command": "eval",
+            "values": [{"t": "2", "value": _exact("10")}],
+        }),
+        (["eval", delta_path, "--flavor", "solid-angle", "--t", "1", "--t", "2"], {
+            "schema": "1", "command": "eval",
+            "values": [{"t": "1", "value": _exact("-1/4", ("3", "1/3"))},
+                       {"t": "2", "value": _exact("1/2", ("6", "1/3"))}],
+        }),
+        (["verify", delta_path, "--t", "1"], {
+            "schema": "1", "command": "verify", "pass": True,
+            "checks": [check("1", "vol", _exact("1/6")), check("1", "e_d1", _exact("1")),
+                       check("1", "e_d2", _exact("11/6")), check("1", "a_d1", _exact("0")),
+                       check("1", "a_d2", a_d2)],
+        }),
+        (["dedekind", "35", "97", "1/3", "1/2"], {
+            "schema": "1", "command": "dedekind",
+            "h": 35, "k": 97, "x": "1/3", "y": "1/2", "value": "-6/97",
+        }),
+        (["lattice-sum", str(problem)], {
+            "schema": "1", "command": "lattice-sum", "value": _exact("1/36"),
+        }),
+        (["concrete", str(cube), "--tmax", "1", "--samples", "8"], {
+            "schema": "1", "command": "concrete", "concrete": True, "failed_t": None,
+            "defect": None, "tiling_level": 48, "samples": 8,
+        }),
+        (["concrete", delta_path, "--tmax", "1", "--samples", "8"], {
+            "schema": "1", "command": "concrete", "concrete": False, "failed_t": 1,
+            "defect": a_d2, "tiling_level": None, "samples": 8,
+        }),
+    ]
+    report = tmp_path / "report.json"
+    for argv, expected in cases:
+        assert run([*argv, "--json", str(report)]) == 0
+        capsys.readouterr()
+        text = report.read_text()
+        assert json.loads(text) == expected
+        # two-space indent, keys sorted, one closing newline
+        assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_eval(delta_path, capsys):
@@ -187,9 +284,8 @@ def test_verify(delta_path, local_data_builds, capsys):
 
 
 def test_verify_classifies_each_face_once(delta_path, monkeypatch, capsys):
-    # the eight dilations 1..4 and 1/2..7/2 meet the 4 facets, 6 edges and
-    # 4 vertices of Delta_3; the polytope's angle table is built once, and
-    # each face's row in it once
+    # the polytope's angle table is built once, with one row for each of
+    # the 4 facets, 6 edges and 4 vertices of Delta_3
     tables, faces = [], []
     build, row_of = oracle.AngleTable.__init__, oracle.AngleTable._row
 
@@ -197,16 +293,16 @@ def test_verify_classifies_each_face_once(delta_path, monkeypatch, capsys):
         tables.append(P)
         build(table, P)
 
-    def counted_row(table, key):
+    def counted_row(table, key, c):
         faces.append(key)
-        return row_of(table, key)
+        return row_of(table, key, c)
 
     monkeypatch.setattr(oracle.AngleTable, "__init__", counted_build)
     monkeypatch.setattr(oracle.AngleTable, "_row", counted_row)
     assert run(["verify", delta_path, "--t", "1", "--t", "1/2"]) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert len(tables) == 1
-    assert 0 < len(faces) == len(set(faces)) <= 4 + 6 + 4
+    assert len(faces) == len(set(faces)) == 4 + 6 + 4
 
 
 def test_verify_scans_each_dilation_once(delta_path, monkeypatch, capsys):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eak import linalg, polytope
+from eak import linalg, oracle, polytope
+from eak.exactval import AngleValue, ExactValue
 from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
 
@@ -180,7 +181,7 @@ def test_large_point_sets(monkeypatch):
     points = [tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 7)) for _ in range(3))
               for _ in range(150)]
     P = Polytope(3, points)
-    assert all(P.contains(p) for p in points)
+    assert all(linalg.dot(a, p) <= b for a, b in P.inequalities for p in points)
     monkeypatch.setattr(polytope, "_cone_rays", reference_cone_rays)
     assert sorted((a, b) for a, b, _ in polytope.hull_facets(P.vertices, 3)) == list(P.inequalities)
 
@@ -420,8 +421,10 @@ def test_each_ridge_takes_one_minor_gcd(monkeypatch):
 
 
 def test_contains_and_dilation(delta):
-    assert delta.contains((0, 0, 0))
-    assert delta.contains((Fraction(1, 3),) * 3)
-    assert not delta.contains((1, 1, 0))
-    assert delta.contains((1, 1, 0), t=2)
-    assert not delta.contains((-1, 0, 0), t=5)
+    # membership in t*P: the solid angle there, which is 0 outside
+    assert oracle.solid_angle_at(delta, (0, 0, 0)) == ExactValue.of(Fraction(1, 8))
+    assert oracle.solid_angle_at(delta, (Fraction(1, 3),) * 3) == ExactValue.of(Fraction(1, 2))
+    assert oracle.solid_angle_at(delta, (1, 1, 0)) == ExactValue.of(0)
+    edge = ExactValue.angle_turn(AngleValue(1, Fraction(1, 3)))
+    assert oracle.solid_angle_at(delta, (1, 1, 0), t=2) == edge
+    assert oracle.solid_angle_at(delta, (-1, 0, 0), t=5) == ExactValue.of(0)
