@@ -66,10 +66,11 @@ def _positive_int(text: str) -> int:
 
 def _load(path: str, from_json):
     """from_json of the JSON file at path; each refusal names the file,
-    those of bytes that are no text or nest past the recursion limit too."""
+    those of bytes that are no text, nest past the recursion limit or
+    write an integer past the digits parse_integer reads too."""
     try:
         with open(path) as f:
-            return from_json(json.load(f))
+            return from_json(json.load(f, parse_int=parse_integer))
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -165,7 +166,10 @@ def _cmd_verify(args) -> tuple[int, dict]:
     checks = []
     vol = ExactValue.of(P.volume())
     for t in args.t:
-        ts = [t + j * m for j in range(d + 1)]
+        # the class polynomial of t, read from the scans of its
+        # representative t0 in (0, m]; the formulas are taken at t
+        t0 = coefficients.class_representative(t, m)
+        ts = [t0 + j * m for j in range(d + 1)]
         samples = []
         for s, (interior, faces) in zip(ts, oracle.face_counts(P, ts)):
             # points left out at 4-D vertices add one constant over all s: only t^0 sees it

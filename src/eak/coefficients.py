@@ -133,16 +133,8 @@ class QuasiCoefficient:
         return _codim2_walk(self.polytope, t, angles=self.kind == "a_d2")[self.kind]
 
 
-def coeff_a_d1(P: Polytope) -> QuasiCoefficient:
-    return QuasiCoefficient("a_d1", P)
-
-
 def coeff_e_d1(P: Polytope) -> QuasiCoefficient:
     return QuasiCoefficient("e_d1", P)
-
-
-def coeff_a_d2(P: Polytope) -> QuasiCoefficient:
-    return QuasiCoefficient("a_d2", P)
 
 
 def coeff_e_d2(P: Polytope) -> QuasiCoefficient:
@@ -156,6 +148,12 @@ def recovered_a_d1(P: Polytope, t) -> ExactValue:
     tight = [F for (_, b), F in zip(P.inequalities, P.facets()) if is_integer(b * t)]
     boundary = sum(map(P.relative_volume, tight), Fraction(0))
     return boundary / 2 - coeff_e_d1(P).eval(-t)
+
+
+def class_representative(t: Fraction, m: int) -> Fraction:
+    """t0 = t - m ceil(t/m - 1), the one t0 in (0, m] with t - t0 in mZ: a
+    quasi-coefficient of period m takes the same value at t0 as at t."""
+    return t - m * math.ceil(t / m - 1)
 
 
 @dataclass(frozen=True)
@@ -177,7 +175,7 @@ class QuasiPolynomial:
         if t <= 0:
             raise ValueError("positive t required")
         m, d = P.denominator(), P.dim
-        t0 = t - m * math.ceil(t / m - 1)
+        t0 = class_representative(t, m)
         base = oracle.solid_angle_sum if self.flavor == "solid-angle" else oracle.count_points
         total = ExactValue.of(P.volume() * (t**d - t0**d)) + base(P, t0)
         for k, kind in enumerate(FLAVORS[self.flavor][: d - 1], 1):

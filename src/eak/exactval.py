@@ -10,6 +10,7 @@ formal Q-linear combination of ``arccos(angle)/(2*pi)`` terms.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -42,10 +43,10 @@ def parse_rational(text: str) -> Fraction:
     match = _RATIONAL_TEXT.fullmatch(text)
     if match is None:
         raise ValueError(f"not of the form p/q or p: {text!r}")
-    num, den = match.groups()
-    if den is not None and not int(den):
+    num, den = _int(match[1]), _int(match[2] or "1")
+    if not den:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(num), int(den or 1))
+    return Fraction(num, den)
 
 
 def parse_integer(text: str) -> int:
@@ -55,7 +56,19 @@ def parse_integer(text: str) -> int:
     match = _RATIONAL_TEXT.fullmatch(text)
     if match is None or match[2] is not None:
         raise ValueError(f"not an integer: {text!r}")
-    return int(match[1])
+    return _int(match[1])
+
+
+def _int(digits: str) -> int:
+    """int of a sign and ASCII digits, refused past the number of digits
+    Python converts (sys.get_int_max_str_digits()) with a message that
+    says so, not with Python's own advice."""
+    try:
+        return int(digits)
+    except ValueError:
+        count = len(digits.lstrip("+-"))
+        raise ValueError(f"an integer of {count} digits; at most "
+                         f"{sys.get_int_max_str_digits()} digits are read") from None
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -158,34 +171,23 @@ class ExactValue:
     relations among arccos terms: such a difference has a nonzero form and
     is numerically zero.
 
-    Only the leaves canonicalize: the constructor and :meth:`angle_turn`.
-    Arithmetic (``+``, ``-``, ``*``, ``/``, :func:`exact_sum`) assumes its
-    ExactValue operands are canonical, as every ExactValue is, and only
-    merges their terms by angle and drops zero coefficients; :meth:`on_basis`
-    takes coefficients over angles already canonical.
+    Only one leaf canonicalizes: :meth:`angle_turn`, which reads
+    :attr:`AngleValue.canonical_term`.  The constructor is the
+    :func:`exact_sum` of its rational part and the angle_turn of each term,
+    scaled.  Arithmetic (``+``, ``-``, ``*``, ``/``, :func:`exact_sum`)
+    assumes its ExactValue operands are canonical, as every ExactValue is,
+    and only merges their terms by angle and drops zero coefficients;
+    :meth:`on_basis` takes coefficients over angles already canonical.
     """
 
     rational_part: Fraction
     angle_terms: tuple[tuple[Fraction, AngleValue], ...] = ()
 
     def __post_init__(self):
-        rat = Fraction(self.rational_part)
-        acc: dict[Fraction, Fraction] = {}
-        for coeff, angle in self.angle_terms:
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            turn, s, cs = angle.canonical_term
-            rat += coeff * turn
-            if s:
-                acc[cs] = acc.get(cs, Fraction(0)) + s * coeff
-        terms = tuple(
-            (c, AngleValue(1, cs))
-            for cs, c in sorted(acc.items())
-            if c != 0
-        )
-        object.__setattr__(self, "rational_part", rat)
-        object.__setattr__(self, "angle_terms", terms)
+        value = exact_sum([Fraction(self.rational_part),
+                           *(ExactValue.angle_turn(a) * c for c, a in self.angle_terms)])
+        object.__setattr__(self, "rational_part", value.rational_part)
+        object.__setattr__(self, "angle_terms", value.angle_terms)
 
     @staticmethod
     def of(x: RationalLike) -> "ExactValue":

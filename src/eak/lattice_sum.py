@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from eak import linalg
-from eak.bernoulli import bernoulli_poly
+from eak.bernoulli import MAX_DEGREE, bernoulli_poly
 from eak.exactval import ExactValue, angle_of_cos_ratio, exact_sum
 from eak.linalg import Vec
 from eak.oracle import ENUMERATION_BUDGET, BudgetExceeded
@@ -55,6 +55,8 @@ class LatticeSumProblem:
             raise ValueError(f"exponents must be integers, got {e!r}")
         if any(v < 1 for v in e):
             raise ValueError("exponents must be positive")
+        if any(v > MAX_DEGREE for v in e):
+            raise ValueError(f"exponents must be at most {MAX_DEGREE}, the top Bernoulli degree")
         # the dual lattice is the part of span(basis) with integer pairings
         pairing = tuple(tuple(linalg.dot(c, b) for c in w) for b in basis)
         off_span = any(any(linalg.maximal_minors((*basis, c)).values()) for c in w)

@@ -4,12 +4,13 @@ and interpolation of quasi-coefficients from samples.
 The solid angle of tP is constant on the relative interior of each face,
 and the set of inequalities tight at a point of tP is the tight set of
 the face of P whose dilate holds the point in its relative interior.
-face_counts scans the dilations of one t (eak verify's t + j m) in one
-boundary pass of the line scan, over the lines of each dilation's own
-box, and returns per dilation the interior count and the boundary counts
-by tight set, each set read from the slacks of the point's line and
-packed into the bits of one integer; count_points sums the line lengths
-and builds no boundary points.
+face_counts scans the dilations of one t (eak verify's t0 + j m, t0 in
+(0, m] the representative of the class of its t) in one boundary pass of
+the line scan, over the lines of each dilation's own box, and returns
+per dilation the interior count and the boundary counts by tight set,
+each set read from the slacks of the point's line and packed into the
+bits of one integer; count_points sums the line lengths and builds no
+boundary points.
 The face lattice of P gives that face's codimension, and one rule the
 angle: 1 inside, 1/2 on a facet, the dihedral angle omega_G of the local
 data on a codim-2 face, and on a codim-3 face (a vertex of a 3-polytope,

@@ -3,17 +3,18 @@
 Polytopes are bounded, full-dimensional, with rational vertex data, in
 ambient dimension at most four.  Both descriptions are built in integers
 by one cone kernel: points give the facets, inequalities the vertices,
-each an extreme ray of a cone, with the rows it is tight on.  The kernel
-is the double description method: a simplicial cone on n independent
-rows, cut by each other row in turn, so its work follows the rays found
-and not the subsets of rows.  Normals are primitive; vertices, sorted,
-are the points alone on every facet through them, read from the facets'
-point bitmasks.  That hull is the only one taken: the face lattice is
-cut from the facets' vertex sets, as bitmasks, in one pass that builds
-each face once and keeps its facets, and every volume, of P or of a face
-in the lattice of its span, is a sum of pyramids over those facets,
-taken in integers over the integer dilate L P, L the lcm of the vertex
-denominators.
+each an extreme ray of a cone, with the bitmask of the rows it is tight
+on.  The kernel is the double description method: a simplicial cone on
+n independent rows, its rays their linalg.cross products, cut by each
+other row in turn, so its work follows the rays found and not the
+subsets of rows.  Normals are primitive; vertices, sorted, are the points
+alone on every facet through them, read from the facets' point bitmasks.
+That hull is the only one taken, and an incidence stays a bitmask from
+the kernel on: the face lattice is cut from the facets' vertex bitmasks
+in one pass that builds each face once and keeps its facets, and every
+volume, of P or of a face in the lattice of its span, is a sum of
+pyramids over those facets, taken in integers over the integer dilate
+L P, L the lcm of the vertex denominators.
 """
 
 from __future__ import annotations
@@ -42,36 +43,20 @@ class Face:
     codim: int
 
 
-def _cross_products(rows: Sequence[tuple[int, ...]], n: int):
-    """linalg.cross(subset, n) for each (n - 1)-subset of the rows, in
-    itertools.combinations order.  The subsets are walked depth first, so
-    each extends its prefix's maximal minors by one Laplace row step, and
-    its cross product is read by position: the minor leaving out column j
-    is the (n - 1 - j)-th in lexicographic order."""
-    def walk(start: int, k: int, minors: list[int]):
-        if k == n - 1:
-            yield tuple((-1) ** j * minors[n - 1 - j] for j in range(n))
-            return
-        for i in range(start, len(rows) - (n - 2 - k)):
-            yield from walk(i + 1, k + 1, linalg.laplace_step(minors, rows[i], k + 1))
-
-    return walk(0, 0, [1])
-
-
-def _cone_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[tuple, list[int]]] | None:
+def _cone_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[tuple, int]] | None:
     """The primitive extreme rays of the cone {c : <c, r> <= 0 for every
-    integer row r in Z^n}, each with the indices of the rows it is
-    orthogonal to, or None when the rows do not span Q^n.
+    integer row r in Z^n}, each with the bitmask of the rows it is
+    orthogonal to (bit i for row i), or None when the rows do not span Q^n.
 
     By the double description method.  The first n independent rows,
-    found by Laplace row steps, cut a simplicial cone, whose rays are the
-    cross products of each n - 1 of them.  Each other row in turn keeps
-    the rays that meet it, and joins each ray p that fails it to each ray
-    q that meets it strictly by the ray on its hyperplane, v_p c_q - v_q c_p
-    for the values v = <c, row>, when p and q are adjacent: when the rows
-    tight on both, n - 2 at least, are tight on no third ray.  Tight rows
-    are kept as bitmasks, so the work follows the rays found, not the
-    subsets of rows."""
+    found by Laplace row steps, cut a simplicial cone: its rays are the
+    linalg.cross products of each n - 1 of them, each signed to meet the
+    row it leaves out.  Each other row in turn keeps the rays that meet it,
+    and joins each ray p that fails it to each ray q that meets it strictly
+    by the ray on its hyperplane, v_p c_q - v_q c_p for the values
+    v = <c, row>, when p and q are adjacent: when the rows tight on both,
+    n - 2 at least, are tight on no third ray.  So the work follows the
+    rays found, not the subsets of rows."""
     basis, minors = [], [1]
     for i, r in enumerate(rows):
         step = linalg.laplace_step(minors, r, len(basis) + 1)
@@ -84,8 +69,8 @@ def _cone_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[tuple, lis
         return None
     full = sum(1 << i for i in basis)
     rays, masks = [], []
-    # the k-th cross product leaves out basis row n - 1 - k
-    for i, c in zip(reversed(basis), _cross_products([rows[i] for i in basis], n)):
+    for i in basis:
+        c = linalg.cross([rows[j] for j in basis if j != i], n)
         g = math.gcd(*c)
         if sum(map(operator.mul, c, rows[i])) > 0:
             g = -g
@@ -113,13 +98,12 @@ def _cone_rays(rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[tuple, lis
         keep = [k for k, v in enumerate(values) if v <= 0]
         rays = [rays[k] for k in keep] + joined
         masks = [masks[k] if values[k] else masks[k] | bit for k in keep] + joined_masks
-    return [(c, [i for i, b in enumerate(reversed(bin(m))) if b == "1"])
-            for c, m in zip(rays, masks)]
+    return list(zip(rays, masks))
 
 
-def hull_facets(points: Sequence[Vec], dim: int) -> list[tuple[tuple[int, ...], Fraction, list]]:
+def hull_facets(points: Sequence[Vec], dim: int) -> list[tuple[tuple[int, ...], Fraction, int]]:
     """All supporting hyperplanes (primitive a, b) of a full-dimensional
-    point set, <a, x> <= b inside, each with the indices of the points on
+    point set, <a, x> <= b inside, each with the bitmask of the points on
     it; a set that is not full-dimensional is refused.  Each is a cone ray
     (a, B) of the integer rows (L p, -1), L the lcm of the denominators,
     read as <a, x> <= B / L."""
@@ -133,6 +117,11 @@ def hull_facets(points: Sequence[Vec], dim: int) -> list[tuple[tuple[int, ...], 
         g = math.gcd(*a)
         facets.append((tuple(c // g for c in a), Fraction(b, g * scale), on))
     return facets
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of mask, ascending."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 class Polytope:
@@ -149,19 +138,19 @@ class Polytope:
         # point on every facet through it, iff the AND of the point masks of
         # those facets is bit j
         through = [(1 << len(pts)) - 1] * len(pts)
-        for *_, ids in planes:
-            mask = sum(1 << j for j in ids)
-            for j in ids:
-                through[j] &= mask
-        vertex_id = {j: v for v, j in enumerate(j for j, m in enumerate(through) if m == 1 << j)}
+        for *_, on in planes:
+            for j in _bits(on):
+                through[j] &= on
+        kept = [j for j, m in enumerate(through) if m == 1 << j]
         self.dim = dim
-        self.vertices: tuple[Vec, ...] = tuple(pts[j] for j in vertex_id)
+        self.vertices: tuple[Vec, ...] = tuple(pts[j] for j in kept)
         self.inequalities: tuple[tuple[tuple[int, ...], Fraction], ...] = tuple(
             (a, b) for a, b, _ in planes
         )
-        # the vertex ids on each facet: every face is cut from these sets
-        self._facet_vertex_sets: tuple[frozenset[int], ...] = tuple(
-            frozenset(vertex_id[j] for j in ids if j in vertex_id) for *_, ids in planes
+        # each facet's vertex set, bit v for vertex v: every face is cut
+        # from these masks
+        self._facet_masks: tuple[int, ...] = tuple(
+            sum(1 << v for v, j in enumerate(kept) if on >> j & 1) for *_, on in planes
         )
         # Data derived from P alone, each built on first use and kept, as is
         # the face lattice: each ridge's facets and dihedral angle and the
@@ -239,9 +228,8 @@ class Polytope:
         facets of P not containing it, each tight on the facets of P whose
         vertex sets contain it.  Vertex sets are cut as bitmasks, and each
         face is built the first time its cut appears."""
-        masks = [sum(1 << v for v in s) for s in self._facet_vertex_sets]
-        faces = [(m, Face(frozenset([i]), tuple(sorted(s)), self.dim - 1, 1))
-                 for i, (m, s) in enumerate(zip(masks, self._facet_vertex_sets))]
+        masks = self._facet_masks
+        faces = [(m, Face(frozenset([i]), _bits(m), self.dim - 1, 1)) for i, m in enumerate(masks)]
         levels = [{Face(frozenset(), tuple(range(len(self.vertices))), self.dim, 0):
                    [F for _, F in faces]}]
         while faces:
@@ -257,7 +245,7 @@ class Polytope:
                     if G is None:
                         G = made[cut] = Face(
                             frozenset(i for i, m in enumerate(masks) if cut & m == cut),
-                            tuple(v for v in range(cut.bit_length()) if cut >> v & 1),
+                            _bits(cut),
                             F.dim - 1, F.codim + 1)
                     kept.append(G)
                 level[F] = kept

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from eak import linalg, local_data, oracle, polytope
+from eak import linalg, local_data, oracle
 from eak.exactval import ExactValue, exact_sum
 from eak.linalg import Vec
 from eak.polytope import MAX_DIM, Polytope
@@ -441,22 +441,24 @@ def transverse_lattice(P: Polytope, g: local_data.CodimTwoData) -> TransverseLat
 
 def reference_cone_rays(rows, n):
     """The primitive extreme rays of {c : <c, r> <= 0 for every row r},
-    each with the indices of the rows orthogonal to it, or None when the
-    rows do not span Q^n, by the subset walk: each ray is the cross
-    product of n - 1 rows, with the sign that meets every row, and the
-    rows span iff a nonzero cross product is not orthogonal to all."""
+    each with the bitmask of the rows orthogonal to it, or None when the
+    rows do not span Q^n, by the subset walk: each ray is the
+    linalg.cross product of n - 1 rows, with the sign that meets every
+    row, and the rows span iff a nonzero cross product is not orthogonal
+    to all."""
     rays, seen = [], set()
-    for c in polytope._cross_products(rows, n):
+    for subset in itertools.combinations(rows, n - 1):
+        c = linalg.cross(subset, n)
         g = math.gcd(*c)
         if not g or (c := tuple(x // g for x in c)) in seen:
             continue
         neg = tuple(-x for x in c)
         seen.update((c, neg))
-        side, tight = 0, []
+        side, tight = 0, 0
         for i, r in enumerate(rows):
             value = sum(map(operator.mul, c, r))
             if not value:
-                tight.append(i)
+                tight |= 1 << i
             elif side * value < 0:
                 break
             side = side or value
@@ -511,8 +513,8 @@ def _reference_affine_rank(points) -> int:
 
 
 class ReferencePolytope(Polytope):
-    """A Polytope whose vertices, inequalities and facet vertex sets come
-    from the reference construction; everything derived from them is
+    """A Polytope whose vertices, inequalities and facet vertex bitmasks
+    come from the reference construction; everything derived from them is
     Polytope's own."""
 
     def __init__(self, dim, vertices):
@@ -533,8 +535,8 @@ class ReferencePolytope(Polytope):
         self.dim = dim
         self.vertices = tuple(sorted(verts))
         self.inequalities = tuple(sorted(planes))
-        self._facet_vertex_sets = tuple(
-            frozenset(j for j, v in enumerate(self.vertices) if linalg.dot(a, v) == b)
+        self._facet_masks = tuple(
+            sum(1 << j for j, v in enumerate(self.vertices) if linalg.dot(a, v) == b)
             for a, b in self.inequalities
         )
         self._ridges = None

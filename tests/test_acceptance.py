@@ -80,7 +80,7 @@ def test_criterion_01_ehrhart_golden_standard_simplex():
 
 
 def test_criterion_02_solid_angle_golden_standard_simplex():
-    a1, a2 = co.coeff_a_d1(DELTA), co.coeff_a_d2(DELTA)
+    a1, a2 = co.QuasiCoefficient("a_d1", DELTA), co.QuasiCoefficient("a_d2", DELTA)
     for t in GOLDEN_T:
         assert a1.eval(t) == ExactValue.of(-Fraction(1, 2) * periodized(1, t))
     assert a2.eval(1) == DELTA_ANGLE
@@ -89,7 +89,7 @@ def test_criterion_02_solid_angle_golden_standard_simplex():
 
 
 def test_criterion_03_order_simplex_golden_and_concrete_values():
-    a1, a2 = co.coeff_a_d1(ORDER), co.coeff_a_d2(ORDER)
+    a1, a2 = co.QuasiCoefficient("a_d1", ORDER), co.QuasiCoefficient("a_d2", ORDER)
     for t in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)):
         assert a1.eval(t) == ExactValue.of(-Fraction(1, 2) * periodized(1, t))
         expected = (
@@ -189,7 +189,7 @@ def test_criterion_08_ehrhart_formula_matches_oracle():
 
 def test_criterion_09_solid_angle_formula_matches_oracle():
     for P, ts in _oracle_test_set():
-        a1, a2 = co.coeff_a_d1(P), co.coeff_a_d2(P)
+        a1, a2 = co.QuasiCoefficient("a_d1", P), co.QuasiCoefficient("a_d2", P)
         for t in ts:
             cs = interpolated_angle_sum(P, [t + j for j in range(4)])
             assert cs[0] == ExactValue.of(P.volume())
@@ -258,7 +258,7 @@ def test_criterion_12_facet_coefficient_recovery():
     rng = random.Random(1212)
     for _ in range(10):
         P = random_integer_polytope(rng)
-        direct = co.coeff_a_d1(P)
+        direct = co.QuasiCoefficient("a_d1", P)
         for _ in range(5):
             t = _random_t(rng)
             assert co.recovered_a_d1(P, t) == direct.eval(t)

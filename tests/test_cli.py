@@ -401,6 +401,9 @@ def test_lattice_sum_refuses_malformed_problems(tmp_path, capsys):
         # a parallelepiped of (10^6 + 1)^2 candidates is refused, not scanned
         (("1000002000001 candidate points", "budget"),
          {"basis": unit, "w": [[10**6, 0], [0, 10**6]], "e": [1, 1], "x": [0, 0]}),
+        # an exponent past the Bernoulli degrees is refused on reading, so
+        # the refusal names the file
+        (("problem.json", "at most 16"), {"basis": [["1"]], "w": [["1"]], "e": [10**6], "x": [0]}),
     ):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
@@ -636,6 +639,15 @@ def test_every_refusal_is_one_line_with_exit_2(delta_path, tmp_path, monkeypatch
     deep.write_text("[" * 10**5 + "]" * 10**5)
     cases += [(["analyze", str(binary)], (str(binary), "utf-8")),
               (["analyze", str(deep)], (str(deep), "recursion"))]
+    # integers past the digits Python converts, on the command line and in
+    # a polytope file, as a string or as a JSON literal
+    big = "1" + "0" * 5000
+    cases += [(["dedekind", big, "11"], ("argument h", "5001 digits")),
+              (["eval", delta_path, "--t", big], ("--t", "5001 digits"))]
+    for name, coordinate in (("string", json.dumps(big)), ("literal", big)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(f'{{"dim": 1, "vertices": [[0], [{coordinate}]]}}')
+        cases.append((["analyze", str(path)], (str(path), "5001 digits")))
     problem = {"basis": [["1"]], "w": [["1"]], "e": [2], "x": ["1/3"]}
     for key in problem:
         path = tmp_path / f"no_{key}.json"
@@ -643,7 +655,7 @@ def test_every_refusal_is_one_line_with_exit_2(delta_path, tmp_path, monkeypatch
         cases.append((["lattice-sum", str(path)], (str(path), f"missing '{key}'")))
     for argv, words in cases:
         assert run(argv) == 2
-        _one_line_error(capsys, *words)
+        assert "sys.set_int_max_str_digits" not in _one_line_error(capsys, *words)
 
     def refuse(P, t):
         raise ValueError("refused by a layer below the CLI")

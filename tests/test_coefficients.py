@@ -18,7 +18,7 @@ from conftest import random_tetrahedron, rational_polytopes, reeve_tetrahedron
 
 def test_delta_facet_coefficients(delta):
     e1 = co.coeff_e_d1(delta)
-    a1 = co.coeff_a_d1(delta)
+    a1 = co.QuasiCoefficient("a_d1", delta)
     # closed form: three facets through the origin plus the diagonal facet
     for t in [Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(7, 5)]:
         t = Fraction(t)
@@ -32,7 +32,7 @@ def test_delta_facet_coefficients(delta):
 
 def test_delta_codim2_coefficients(delta):
     e2 = co.coeff_e_d2(delta)
-    a2 = co.coeff_a_d2(delta)
+    a2 = co.QuasiCoefficient("a_d2", delta)
     assert e2.eval(1) == ExactValue.of(Fraction(11, 6))
     assert e2.eval(Fraction(1, 2)) == ExactValue.of(Fraction(23, 24))
     # at integer t every dihedral angle enters; the rational parts cancel to -5/12
@@ -44,7 +44,7 @@ def test_delta_codim2_coefficients(delta):
 
 
 def test_order_codim2_closed_form(order):
-    a2 = co.coeff_a_d2(order)
+    a2 = co.QuasiCoefficient("a_d2", order)
     for t in [Fraction(1, 4), Fraction(1, 2), 1, 2]:
         t = Fraction(t)
         expected = (
@@ -66,8 +66,8 @@ def test_periods(delta, half_order):
 def test_every_kind_has_the_period_of_the_denominator(P, t):
     """c(t + m) = c(t) with m = P.denominator(), for each coefficient."""
     m = P.denominator()
-    for make in (co.coeff_a_d1, co.coeff_e_d1, co.coeff_a_d2, co.coeff_e_d2):
-        c = make(P)
+    for kind in ("a_d1", "e_d1", "a_d2", "e_d2"):
+        c = co.QuasiCoefficient(kind, P)
         assert c.eval(t + m) == c.eval(t)
 
 
@@ -82,7 +82,7 @@ def test_evaluate_gives_every_kind(delta, half_order):
 
 def test_recovered_facet_coefficient(delta, half_order):
     for P in (delta, half_order):
-        direct = co.coeff_a_d1(P)
+        direct = co.QuasiCoefficient("a_d1", P)
         for t in [Fraction(1, 3), Fraction(1, 2), 1, Fraction(5, 4), 3]:
             assert co.recovered_a_d1(P, t) == direct.eval(t)
 
@@ -90,7 +90,7 @@ def test_recovered_facet_coefficient(delta, half_order):
 @settings(max_examples=25, deadline=None)
 @given(rational_polytopes((1, 4), 2), st.fractions(0, 4, max_denominator=6))
 def test_recovered_facet_coefficient_in_every_dimension(P, t):
-    assert co.recovered_a_d1(P, t) == co.coeff_a_d1(P).eval(t)
+    assert co.recovered_a_d1(P, t) == co.QuasiCoefficient("a_d1", P).eval(t)
 
 
 def _image(P, U, v):
@@ -202,7 +202,7 @@ def test_ehrhart_half_reads_no_dihedral_angle(delta, monkeypatch):
     formula = [co.coeff_e_d1(delta).eval(1), co.coeff_e_d2(delta).eval(1)]
     assert formula == [ExactValue.of(c) for c in interpolated[1:3]]
     assert calls == []
-    co.coeff_a_d2(delta).eval(1)
+    co.QuasiCoefficient("a_d2", delta).eval(1)
     assert len(calls) == 6  # every edge at t = 1, each once
 
 

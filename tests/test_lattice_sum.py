@@ -160,19 +160,36 @@ def test_residue_form_requires_convergence():
         gunnels_sczech([[0]], (2,), (0,))
 
 
-def test_conditionally_convergent_decomposition(delta):
-    """Rank-two (1,1) sums match the dihedral-angle / Dedekind splitting."""
-    for g in all_codim2_data(delta):
-        r = transverse_lattice(delta, g)
-        for t in (Fraction(1, 2), Fraction(1), Fraction(2, 3)):
-            xbar = tuple(t * (g.x1 * a + g.x2 * b) for a, b in zip(r.v_F1_G, r.v_F2_G))
-            p = LatticeSumProblem(r.lam.basis, (r.v_F1_G, r.v_F2_G), (1, 1), xbar)
-            expected = ExactValue.of(
-                -dr_sum_fast(g.h, g.k, (g.x1 + g.h * g.x2) * t, -g.k * g.x2 * t)
-            )
-            if membership_scale(g, t):
-                expected = expected + ExactValue.angle_turn(g.c_G) - Fraction(1, 4)
-            assert lattice_sum_finite(p) == expected
+# Delta_3, where every k is 1, the Reeve tetrahedron with r = 13 and a
+# rational tetrahedron, each with the k of its codim-2 faces
+DECOMPOSED = (
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], {1}),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 13)], {13}),
+    ([(0, 0, 0), (Fraction(3, 2), 0, 0), (0, 2, 0),
+      (Fraction(1, 2), Fraction(1, 3), Fraction(5, 2))], {5, 15, 20}),
+)
+
+
+def test_conditionally_convergent_decomposition():
+    """Rank-two (1,1) sums match the dihedral-angle / Dedekind splitting,
+    times the face's k: k LS_G(t) = -s(h, k; x, y) + [t xbar_G in
+    Lambda_G^*] (omega_G - 1/4), LS_G the lattice sum over the transverse
+    lattice of the codim-2 face G."""
+    for vertices, ks in DECOMPOSED:
+        P = Polytope(3, vertices)
+        data = all_codim2_data(P)
+        assert {g.k for g in data} == ks
+        for g in data:
+            r = transverse_lattice(P, g)
+            for t in (Fraction(1, 2), Fraction(1), Fraction(2, 3), Fraction(7, 5)):
+                xbar = tuple(t * (g.x1 * a + g.x2 * b) for a, b in zip(r.v_F1_G, r.v_F2_G))
+                p = LatticeSumProblem(r.lam.basis, (r.v_F1_G, r.v_F2_G), (1, 1), xbar)
+                expected = ExactValue.of(
+                    -dr_sum_fast(g.h, g.k, (g.x1 + g.h * g.x2) * t, -g.k * g.x2 * t)
+                )
+                if membership_scale(g, t):
+                    expected = expected + ExactValue.angle_turn(g.c_G) - Fraction(1, 4)
+                assert g.k * lattice_sum_finite(p) == expected
 
 
 def test_series_converges_to_finite_value():

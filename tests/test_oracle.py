@@ -135,7 +135,7 @@ def test_one_dimensional_formulas_match_oracles():
     for ends in ((Fraction(1, 2), Fraction(7, 3)), (0, 1), (Fraction(-3, 4), Fraction(5, 2))):
         P = Polytope(1, [(e,) for e in ends])
         m = P.denominator()
-        e_d1, a_d1 = co.coeff_e_d1(P), co.coeff_a_d1(P)
+        e_d1, a_d1 = co.coeff_e_d1(P), co.QuasiCoefficient("a_d1", P)
         for t in (Fraction(1, 3), Fraction(1, 2), 1, Fraction(5, 4), 2):
             ts = [t + j * m for j in range(2)]
             ec = oracle.interpolate_coefficients(
@@ -335,8 +335,8 @@ def test_interpolation_recovers_coefficients(delta):
     assert ExactValue.of(ec[1]) == co.coeff_e_d1(delta).eval(t)
     assert ExactValue.of(ec[2]) == co.coeff_e_d2(delta).eval(t)
     ac = interpolated_angle_sum(delta, [t + j for j in range(4)])
-    assert ac[1] == co.coeff_a_d1(delta).eval(t)
-    assert ac[2] == co.coeff_a_d2(delta).eval(t)
+    assert ac[1] == co.QuasiCoefficient("a_d1", delta).eval(t)
+    assert ac[2] == co.QuasiCoefficient("a_d2", delta).eval(t)
 
 
 def test_cross_check(delta):
@@ -552,6 +552,45 @@ def test_verify_prints_the_newton_interpolation_of_the_oracles(d, data, tmp_path
         assert d == 4 and str(refusal) == oracle.VERTEX_REFUSAL
         del printed["a_d1"], printed["a_d2"]
     assert printed == expected
+
+
+def _verify_rows(P, t, tmp_path_factory):
+    """verify's printed rows for P at t, each split into its t, its name
+    and formula, and its oracle column with the verdict."""
+    path = tmp_path_factory.mktemp("verify") / "p.json"
+    path.write_text(json.dumps(P.to_json()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["verify", str(path), "--t", str(t)]) == 0
+    return [(line.split(" ", 1)[0], *line.split(" ", 1)[1].split(" oracle="))
+            for line in out.getvalue().splitlines()]
+
+
+DELTA3 = Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+HALF_DELTA4 = Polytope(4, [(0,) * 4, *(tuple(Fraction(i == j, 2) for j in range(4))
+                                      for i in range(4))])
+
+
+# each past the enumeration budget at t + j m: Delta_3's box at t = 250
+# has 15813251 candidate points
+@example(P=DELTA3, t=Fraction(250), j=0)
+@example(P=DELTA3, t=Fraction(1000001, 3), j=0)
+@example(P=HALF_DELTA4, t=Fraction(10**6 + 1, 2), j=0)
+@settings(max_examples=30, deadline=None)
+@given(P=st.integers(1, 4).flatmap(small_rational_polytopes), t=dilations,
+       j=st.integers(0, 10**6))
+def test_verify_scans_the_class_representative_of_t(P, t, j, tmp_path_factory):
+    """verify at t + j m prints the oracle column it prints at t0, the
+    representative of the class of t in (0, m], and passes every check: the
+    quasi-coefficients depend on t mod m only, so the scans of t0 + i m
+    answer for every t of the class, however far past the budget."""
+    m = P.denominator()
+    t += j * m
+    t0 = co.class_representative(t, m)
+    assert 0 < t0 <= m and (t - t0) % m == 0
+    rows, rows0 = _verify_rows(P, t, tmp_path_factory), _verify_rows(P, t0, tmp_path_factory)
+    assert rows and all(s == f"t={t}" and column.endswith(" [pass]") for s, _, column in rows)
+    assert [column for *_, column in rows] == [column for *_, column in rows0]
 
 
 def test_tight_set_keys_past_63_facets():

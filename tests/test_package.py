@@ -25,14 +25,10 @@ SRC = ROOT / "src" / "eak"
 # stays until the benchmark stops calling it
 BENCHMARK_CONTRACT = {
     "one_sided_B1": "the closed-form checker builds its expected B1 terms from it",
-    "coeff_a_d1": "stays with coeff_e_d1 and coeff_e_d2, one accessor per coefficient",
-    "coeff_a_d2": "stays with coeff_e_d1 and coeff_e_d2, one accessor per coefficient",
     "coeff_e_d2": "the ehrhart-oracle checker compares the interpolated t^1 term with it",
     "recovered_a_d1": "the closed-form checker ties a_d1 to e_d1 with it",
     "appendixA_cross_check": "the concrete checker reads each defect through it",
 }
-# names the benchmark need not call: they stay only beside the ones it does
-KEPT_ALONGSIDE = {"coeff_a_d1", "coeff_a_d2"}
 BENCHMARK_FILES = ("perfbench/workloads.py", "perfbench/reference.py")
 # Methods that code outside the package calls, with why each stays
 CALLED_FROM_OUTSIDE = {
@@ -124,7 +120,7 @@ def test_every_definition_is_used_by_the_package_or_the_benchmark():
     assert unused == [], "only the tests use these; move them to tests/"
     benchmark = set().union(*(_references(ast.parse((ROOT / f).read_text()))
                               for f in BENCHMARK_FILES))
-    assert sorted(BENCHMARK_CONTRACT.keys() - KEPT_ALONGSIDE - benchmark) == []
+    assert sorted(BENCHMARK_CONTRACT.keys() - benchmark) == []
 
 
 def test_every_method_is_used_by_the_package():
