@@ -150,10 +150,9 @@ def _cmd_analyze(args) -> tuple[int, dict]:
 
 def _cmd_eval(args) -> tuple[int, dict]:
     P = _load(args.polytope, Polytope.from_json)
-    qp = coefficients.complete_quasipolynomial(P, args.flavor)
     values = []
     for t in args.t:
-        v = qp.value(t)
+        v = coefficients.quasipolynomial_value(P, args.flavor, t)
         print(f"{args.flavor}({format_rational(t)}) = {v}")
         values.append({"t": t, "value": v})
     return 0, {"values": values}
@@ -165,18 +164,22 @@ def _cmd_verify(args) -> tuple[int, dict]:
     table = oracle.angle_table(P)
     checks = []
     vol = ExactValue.of(P.volume())
+    by_class = {}  # t0 -> the interpolated coefficients of its class
     for t in args.t:
         # the class polynomial of t, read from the scans of its
-        # representative t0 in (0, m]; the formulas are taken at t
+        # representative t0 in (0, m], once per class; the formulas are
+        # taken at t
         t0 = coefficients.class_representative(t, m)
-        ts = [t0 + j * m for j in range(d + 1)]
-        samples = []
-        for s, (interior, faces) in zip(ts, oracle.face_counts(P, ts)):
-            # points left out at 4-D vertices add one constant over all s: only t^0 sees it
-            angles, _ = table.vector(interior, faces)
-            samples.append((s, (interior + sum(faces.values()), *angles)))
-        # each coefficient: the count's, then D times the angle sum's over the basis
-        coeffs = oracle.interpolate_coefficients(samples, d)
+        if t0 not in by_class:
+            ts = [t0 + j * m for j in range(d + 1)]
+            samples = []
+            for s, (interior, faces) in zip(ts, oracle.face_counts(P, ts)):
+                # points left out at 4-D vertices add one constant over all s: only t^0 sees it
+                angles, _ = table.vector(interior, faces)
+                samples.append((s, (interior + sum(faces.values()), *angles)))
+            # each coefficient: the count's, then D times the angle sum's over the basis
+            by_class[t0] = oracle.interpolate_coefficients(samples, d)
+        coeffs = by_class[t0]
         values = {"vol": vol, **coefficients.evaluate(P, t)}
         # (name, codimension k): a segment has no k = 2 row
         rows = [

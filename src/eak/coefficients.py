@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from eak.bernoulli import b1_scaled, b2_scaled, is_integer
 from eak.dedekind import dr_sum_scaled
-from eak.exactval import ExactValue, _merged
+from eak.exactval import ExactValue, _merged, exact_sum
 from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
 
@@ -156,37 +156,26 @@ def class_representative(t: Fraction, m: int) -> Fraction:
     return t - m * math.ceil(t / m - 1)
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
-    """Full quasi-polynomial of one flavor, for d <= 3: the closed-form
-    top coefficients plus one exact oracle evaluation per value."""
+def quasipolynomial_value(P: Polytope, flavor: str, t) -> ExactValue:
+    """The full quasi-polynomial of one flavor (a key of FLAVORS) at t > 0,
+    for d <= 3: base(t0) + vol (t^d - t0^d) + the sum over k = 1, 2 of
+    c_{d-k}(t) (t^{d-k} - t0^{d-k}), base the oracle (A_P or L_P) and t0 in
+    (0, m] with t - t0 a multiple of the period m, so that c_{d-k}(t0) =
+    c_{d-k}(t); the term with d = k vanishes, and d < k has none."""
+    from eak import oracle
 
-    polytope: Polytope
-    flavor: str  # a key of FLAVORS
-
-    def value(self, t) -> ExactValue:
-        """base(t0) + vol (t^d - t0^d) + the sum over k = 1, 2 of c_{d-k}(t)
-        (t^{d-k} - t0^{d-k}), base the oracle (A_P or L_P) and t0 in (0, m]
-        with t - t0 a multiple of the period m, so that c_{d-k}(t0) =
-        c_{d-k}(t); the term with d = k vanishes, and d < k has none."""
-        from eak import oracle
-
-        t, P = Fraction(t), self.polytope
-        if t <= 0:
-            raise ValueError("positive t required")
-        m, d = P.denominator(), P.dim
-        t0 = class_representative(t, m)
-        base = oracle.solid_angle_sum if self.flavor == "solid-angle" else oracle.count_points
-        total = ExactValue.of(P.volume() * (t**d - t0**d)) + base(P, t0)
-        for k, kind in enumerate(FLAVORS[self.flavor][: d - 1], 1):
-            total = total + QuasiCoefficient(kind, P).eval(t) * (t ** (d - k) - t0 ** (d - k))
-        return total
-
-
-def complete_quasipolynomial(P: Polytope, flavor: str) -> QuasiPolynomial:
     if P.dim > 3:
         raise ValueError("the t^1 coefficient of a 4-polytope has no closed form; "
                          "dimension at most three required")
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    return QuasiPolynomial(P, flavor)
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("positive t required")
+    m, d = P.denominator(), P.dim
+    t0 = class_representative(t, m)
+    base = oracle.solid_angle_sum if flavor == "solid-angle" else oracle.count_points
+    values = evaluate(P, t)
+    return exact_sum([P.volume() * (t**d - t0**d), base(P, t0),
+                      *(values[kind] * (t ** (d - k) - t0 ** (d - k))
+                        for k, kind in enumerate(FLAVORS[flavor][: d - 1], 1))])

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from eak import linalg
 from eak.exactval import AngleValue, ExactValue
-from eak.polytope import Face, Polytope
+from eak.polytope import Face, Polytope, _bits
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class CodimTwoData:
         return ExactValue.angle_turn(self.c_G)
 
 
-def ridges(P: Polytope) -> dict[frozenset[int], tuple[int, int, AngleValue]]:
-    """(f1, f2, c_G) of each ridge of P, by its tight set: its two facet
+def ridges(P: Polytope) -> dict[int, tuple[int, int, AngleValue]]:
+    """(f1, f2, c_G) of each ridge of P, by its tight rows: its two facet
     indices, F1 with the lexicographically smaller normal, and its
     dihedral angle from the two integer normals alone.  Built on first use
     and kept on P; the codim-2 data and the solid-angle table both read
@@ -68,14 +68,14 @@ def ridges(P: Polytope) -> dict[frozenset[int], tuple[int, int, AngleValue]]:
         P._ridges = {}
         for G in P.codim2_faces():
             # a ridge lies in exactly two facets
-            i, j = sorted(G.tight_set, key=P.inequalities.__getitem__)
+            i, j = sorted(_bits(G.tight), key=P.inequalities.__getitem__)
             v1, v2 = P.inequalities[i][0], P.inequalities[j][0]
-            P._ridges[G.tight_set] = (i, j, dihedral_angle(v1, v2))
+            P._ridges[G.tight] = (i, j, dihedral_angle(v1, v2))
     return P._ridges
 
 
 def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
-    i, j, c_G = ridges(P)[face.tight_set]
+    i, j, c_G = ridges(P)[face.tight]
     (v1, b1), (v2, b2) = P.inequalities[i], P.inequalities[j]
     # x -> (<v1, x>, <v2, x>) maps the dual of Lambda_G onto the sublattice
     # of Z^2 of index k that contains (1, -h): k is the gcd of the 2x2
@@ -83,7 +83,7 @@ def codim2_data(P: Polytope, face: Face) -> CodimTwoData:
     # with <v1, x> = 1 gives h.  The cone generators map to (0, k) and
     # (k, 0), so the projection of G, which maps to (b1, b2), has
     # coordinates x1 = b2/k and x2 = b1/k.
-    k = P.minor_gcd(face.tight_set)
+    k = P.minor_gcd(face.tight)
     h = -sum(a * x for a, x in zip(v2, _unit_preimage(v1))) % k
     h_inv = 1 if k == 1 else pow(h, -1, k)
     den = math.lcm(b1.denominator, b2.denominator)

@@ -9,8 +9,8 @@ face_counts scans the dilations of one t (eak verify's t0 + j m, t0 in
 the line scan, over the lines of each dilation's own box, and returns
 per dilation the interior count and the boundary counts by tight set,
 each set read from the slacks of the point's line and packed into the
-bits of one integer; count_points sums the line lengths and builds no
-boundary points.
+bits of one integer, the Face.tight of the face that holds the point;
+count_points sums the line lengths and builds no boundary points.
 The face lattice of P gives that face's codimension, and one rule the
 angle: 1 inside, 1/2 on a facet, the dihedral angle omega_G of the local
 data on a codim-2 face, and on a codim-3 face (a vertex of a 3-polytope,
@@ -35,7 +35,7 @@ from typing import Sequence
 
 from eak import linalg, local_data
 from eak.exactval import AngleValue, ExactValue, exact_sum
-from eak.polytope import Polytope
+from eak.polytope import Polytope, _bits
 
 ENUMERATION_BUDGET = 10**7
 INT64_LIMIT = 2**63
@@ -133,35 +133,30 @@ def face_counts(P: Polytope, ts) -> list[tuple[int, dict[int, int]]]:
 # ---------------------------------------------------------------------------
 # solid angles
 
-def _bits(tight) -> int:
-    return sum(1 << i for i in tight)
-
-
-def _transverse_angle(P: Polytope, tight: tuple[int, ...]) -> ExactValue | None:
-    """Solid angle of P on the relative interior of the face with tight
-    inequality set `tight`, by that face's codimension c in the face
-    lattice of P: the per-face reference for AngleTable's rows.  At c = 2
-    it is the face's dihedral angle omega; at c = 3 the dihedral angles of
-    the transverse cone sit at the codim-2 faces of P inside the tight
-    set; at c = 4, a vertex of a 4-polytope, there is no exact rule and
-    the angle is None."""
-    inside = frozenset(tight)
+def _transverse_angle(P: Polytope, tight: int) -> ExactValue | None:
+    """Solid angle of P on the relative interior of the face whose
+    Face.tight is `tight`, the key face_counts gives its points, by that
+    face's codimension c in the face lattice of P: the per-face reference
+    for AngleTable's rows.  At c = 2 it is the face's dihedral angle omega;
+    at c = 3 the dihedral angles of the transverse cone sit at the codim-2
+    faces of P whose tight rows are among these; at c = 4, a vertex of a
+    4-polytope, there is no exact rule and the angle is None."""
     c = next(
-        (F.codim for k in range(P.dim + 1) for F in P.faces_of_codim(k) if F.tight_set == inside),
+        (F.codim for k in range(P.dim + 1) for F in P.faces_of_codim(k) if F.tight == tight),
         None,
     )
     if c is None:
-        raise RuntimeError(f"no face of P has the tight set {sorted(inside)}")
+        raise RuntimeError(f"no face of P has the tight set {list(_bits(tight))}")
     if c == 0:
         return ExactValue.of(1)
     if c == 1:
         return ExactValue.of(Fraction(1, 2))
     codim2 = local_data.all_codim2_data(P)
     if c == 2:
-        return next(g.omega for g in codim2 if g.face.tight_set == inside)
+        return next(g.omega for g in codim2 if g.face.tight == tight)
     if c == 3:
-        turns = [g.omega for g in codim2 if g.face.tight_set <= inside]
-        return exact_sum(turns) / 2 - Fraction(len(tight) - 2, 4)
+        turns = [g.omega for g in codim2 if g.face.tight & tight == g.face.tight]
+        return exact_sum(turns) / 2 - Fraction(tight.bit_count() - 2, 4)
     return None
 
 
@@ -169,8 +164,8 @@ class AngleTable:
     """The solid angles of P as integer rows over one arccos basis.
 
     The basis, `angles`, holds the distinct canonical arccos terms of P's
-    dihedral angles, sorted by cos^2.  The row of a face, keyed by the bits
-    of its tight set, is D = ANGLE_DENOMINATOR times its solid angle, as
+    dihedral angles, sorted by cos^2.  The row of a face, keyed by its
+    Face.tight, is D = ANGLE_DENOMINATOR times its solid angle, as
     the sparse pairs (i, n): n/D at i = 0 is the rational part, and n/D at
     i >= 1 the coefficient of arccos(angles[i - 1])/(2pi); a vertex of a
     4-polytope has the row None.  Every face's row is built with the
@@ -192,16 +187,14 @@ class AngleTable:
             if half.denominator != 1:
                 raise RuntimeError(f"a dihedral angle of P has a rational part {rat} "
                                    f"outside (2/{ANGLE_DENOMINATOR}) Z")
-            self._ridges[_bits(tight)] = (half.numerator, index.get(cs, 0), s)
-        self.rows: dict[int, tuple[tuple[int, int], ...] | None] = {}
-        for c in range(1, P.dim + 1):
-            for F in P.faces_of_codim(c):
-                key = _bits(F.tight_set)
-                self.rows[key] = self._row(key, c)
+            self._ridges[tight] = (half.numerator, index.get(cs, 0), s)
+        self.rows: dict[int, tuple[tuple[int, int], ...] | None] = {
+            F.tight: self._row(F.tight, c) for c in range(1, P.dim + 1) for F in P.faces_of_codim(c)
+        }
 
     def _row(self, key: int, c: int) -> tuple[tuple[int, int], ...] | None:
         """D times the solid angle on the face of codimension c with
-        tight-set bits key."""
+        tight rows key."""
         D = ANGLE_DENOMINATOR
         if c == 1:
             return ((0, D // 2),)
@@ -256,7 +249,7 @@ def solid_angle_at(P: Polytope, x: Sequence, t=1) -> ExactValue:
     slacks = [b * t - linalg.dot(a, x) for a, b in P.inequalities]
     if min(slacks) < 0:
         return ExactValue.of(0)
-    tight = tuple(i for i, slack in enumerate(slacks) if slack == 0)
+    tight = sum(1 << i for i, slack in enumerate(slacks) if slack == 0)
     angle = _transverse_angle(P, tight)
     if angle is None:
         raise ValueError(VERTEX_REFUSAL)

@@ -14,7 +14,10 @@ the kernel on: the face lattice is cut from the facets' vertex bitmasks
 in one pass that builds each face once and keeps its facets, and every
 volume, of P or of a face in the lattice of its span, is a sum of
 pyramids over those facets, taken in integers over the integer dilate
-L P, L the lcm of the vertex denominators.
+L P, L the lcm of the vertex denominators.  A face is named by one
+integer, the bitmask of the inequalities tight on it: the key of its
+volume, its minor gcd, its ridge record and its solid-angle row, and the
+key the lattice-point scan gives each boundary point.
 """
 
 from __future__ import annotations
@@ -35,9 +38,11 @@ MAX_DIM = 4
 
 @dataclass(frozen=True)
 class Face:
-    """A face of a polytope, identified by its active inequalities."""
+    """A face of a polytope, named by its tight rows: bit i of tight is set
+    iff inequality i is tight on the face, the key the scan gives each
+    boundary point."""
 
-    tight_set: frozenset[int]
+    tight: int
     vertex_ids: tuple[int, ...]
     dim: int
     codim: int
@@ -155,13 +160,13 @@ class Polytope:
         # Data derived from P alone, each built on first use and kept, as is
         # the face lattice: each ridge's facets and dihedral angle and the
         # codim-2 data (both filled by eak.local_data), the integer volume
-        # of each face over L P, by its vertex ids, the minor gcd of each
-        # set of two or more normals, by the set, and the solid-angle table
-        # (an eak.oracle.AngleTable).
+        # of each face over L P and the minor gcd of each set of two or more
+        # normals, both by tight-row bitmask, and the solid-angle table (an
+        # eak.oracle.AngleTable).
         self._ridges: dict | None = None
         self._codim2_data: tuple | None = None
-        self._lattice_volumes: dict[tuple[int, ...], int] = {}
-        self._minor_gcds: dict[frozenset[int], int] = {}
+        self._lattice_volumes: dict[int, int] = {}
+        self._minor_gcds: dict[int, int] = {}
         self._angle_table = None
 
     # -- constructors -----------------------------------------------------
@@ -229,13 +234,13 @@ class Polytope:
         vertex sets contain it.  Vertex sets are cut as bitmasks, and each
         face is built the first time its cut appears."""
         masks = self._facet_masks
-        faces = [(m, Face(frozenset([i]), _bits(m), self.dim - 1, 1)) for i, m in enumerate(masks)]
-        levels = [{Face(frozenset(), tuple(range(len(self.vertices))), self.dim, 0):
+        faces = [(m, Face(1 << i, _bits(m), self.dim - 1, 1)) for i, m in enumerate(masks)]
+        levels = [{Face(0, tuple(range(len(self.vertices))), self.dim, 0):
                    [F for _, F in faces]}]
         while faces:
             level, made = {}, {}
             for own, F in faces:
-                cuts = {own & m for i, m in enumerate(masks) if i not in F.tight_set}
+                cuts = {own & m for i, m in enumerate(masks) if not F.tight >> i & 1}
                 cuts.discard(0)
                 kept = []
                 for cut in cuts:
@@ -244,9 +249,8 @@ class Polytope:
                     G = made.get(cut)
                     if G is None:
                         G = made[cut] = Face(
-                            frozenset(i for i, m in enumerate(masks) if cut & m == cut),
-                            _bits(cut),
-                            F.dim - 1, F.codim + 1)
+                            sum(1 << i for i, m in enumerate(masks) if cut & m == cut),
+                            _bits(cut), F.dim - 1, F.codim + 1)
                     kept.append(G)
                 level[F] = kept
             levels.append(level)
@@ -283,15 +287,15 @@ class Polytope:
     def denominator(self) -> int:
         return self._dilate[0]
 
-    def minor_gcd(self, tight: frozenset[int]) -> int:
-        """g(R), the gcd of the maximal minors of the normals R indexed by
-        tight: 1 for no normal or one, which is primitive, and else kept by
-        the set; at a ridge it is the k of its codim-2 data."""
-        if len(tight) < 2:
+    def minor_gcd(self, tight: int) -> int:
+        """g(R), the gcd of the maximal minors of the normals R whose bits
+        are set in tight: 1 for no normal or one, which is primitive, and
+        else kept by tight; at a ridge it is the k of its codim-2 data."""
+        if tight.bit_count() < 2:
             return 1
         g = self._minor_gcds.get(tight)
         if g is None:
-            normals = [self.inequalities[i][0] for i in sorted(tight)]
+            normals = [self.inequalities[i][0] for i in _bits(tight)]
             g = self._minor_gcds[tight] = math.gcd(*linalg.maximal_minors(normals).values())
         return g
 
@@ -305,9 +309,9 @@ class Polytope:
     def lattice_volume(self, face: Face) -> int:
         """N(F) = dim(F)! vol*(L F), an integer since L F has integer
         vertices; each face's pyramid sum runs once."""
-        N = self._lattice_volumes.get(face.vertex_ids)
+        N = self._lattice_volumes.get(face.tight)
         if N is None:
-            N = self._lattice_volumes[face.vertex_ids] = self._pyramid_volume(face)
+            N = self._lattice_volumes[face.tight] = self._pyramid_volume(face)
         return N
 
     def _pyramid_volume(self, face: Face) -> int:
@@ -329,13 +333,14 @@ class Polytope:
         p = points[face.vertex_ids[0]]
         if face.dim == 1:
             return math.gcd(*map(operator.sub, points[face.vertex_ids[1]], p))
-        g = self.minor_gcd(face.tight_set)
+        g = self.minor_gcd(face.tight)
         total = 0
         for G in self._lattice[face.codim][face]:
-            i = min(G.tight_set - face.tight_set)
-            rise = sum(map(operator.mul, self.inequalities[i][0],
+            new = G.tight & ~face.tight
+            v = new & -new  # the lowest new row
+            rise = sum(map(operator.mul, self.inequalities[v.bit_length() - 1][0],
                            map(operator.sub, points[G.vertex_ids[0]], p)))
-            total += self.lattice_volume(G) * (rise * g // self.minor_gcd(face.tight_set | {i}))
+            total += self.lattice_volume(G) * (rise * g // self.minor_gcd(face.tight | v))
         return total
 
     def __repr__(self) -> str:
@@ -348,14 +353,17 @@ class Polytope:
 
 def parse_int(value, field: str) -> int:
     """An integer or an integer string, read by parse_integer; a float or
-    a boolean is refused."""
+    a boolean is refused, and so is a string of more digits than
+    parse_integer reads, by its count and not its digits."""
     if type(value) is int:
         return value
     if isinstance(value, str):
         try:
             return parse_integer(value)
-        except ValueError:
-            pass
+        except ValueError as exc:
+            # parse_integer's one refusal that is not of the grammar
+            if not str(exc).startswith("not an integer"):
+                raise ValueError(f"{field} must be an integer, got {exc}") from None
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 

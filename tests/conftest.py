@@ -143,6 +143,21 @@ def rational_polytopes(draw, dims: tuple[int, int], extra: int) -> Polytope:
         assume(False)
 
 
+def hull_or_none(d, points):
+    try:
+        return Polytope(d, points)
+    except ValueError:
+        return None
+
+
+def small_rational_polytopes(d):
+    """Hulls of d+1 to d+3 points in [-1, 1]^d with denominator <= 2: every
+    dilation verify samples fits the enumeration budget, in d = 4 too."""
+    coord = st.fractions(min_value=-1, max_value=1, max_denominator=2)
+    points = st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 3)
+    return points.map(lambda pts: hull_or_none(d, pts)).filter(lambda P: P is not None)
+
+
 def reeve_tetrahedron(r: int) -> Polytope:
     """conv(0, e1, e2, (1, 1, r)): every edge has cone type k = r."""
     return Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, r)])

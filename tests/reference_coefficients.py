@@ -40,20 +40,25 @@ def facet_walk(P: Polytope, t) -> dict[str, ExactValue]:
     return {"a_d1": ExactValue.of(a), "e_d1": ExactValue.of(a + boundary / 2)}
 
 
+def b2_part(P: Polytope, g: CodimTwoData, t: Fraction) -> Fraction:
+    """B2_G(t), the second-Bernoulli part of the codim-2 face G:
+    (c_G/2k) ((|v2|/|v1|) B2~(b1 t) + (|v1|/|v2|) B2~(b2 t)), b_i the offset
+    of F_i, by the rational regrouping c_G |v2|/|v1| = -<v1,v2>/|v1|^2."""
+    s1, s2 = P.inequalities[g.f1][1] * t, P.inequalities[g.f2][1] * t
+    return -Fraction(g.dot12) / (2 * g.k) * (
+        periodized(2, s1) / g.norm1_sq + periodized(2, s2) / g.norm2_sq
+    )
+
+
 def codim2_walk(P: Polytope, t) -> dict[str, ExactValue]:
     """a_{d-2}(t) and e_{d-2}(t), term by term in Fractions."""
     t = Fraction(t)
     shared = quarter = correction = Fraction(0)
     angles = []
     for g in all_codim2_data(P):
-        # (c_G/2k) ((|v2|/|v1|) B2~(b1 t) + (|v1|/|v2|) B2~(b2 t)), b_i the
-        # offset of F_i, by the rational regrouping c_G |v2|/|v1| = -<v1,v2>/|v1|^2
         s1, s2 = P.inequalities[g.f1][1] * t, P.inequalities[g.f2][1] * t
-        b2 = -Fraction(g.dot12) / (2 * g.k) * (
-            periodized(2, s1) / g.norm1_sq + periodized(2, s2) / g.norm2_sq
-        )
         x, y = (g.x1 + g.h * g.x2) * t, -s1
-        shared += (b2 - dr_sum_direct(*normalize_args(g.h, g.k, x, y))) * g.vol_star
+        shared += (b2_part(P, g, t) - dr_sum_direct(*normalize_args(g.h, g.k, x, y))) * g.vol_star
         if is_integer(s2):
             correction += periodized(1, (g.h_inv * g.x1 + g.x2) * t) * g.vol_star
         if is_integer(y):

@@ -307,7 +307,9 @@ def test_verify_classifies_each_face_once(delta_path, monkeypatch, capsys):
 
 def test_verify_scans_each_dilation_once(delta_path, monkeypatch, capsys):
     # two values of t, four dilations t + j each: one boundary pass per t
-    # gives the counts and the solid-angle sums of its four dilations
+    # gives the counts and the solid-angle sums of its four dilations; and
+    # one pass per class, since Delta_3 has period 1: t = 1, 2, 3 share
+    # the dilations 1..4, and each still prints its five rows
     scans = []
     scan_faces = _kernels.scan_faces
 
@@ -319,6 +321,12 @@ def test_verify_scans_each_dilation_once(delta_path, monkeypatch, capsys):
     assert run(["verify", delta_path, "--t", "1", "--t", "1/2"]) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert scans == [4, 4]
+    scans.clear()
+    assert run(["verify", delta_path, "--t", "1", "--t", "2", "--t", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert scans == [4]
+    assert [line.split()[0] for line in lines] == [f"t={t}" for t in (1, 2, 3) for _ in range(5)]
+    assert all(line.endswith(" [pass]") for line in lines)
 
 
 # vertices by name: at t = 1, delta4 and four_polytope have lattice
@@ -648,6 +656,20 @@ def test_every_refusal_is_one_line_with_exit_2(delta_path, tmp_path, monkeypatch
         path = tmp_path / f"{name}.json"
         path.write_text(f'{{"dim": 1, "vertices": [[0], [{coordinate}]]}}')
         cases.append((["analyze", str(path)], (str(path), "5001 digits")))
+    # and as an integer string in a JSON field, refused by its count, not
+    # its digits: short past the file name
+    square = [{"a": a, "b": "1"} for a in ([-1, 0], [0, 1], [0, -1])]
+    unit = [[1, 0], [0, 1]]
+    for command, field, data in (
+        ("analyze", "'dim'", {**DELTA, "dim": big}),
+        ("analyze", "'a'", {"dim": 2, "inequalities": [{"a": [big, 0], "b": "1"}, *square]}),
+        ("lattice-sum", "'e'", {"basis": unit, "w": unit, "e": [big, 1], "x": [0, 0]}),
+    ):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data))
+        assert run([command, str(path)]) == 2
+        err = _one_line_error(capsys, str(path), field, "must be an integer", "5001 digits")
+        assert "sys.set_int_max_str_digits" not in err and len(err) - len(str(path)) < 200
     problem = {"basis": [["1"]], "w": [["1"]], "e": [2], "x": ["1/3"]}
     for key in problem:
         path = tmp_path / f"no_{key}.json"

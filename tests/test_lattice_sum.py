@@ -4,19 +4,20 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eak.bernoulli import periodized
+from eak.coefficients import evaluate
 from eak.dedekind import dr_sum_fast
-from eak.exactval import ExactValue
+from eak.exactval import ExactValue, exact_sum
 from eak.lattice_sum import LatticeSumProblem, lattice_sum_finite
 from eak.local_data import all_codim2_data
 from eak.polytope import Polytope
 
 import reference_linalg as ref
-from conftest import transverse_lattice
-from reference_coefficients import membership_scale
+from conftest import FOUR_POLYTOPE, small_rational_polytopes, transverse_lattice
+from reference_coefficients import b2_part, membership_scale
 from reference_lattice import (
     EmbeddedLattice,
     gunnels_sczech,
@@ -190,6 +191,30 @@ def test_conditionally_convergent_decomposition():
                 if membership_scale(g, t):
                     expected = expected + ExactValue.angle_turn(g.c_G) - Fraction(1, 4)
                 assert g.k * lattice_sum_finite(p) == expected
+
+
+# each at a t past the enumeration budget: the box of t P has more than
+# 10^7 candidate points, but the lattice sums do not scan it
+@example(P=Polytope(4, FOUR_POLYTOPE), t=Fraction(1000001, 3))
+@example(P=Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]), t=Fraction(250))
+@settings(max_examples=40, deadline=None)
+@given(P=st.integers(2, 4).flatmap(small_rational_polytopes),
+       t=st.builds(Fraction, st.integers(1, 30), st.integers(1, 8)))
+def test_a_d2_is_a_sum_of_lattice_sums_over_the_codim2_faces(P, t):
+    """PAPER.md's Fourier side of a_d2, with no scan: a_d2(t) is the sum over
+    the codim-2 faces G of vol*(G) (B2_G(t) + k_G LS_G(t)), by form, where
+    LS_G is the rank-two (1, 1) lattice sum over the transverse lattice of G
+    at the twist t xbar_G and B2_G the second-Bernoulli part of the Fraction
+    walk.  A lattice sum costs a point of its parallelepiped's box, k_G or
+    more of them, so P is drawn small, as small_rational_polytopes draws it;
+    k_G is not otherwise bounded."""
+    terms = []
+    for g in all_codim2_data(P):
+        r = transverse_lattice(P, g)
+        xbar = tuple(t * c for c in r.xbar)
+        p = LatticeSumProblem(r.lam.basis, (r.v_F1_G, r.v_F2_G), (1, 1), xbar)
+        terms.append((g.k * lattice_sum_finite(p) + b2_part(P, g, t)) * g.vol_star)
+    assert exact_sum(terms) == evaluate(P, t)["a_d2"]
 
 
 def test_series_converges_to_finite_value():

@@ -28,7 +28,7 @@ def test_facet_data_delta(delta):
     facets = delta.facets()
     assert len(facets) == 4
     for i, F in enumerate(facets):
-        assert F.tight_set == {i}
+        assert F.tight == 1 << i
         assert delta.relative_volume(F) == Fraction(1, 2)
     # coordinate facets pass through the origin, the diagonal one does not
     offsets = sorted(b for _, b in delta.inequalities)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -21,12 +22,14 @@ from eak.polytope import Polytope
 import reference_linalg as ref
 from conftest import (
     FOUR_POLYTOPE,
+    hull_or_none,
     interpolated_angle_sum,
     newton_interpolation,
     random_integer_polytope,
     random_rational_polytope,
     reference_scaled_system,
     reference_scan_box,
+    small_rational_polytopes,
     vandermonde_interpolation,
 )
 
@@ -199,13 +202,13 @@ def test_gram_relation():
 @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=4, max_size=4, unique=True))
 def test_gram_relation_on_integer_tetrahedra(points):
     """omega(P) - sum of facet angles + sum of edge angles - sum of vertex
-    angles, each from _transverse_angle of the face's tight set, is 0 in
+    angles, each from _transverse_angle of the face's tight rows, is 0 in
     form: Girard's vertex angles cancel the dihedral ones by Euler's
     relation, so only the merge of the terms is tested."""
-    P = _hull_or_none(3, points)
+    P = hull_or_none(3, points)
     assume(P is not None)
     gram = exact_sum(
-        oracle._transverse_angle(P, tuple(sorted(F.tight_set))) * (-1) ** c
+        oracle._transverse_angle(P, F.tight) * (-1) ** c
         for c in range(4)
         for F in P.faces_of_codim(c)
     )
@@ -221,10 +224,10 @@ def _edge_turn(a1, a2) -> ExactValue:
 
 def _check_dihedral_angles(P):
     for g in local_data.all_codim2_data(P):
-        tight = tuple(sorted(g.face.tight_set))
-        expected = _edge_turn(*(P.inequalities[i][0] for i in tight))
+        expected = _edge_turn(*(a for i, (a, _) in enumerate(P.inequalities)
+                                if g.face.tight >> i & 1))
         assert ExactValue.angle_turn(g.c_G) == expected
-        assert oracle._transverse_angle(P, tight) == expected
+        assert oracle._transverse_angle(P, g.face.tight) == expected
 
 
 def test_dihedral_angle_is_c_G(cube, delta):
@@ -237,8 +240,8 @@ def test_transverse_angle_refuses_a_tight_set_of_no_face(cube):
     # No scan reaches such a set, so it is an internal error, not a refusal
     # of an input (a ValueError would print as one)
     x_facets = [i for i, (a, _) in enumerate(cube.inequalities) if a[1:] == (0, 0)]
-    with pytest.raises(RuntimeError, match="no face"):
-        oracle._transverse_angle(cube, tuple(x_facets))
+    with pytest.raises(RuntimeError, match=rf"no face .* {re.escape(str(x_facets))}$"):
+        oracle._transverse_angle(cube, sum(1 << i for i in x_facets))
 
 
 def test_oracle_path_takes_no_rank_or_inverse(tmp_path, capsys, delta, cube):
@@ -246,7 +249,7 @@ def test_oracle_path_takes_no_rank_or_inverse(tmp_path, capsys, delta, cube):
     coefficients from one integer Lagrange matrix: the package has no
     rank, rref, inverse or other Fraction elimination to take."""
     P4 = Polytope(4, FOUR_POLYTOPE)
-    codim3 = [tuple(sorted(F.tight_set)) for F in P4.faces_of_codim(3)]
+    codim3 = [F.tight for F in P4.faces_of_codim(3)]
     expected = [oracle._transverse_angle(Polytope(4, FOUR_POLYTOPE), tight) for tight in codim3]
     path = tmp_path / "delta.json"
     path.write_text(json.dumps(delta.to_json()))
@@ -347,18 +350,11 @@ def test_cross_check(delta):
     assert oracle.appendixA_cross_check(delta, 2) == oracle.solid_angle_sum(delta, 2)
 
 
-def _hull_or_none(d, points):
-    try:
-        return Polytope(d, points)
-    except ValueError:
-        return None
-
-
 def rational_polytopes(d):
     """Hulls of d+1 to d+4 points with coordinates in [-2, 2], denominator <= 3."""
     coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
     points = st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 4)
-    return points.map(lambda pts: _hull_or_none(d, pts)).filter(lambda P: P is not None)
+    return points.map(lambda pts: hull_or_none(d, pts)).filter(lambda P: P is not None)
 
 
 # integer t makes the integer vertices of P lattice points of tP
@@ -455,38 +451,26 @@ def test_count_is_the_scan_by_face_total(d, data):
     assert oracle.count_points(P, t) == interior + sum(faces.values())
 
 
-def _face_key(F) -> int:
-    return sum(1 << i for i in F.tight_set)
-
-
 @pytest.mark.parametrize("d", [2, 3, 4])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_angle_table_matches_per_face_reference(d, data):
     """Each face's row of P's AngleTable, over D, is _transverse_angle of
-    its tight set, and None exactly at the vertices of a 4-polytope; the
+    its tight rows, and None exactly at the vertices of a 4-polytope; the
     table's sum is the per-point sum, or both refuse alike."""
     P = data.draw(rational_polytopes(d))
     table = oracle.angle_table(P)
     assert oracle.angle_table(P) is table
     for c in range(1, d + 1):
         for F in P.faces_of_codim(c):
-            vector, left_out = table.vector(0, {_face_key(F): 1})
-            angle = oracle._transverse_angle(P, tuple(sorted(F.tight_set)))
+            vector, left_out = table.vector(0, {F.tight: 1})
+            angle = oracle._transverse_angle(P, F.tight)
             assert left_out == (c == 4) == (angle is None)
             if angle is not None:
                 assert table.value(vector) == angle
     t = data.draw(dilations)
     assert (_value_or_refusal(oracle.solid_angle_sum, P, t)
             == _value_or_refusal(oracle.appendixA_cross_check, P, t))
-
-
-def small_rational_polytopes(d):
-    """Hulls of d+1 to d+3 points in [-1, 1]^d with denominator <= 2: every
-    dilation verify samples fits the enumeration budget, in d = 4 too."""
-    coord = st.fractions(min_value=-1, max_value=1, max_denominator=2)
-    points = st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 3)
-    return points.map(lambda pts: _hull_or_none(d, pts)).filter(lambda P: P is not None)
 
 
 def _reference_face_counts(P, s):
@@ -660,7 +644,8 @@ def test_four_dimensional_edge_angles_match_monte_carlo():
         if ref.rank(normals) != 3:
             continue
         sampled = np.mean(np.all(u @ np.array(normals, dtype=float).T <= 0, axis=1))
-        assert oracle._transverse_angle(P, tight).eval_numeric() == pytest.approx(sampled, abs=4e-3)
+        angle = oracle._transverse_angle(P, sum(1 << i for i in tight))
+        assert angle.eval_numeric() == pytest.approx(sampled, abs=4e-3)
         checked += 1
     assert checked >= 10
 

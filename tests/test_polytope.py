@@ -257,21 +257,21 @@ def test_face_lattice_counts(delta, cube):
     assert len(cube.codim2_faces()) == 12
     for f in delta.codim2_faces():
         assert f.dim == 1 and len(f.vertex_ids) == 2
-        assert len(f.tight_set) == 2
+        assert f.tight.bit_count() == 2
     assert [len(cube.faces_of_codim(c)) for c in range(4)] == [1, 6, 12, 8]
     (whole,) = cube.faces_of_codim(0)
-    assert whole.tight_set == frozenset() and len(whole.vertex_ids) == 8
-    assert all(len(v.tight_set) == 3 for v in cube.faces_of_codim(3))
+    assert whole.tight == 0 and len(whole.vertex_ids) == 8
+    assert all(v.tight.bit_count() == 3 for v in cube.faces_of_codim(3))
     assert cube.faces_of_codim(4) == []
     with pytest.raises(ValueError):
         cube.faces_of_codim(-1)
 
 
 def reference_faces(P):
-    """Every face of P as (tight set, vertex ids, dim, codim): the vertex
+    """Every face of P as (tight rows, vertex ids, dim, codim): the vertex
     sets cut out by the tight sets, found by closing the facets' vertex
     sets under intersection, with the codimension read off their affine
-    rank."""
+    rank, and bit i of the tight rows set iff facet i holds the face."""
     facet_sets = [
         frozenset(j for j, v in enumerate(P.vertices) if linalg.dot(a, v) == b)
         for a, b in P.inequalities
@@ -284,7 +284,7 @@ def reference_faces(P):
     for cut in cuts:
         pts = [P.vertices[j] for j in sorted(cut)]
         dim = ref.rank([ref.vec_sub(p, pts[0]) for p in pts[1:]]) if len(pts) > 1 else 0
-        tight = frozenset(i for i, f in enumerate(facet_sets) if cut <= f)
+        tight = sum(1 << i for i, f in enumerate(facet_sets) if cut <= f)
         faces.add((tight, tuple(sorted(cut)), dim, P.dim - dim))
     return faces
 
@@ -298,10 +298,10 @@ def test_faces_match_brute_force_reference(P):
         assert all(f.codim == c for f in faces)
         assert len({f.vertex_ids for f in faces}) == len(faces)
         if c == 1:
-            assert [f.tight_set for f in faces] == [{i} for i in range(len(P.inequalities))]
+            assert [f.tight for f in faces] == [1 << i for i in range(len(P.inequalities))]
         else:
             assert [f.vertex_ids for f in faces] == sorted(f.vertex_ids for f in faces)
-        found |= {(f.tight_set, f.vertex_ids, f.dim, f.codim) for f in faces}
+        found |= {(f.tight, f.vertex_ids, f.dim, f.codim) for f in faces}
     reference = reference_faces(P)
     assert found == reference
     # each face keeps as its facets the faces one dimension lower inside it
@@ -309,7 +309,7 @@ def test_faces_match_brute_force_reference(P):
         for F, kept in level.items():
             below = {r for r in reference if r[2] == F.dim - 1 and set(r[1]) <= set(F.vertex_ids)}
             assert len(kept) == len(below)
-            assert {(G.tight_set, G.vertex_ids, G.dim, G.codim) for G in kept} == below
+            assert {(G.tight, G.vertex_ids, G.dim, G.codim) for G in kept} == below
 
 
 def test_lattice_builds_each_face_once(hex_prism, monkeypatch):
@@ -354,11 +354,12 @@ def fraction_pyramid_volume(P, face, kept: dict) -> Fraction:
         j = next(j for j, c in enumerate(diff) if c)
         vol = diff[j] / ref.primitive_integer_vector(diff)[j]
     else:
-        normals = [P.inequalities[i][0] for i in sorted(face.tight_set)]
+        normals = [a for i, (a, _) in enumerate(P.inequalities) if face.tight >> i & 1]
         g = math.gcd(*linalg.maximal_minors(normals).values())
         total = Fraction(0)
         for G in P._lattice[face.codim][face]:
-            a, b = P.inequalities[min(G.tight_set - face.tight_set)]
+            new = G.tight & ~face.tight
+            a, b = P.inequalities[min(i for i in range(new.bit_length()) if new >> i & 1)]
             m = math.gcd(*linalg.maximal_minors(normals + [a]).values())
             total += fraction_pyramid_volume(P, G, kept) * (b - linalg.dot(a, verts[0])) * g / m
         vol = total / face.dim
